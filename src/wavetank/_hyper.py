@@ -1,50 +1,49 @@
-"""Overflow-safe hyperbolic ratios for the boundary-map series.
+"""Overflow-safe hyperbolic ratios for the modal kernels.
 
-Every ratio is rewritten in shifted exponentials once the scale parameter
-exceeds ``SHIFT_THRESHOLD``; raw cosh/sinh overflow 64-bit floats near a
-argument of 710, which the truncations in use would otherwise reach.
+Every ratio is written in shifted exponentials whose arguments are never
+positive on the stated domain, so no term overflows for any scale parameter
+(raw cosh/sinh overflow 64-bit floats near an argument of 710, which the
+truncations in use reach). The scale parameter and the coordinate broadcast
+against each other: pass ``k[:, None]`` and a row of points to get one
+kernel row per mode.
 """
 
 import numpy as np
 
-SHIFT_THRESHOLD = 30.0
 
-
-def cosh_over_cosh(k: float, y) -> np.ndarray:
+def cosh_over_cosh(k, y) -> np.ndarray:
     """cosh[k(y+1)] / cosh(k) for y in [-1, 0], positive k.
 
-    Shifted form: e^{ky} (1 + e^{-2k(y+1)}) / (1 + e^{-2k}). Equals 1
-    exactly at y = 0 in both branches.
+    Shifted form: e^{ky} (1 + e^{-2k(y+1)}) / (1 + e^{-2k}); equals 1
+    exactly at y = 0.
     """
+    k = np.asarray(k, dtype=float)
     y = np.asarray(y, dtype=float)
-    if k <= SHIFT_THRESHOLD:
-        return np.cosh(k * (y + 1.0)) / np.cosh(k)
     return np.exp(k * y) * (1.0 + np.exp(-2.0 * k * (y + 1.0))) / (1.0 + np.exp(-2.0 * k))
 
 
-def cosh_ratio_side(a: float, x) -> np.ndarray:
+def cosh_ratio_side(a, x) -> np.ndarray:
     """cosh[a(x - pi)] / sinh(a pi) for x in [0, pi], positive a.
 
     Shifted form: (e^{a(x - 2 pi)} + e^{-a x}) / (1 - e^{-2 a pi}).
     """
+    a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
-    if a <= SHIFT_THRESHOLD:
-        return np.cosh(a * (x - np.pi)) / np.sinh(a * np.pi)
     return (np.exp(a * (x - 2.0 * np.pi)) + np.exp(-a * x)) / (-np.expm1(-2.0 * a * np.pi))
 
 
-def sinh_ratio_side(a: float, x) -> np.ndarray:
+def sinh_ratio_side(a, x) -> np.ndarray:
     """sinh[a(x - pi)] / sinh(a pi) for x in [0, pi], positive a.
 
     Shifted form: -(e^{-a x} - e^{a(x - 2 pi)}) / (1 - e^{-2 a pi}).
     """
+    a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
-    if a <= SHIFT_THRESHOLD:
-        return np.sinh(a * (x - np.pi)) / np.sinh(a * np.pi)
     return -(np.exp(-a * x) - np.exp(a * (x - 2.0 * np.pi))) / (-np.expm1(-2.0 * a * np.pi))
 
 
-def exp_left_over_sinh(a: float, x) -> np.ndarray:
+def exp_left_over_sinh(a, x) -> np.ndarray:
     """e^{a(pi - x)} / sinh(a pi) = 2 e^{-a x} / (1 - e^{-2 a pi}), stable for all a > 0."""
+    a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
     return 2.0 * np.exp(-a * x) / (-np.expm1(-2.0 * a * np.pi))

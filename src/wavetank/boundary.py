@@ -20,10 +20,11 @@ vanishes identically (not just to roundoff) on the top boundary.
 """
 
 import math
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from ._hyper import cosh_over_cosh, cosh_ratio_side, exp_left_over_sinh, sinh_ratio_side
 
@@ -79,9 +80,12 @@ class FieldGrid:
         """Values along the free surface y = 0."""
         return self.values[:, -1]
 
-    def to_csv(self, path) -> None:
-        """Write rows ``x,y,value`` (17 significant digits, row-major)."""
-        with open(path, "w", newline="") as fh:
+    def to_csv(self, path=None) -> None:
+        """Write rows ``x,y,value`` (17 significant digits, row-major).
+
+        Writes to standard output when ``path`` is empty or None.
+        """
+        with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
             fh.write("x,y,value\n")
             xs, ys = self.x, self.y
             for i in range(self.nx + 1):
@@ -98,9 +102,19 @@ def _as_coefficients(c) -> np.ndarray:
     return c
 
 
-def _psi_factor(k: int, y) -> np.ndarray:
+def _wall_rate(k):
+    # a_k = (2k-1) pi/2, the rate of the k-th wall mode
+    return (2 * k - 1) * 0.5 * np.pi
+
+
+def _psi_factor(k, y) -> np.ndarray:
     # psi_k(y)/sqrt(2); the sine form is exactly zero at y = 0
-    return (-1.0) ** k * np.sin((2 * k - 1) * 0.5 * np.pi * np.asarray(y, dtype=float))
+    return (-1.0) ** k * np.sin(_wall_rate(k) * np.asarray(y, dtype=float))
+
+
+def _modes(c, ndim: int = 1) -> np.ndarray:
+    """Mode indices 1..len(c) on a leading axis that broadcasts against ``ndim``-D points."""
+    return np.arange(1, c.size + 1).reshape((-1,) + (1,) * ndim)
 
 
 def dirichlet_field(eta, nx: int, ny: int) -> FieldGrid:
@@ -113,14 +127,9 @@ def dirichlet_field(eta, nx: int, ny: int) -> FieldGrid:
     eta = _as_coefficients(eta)
     x = np.linspace(0.0, np.pi, nx + 1)
     y = np.linspace(-1.0, 0.0, ny + 1)
-    values = np.zeros((nx + 1, ny + 1))
-    for k, ek in enumerate(eta, start=1):
-        if ek == 0.0:
-            continue
-        values += np.outer(
-            ek * math.sqrt(2.0 / math.pi) * np.cos(k * x), cosh_over_cosh(k, y)
-        )
-    return FieldGrid(nx=nx, ny=ny, values=values)
+    k = _modes(eta)
+    weighted = (eta * math.sqrt(2.0 / math.pi))[:, None] * np.cos(k * x)
+    return FieldGrid(nx=nx, ny=ny, values=weighted.T @ cosh_over_cosh(k, y))
 
 
 def wall_trace(eta, y) -> np.ndarray:
@@ -130,12 +139,8 @@ def wall_trace(eta, y) -> np.ndarray:
     """
     eta = _as_coefficients(eta)
     y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    for k, ek in enumerate(eta, start=1):
-        if ek == 0.0:
-            continue
-        out += ek * math.sqrt(2.0 / math.pi) * cosh_over_cosh(k, y)
-    return out
+    kernel = cosh_over_cosh(_modes(eta, y.ndim), y)
+    return np.tensordot(eta * math.sqrt(2.0 / math.pi), kernel, axes=1)
 
 
 def neumann_field(v, nx: int, ny: int) -> FieldGrid:
@@ -149,13 +154,10 @@ def neumann_field(v, nx: int, ny: int) -> FieldGrid:
     v = _as_coefficients(v)
     x = np.linspace(0.0, np.pi, nx + 1)
     y = np.linspace(-1.0, 0.0, ny + 1)
-    values = np.zeros((nx + 1, ny + 1))
-    for k, vk in enumerate(v, start=1):
-        if vk == 0.0:
-            continue
-        a = (2 * k - 1) * 0.5 * np.pi
-        g = 2.0 * math.sqrt(2.0) * vk / ((2 * k - 1) * np.pi)
-        values += np.outer(g * cosh_ratio_side(a, x), _psi_factor(k, y))
+    k = _modes(v)
+    a = _wall_rate(k)
+    g = 2.0 * math.sqrt(2.0) * v[:, None] / ((2 * k - 1) * np.pi)
+    values = (g * cosh_ratio_side(a, x)).T @ _psi_factor(k, y)
     return FieldGrid(nx=nx, ny=ny, values=values)
 
 
@@ -172,16 +174,16 @@ def neumann_wall_residual(v, y, fd_step: float = 1e-6) -> float:
         raise ValueError(f"fd_step must be positive, got {fd_step}")
     v = _as_coefficients(v)
     y = np.asarray(y, dtype=float)
-    deriv = np.zeros_like(y)
-    vy = np.zeros_like(y)
-    for k, vk in enumerate(v, start=1):
-        a = (2 * k - 1) * 0.5 * np.pi
-        g = 2.0 * math.sqrt(2.0) * vk / ((2 * k - 1) * np.pi)
-        dx_factor = g * a * sinh_ratio_side(a, np.array(0.0))
-        psi = _psi_factor(k, y)
-        deriv += dx_factor * psi
-        vy += vk * math.sqrt(2.0) * psi
-    return float(np.max(np.abs(deriv + vy))) if y.size else 0.0
+    if not y.size:
+        return 0.0
+    k = _modes(v, 0)
+    a = _wall_rate(k)
+    g = 2.0 * math.sqrt(2.0) * v / ((2 * k - 1) * np.pi)
+    dx_factor = g * a * sinh_ratio_side(a, 0.0)
+    psi = _psi_factor(_modes(v, y.ndim), y)
+    deriv = np.tensordot(dx_factor, psi, axes=1)
+    vy = np.tensordot(v * math.sqrt(2.0), psi, axes=1)
+    return float(np.max(np.abs(deriv + vy)))
 
 
 def neumann_to_neumann(v, x) -> np.ndarray:
@@ -192,13 +194,9 @@ def neumann_to_neumann(v, x) -> np.ndarray:
     """
     v = _as_coefficients(v)
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for k, vk in enumerate(v, start=1):
-        if vk == 0.0:
-            continue
-        a = (2 * k - 1) * 0.5 * np.pi
-        out += (-1.0) ** k * math.sqrt(2.0) * vk * cosh_ratio_side(a, x)
-    return out
+    k = _modes(v, x.ndim)
+    signed = (-1.0) ** _modes(v, 0) * math.sqrt(2.0) * v
+    return np.tensordot(signed, cosh_ratio_side(_wall_rate(k), x), axes=1)
 
 
 def hilbert_bound_ratio(v, panels: int = HILBERT_SIMPSON_PANELS) -> float:
@@ -210,21 +208,24 @@ def hilbert_bound_ratio(v, panels: int = HILBERT_SIMPSON_PANELS) -> float:
         g(x) = sum_k (-1)^k sqrt(2) v_k e^{a_k (pi - x)} / sinh(a_k pi),
 
     satisfies integral_0^inf |g|^2 <= 10 sum |v_k|^2 by Hilbert's inequality.
-    Returns the ratio of the [0, pi] integral (composite Simpson) to the
-    squared coefficient norm; the contract is ratio <= 10.
+    Returns the ratio of the [0, pi] integral (composite Simpson on an even
+    number of ``panels``) to the squared coefficient norm; the contract is
+    ratio <= 10.
     """
+    if panels < 2 or panels % 2:
+        raise ValueError(f"Simpson's rule needs an even number of panels >= 2, got {panels}")
     v = _as_coefficients(v)
     nsq = float(np.dot(v, v))
     if nsq == 0.0:
         raise ValueError("ratio undefined for the zero coefficient vector")
     x = np.linspace(0.0, np.pi, panels + 1)
-    g = np.zeros_like(x)
-    for k, vk in enumerate(v, start=1):
-        if vk == 0.0:
-            continue
-        a = (2 * k - 1) * 0.5 * np.pi
-        g += (-1.0) ** k * math.sqrt(2.0) * vk * exp_left_over_sinh(a, x)
-    return float(simpson(g * g, x=x) / nsq)
+    k = _modes(v)
+    signed = (-1.0) ** _modes(v, 0) * math.sqrt(2.0) * v
+    g = signed @ exp_left_over_sinh(_wall_rate(k), x)
+    weights = np.full(panels + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    return float(np.dot(weights, g * g) * (x[1] - x[0]) / 3.0 / nsq)
 
 
 def harmonicity_residual(grid: FieldGrid) -> float:

@@ -31,7 +31,7 @@ def _fmt(x: float) -> str:
 
 
 def _load_profile(name: str) -> profiles.WavemakerProfile:
-    if name in ("h1", "h2", "nonstrategic", "linear", "cosine"):
+    if name in profiles.BUILTIN_PROFILES:
         return profiles.WavemakerProfile.builtin(name)
     return profiles.WavemakerProfile.from_csv(name)
 
@@ -264,19 +264,8 @@ def cmd_field(args) -> int:
     grid = boundary.reconstruct_field(
         state.zeta, args.u_now, h, args.nx, args.ny, n_side_modes=args.n_side_modes
     )
-    if args.output:
-        grid.to_csv(args.output)
-    else:
-        _print_field(grid)
+    grid.to_csv(args.output)
     return 0
-
-
-def _print_field(grid) -> None:
-    sys.stdout.write("x,y,value\n")
-    xs, ys = grid.x, grid.y
-    for i in range(grid.nx + 1):
-        for j in range(grid.ny + 1):
-            sys.stdout.write(f"{_fmt(xs[i])},{_fmt(ys[j])},{_fmt(grid.values[i, j])}\n")
 
 
 def cmd_rate_study(args) -> int:

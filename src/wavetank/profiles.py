@@ -42,6 +42,7 @@ __all__ = [
 
 MEAN_TOLERANCE = 1e-10
 STRATEGIC_ATOL = 1e-11  # on I_k / cosh(k); below quadrature error, above roundoff
+KERNEL_BLOCK = 1 << 18  # kernel-matrix entries per row block (2 MB of float64)
 
 # sufficient-condition constant tanh(1) / (1 - 2/e)
 SC_CONSTANT = math.tanh(1.0) / (1.0 - 2.0 / math.e)
@@ -72,6 +73,9 @@ class WavemakerProfile:
         self._nodes_per_panel = nodes_per_panel
         self.derivative_sup = derivative_sup
         self.value_at_zero = float(value_at_zero)
+        # the default rule and the weighted samples w * h(y) every modal integral uses
+        self._y, w = panel_rule(self._panels, nodes_per_panel)
+        self._wh = w * fn(self._y)
 
     # -- constructors ----------------------------------------------------
 
@@ -191,17 +195,12 @@ class WavemakerProfile:
 
     @classmethod
     def builtin(cls, name: str) -> "WavemakerProfile":
-        """Look up a built-in profile by its short name (h1, h2, nonstrategic)."""
-        table = {
-            "h1": cls.linear,
-            "linear": cls.linear,
-            "h2": cls.cosine,
-            "cosine": cls.cosine,
-            "nonstrategic": cls.nonstrategic,
-        }
-        if name not in table:
-            raise ValueError(f"unknown builtin profile {name!r}; expected one of {sorted(table)}")
-        return table[name]()
+        """Look up a built-in profile by its short name (see ``BUILTIN_PROFILES``)."""
+        if name not in BUILTIN_PROFILES:
+            raise ValueError(
+                f"unknown builtin profile {name!r}; expected one of {sorted(BUILTIN_PROFILES)}"
+            )
+        return BUILTIN_PROFILES[name]()
 
     # -- evaluation and quadrature ----------------------------------------
 
@@ -219,7 +218,32 @@ class WavemakerProfile:
 
     def mean_residual(self) -> float:
         """Quadrature of the mean integral of h; zero for a volume-conserving profile."""
-        return self.integrate_against(lambda y: np.ones_like(y))
+        return float(np.sum(self._wh))
+
+    def _scaled_integrals(self, ks) -> np.ndarray:
+        """I_k / cosh(k) for every k in ``ks``.
+
+        One product of the kernel matrix cosh[k(y+1)]/cosh(k) on the default
+        nodes with w * h(y), formed in row blocks of at most ``KERNEL_BLOCK``
+        entries so the temporaries stay a few MB for any kmax.
+        """
+        ks = np.asarray(ks, dtype=float)
+        out = np.empty(ks.size)
+        rows = max(1, KERNEL_BLOCK // self._y.size)
+        for start in range(0, ks.size, rows):
+            block = ks[start:start + rows, None]
+            out[start:start + rows] = cosh_over_cosh(block, self._y) @ self._wh
+        return out
+
+
+# short name -> constructor of each built-in profile
+BUILTIN_PROFILES = {
+    "h1": WavemakerProfile.linear,
+    "linear": WavemakerProfile.linear,
+    "h2": WavemakerProfile.cosine,
+    "cosine": WavemakerProfile.cosine,
+    "nonstrategic": WavemakerProfile.nonstrategic,
+}
 
 
 def mean_residual(h: WavemakerProfile) -> float:
@@ -235,7 +259,7 @@ def strategic_integral_scaled(h: WavemakerProfile, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"mode index must be >= 1, got {k}")
-    return h.integrate_against(lambda y: cosh_over_cosh(k, y))
+    return float(h._scaled_integrals([k])[0])
 
 
 def strategic_integral(h: WavemakerProfile, k: int) -> float:
@@ -265,9 +289,8 @@ def strategic_check(h: WavemakerProfile, kmax: int, atol: float = STRATEGIC_ATOL
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    fails = tuple(
-        k for k in range(1, kmax + 1) if abs(strategic_integral_scaled(h, k)) <= atol
-    )
+    scaled = h._scaled_integrals(np.arange(1, kmax + 1))
+    fails = tuple((np.flatnonzero(np.abs(scaled) <= atol) + 1).tolist())
     return StrategicVerdict(strategic=not fails, fails_at=fails, kmax=kmax, atol=atol)
 
 
@@ -290,9 +313,8 @@ def ussd_margin(h: WavemakerProfile, kmax: int) -> UssdMargins:
     """All margins m_k for k <= kmax, their minimum, and the tail value m_kmax."""
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    margins = np.array(
-        [k * abs(strategic_integral_scaled(h, k)) for k in range(1, kmax + 1)]
-    )
+    k = np.arange(1, kmax + 1)
+    margins = k * np.abs(h._scaled_integrals(k))
     imin = int(np.argmin(margins))
     return UssdMargins(
         margins=margins,
@@ -352,6 +374,5 @@ def coupling_vector(h: WavemakerProfile, n_modes: int) -> CouplingVector:
     """Coupling coefficients b_k = -sqrt(2/pi) I_k / cosh(k) for k <= n_modes."""
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    scaled = np.array([strategic_integral_scaled(h, k) for k in range(1, n_modes + 1)])
-    b = -math.sqrt(2.0 / math.pi) * scaled
+    b = -math.sqrt(2.0 / math.pi) * h._scaled_integrals(np.arange(1, n_modes + 1))
     return CouplingVector(b=b, beta=b / math.sqrt(2.0), n_modes=n_modes)

@@ -154,8 +154,10 @@ class SimConfig:
         mu_max = float(frequencies(self.n_modes)[-1])
         if self.dt is None:
             object.__setattr__(self, "dt", min(1e-2, 0.1 / mu_max))
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not math.isfinite(self.t_final):
+            raise ValueError(f"t_final must be finite, got {self.t_final}")
         if self.t_final < self.dt:
             raise ValueError(f"t_final must be >= dt, got {self.t_final} < {self.dt}")
         if self.feedback not in ("collocated", "none"):
@@ -216,6 +218,10 @@ class InputSignal:
 
     segments: list = field(default_factory=list)
 
+    def __post_init__(self):
+        # lookup and concatenation rely on time order, whatever order the caller used
+        self.segments = sorted(self.segments, key=lambda s: s.t_start)
+
     @classmethod
     def zero(cls, t_final: float) -> "InputSignal":
         return cls([Segment(0.0, t_final, "zero")])
@@ -229,10 +235,10 @@ class InputSignal:
         return cls([Segment(0.0, t_final, "sinusoid", amplitude=amplitude, omega=omega, phase=phase)])
 
     def validate(self, t_final: float) -> None:
-        """Check the segments are sorted, non-overlapping and cover [0, t_final]."""
+        """Check the segments are non-overlapping and cover [0, t_final]."""
         if not self.segments:
             raise ValueError("input signal has no segments")
-        segs = sorted(self.segments, key=lambda s: s.t_start)
+        segs = self.segments
         if segs[0].t_start > 1e-12:
             raise ValueError(f"input signal must start at t=0, first segment at {segs[0].t_start}")
         for prev, cur in zip(segs, segs[1:]):
@@ -263,11 +269,11 @@ class InputSignal:
         if tau < 0:
             raise ValueError(f"tau must be >= 0, got {tau}")
         head = []
-        for seg in sorted(self.segments, key=lambda s: s.t_start):
+        for seg in self.segments:
             if seg.t_start >= tau:
                 break
             head.append(replace(seg, t_end=min(seg.t_end, tau)))
-        tail = [seg.shifted(tau) for seg in sorted(other.segments, key=lambda s: s.t_start)]
+        tail = [seg.shifted(tau) for seg in other.segments]
         return InputSignal(head + tail)
 
 

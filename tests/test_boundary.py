@@ -169,6 +169,12 @@ def test_hilbert_ratio_rejects_zero():
         hilbert_bound_ratio(np.zeros(4))
 
 
+def test_hilbert_ratio_rejects_odd_panels():
+    for panels in (0, 7):
+        with pytest.raises(ValueError, match="even number of panels"):
+            hilbert_bound_ratio(E1, panels=panels)
+
+
 def test_hilbert_coefficient_bound():
     # |c_k| <= |c_1| < sqrt(10); c_k = sqrt(2) e^{a_k pi}/sinh(a_k pi)
     from wavetank._hyper import exp_left_over_sinh
@@ -246,7 +252,7 @@ def test_reconstruct_field_identities(h1):
     assert np.max(np.abs(mixed.top + math.sqrt(2 / math.pi) * np.cos(x))) == 0.0
 
 
-def test_field_grid_csv_export(tmp_path):
+def test_field_grid_csv_export(tmp_path, capsys):
     grid = dirichlet_field(E1, 2, 2)
     path = tmp_path / "field.csv"
     grid.to_csv(path)
@@ -256,6 +262,9 @@ def test_field_grid_csv_export(tmp_path):
     x, y, v = (float(s) for s in lines[1].split(","))
     assert (x, y) == (0.0, -1.0)
     assert v == grid.values[0, 0]  # 17 significant digits round-trip losslessly
+    capsys.readouterr()
+    grid.to_csv(None)  # no path: the same text on stdout
+    assert capsys.readouterr().out == path.read_text()
 
 
 def test_field_grid_shape_validation():

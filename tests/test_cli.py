@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavetank
 from wavetank import boundary, simulate, stability
 from wavetank.cli import main
 
@@ -113,6 +118,27 @@ def test_simulate_rejects_overlapping_input(tmp_path, capsys):
     )
     assert code == 2
     assert "overlap" in err
+
+
+@pytest.mark.parametrize("t_final", ["inf", "nan"])
+def test_simulate_rejects_non_finite_horizon(tmp_path, capsys, t_final):
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "--n-modes", "4", "--t-final", t_final,
+        "--out-csv", str(tmp_path / "x.csv"),
+    )
+    assert code == 2
+    assert err.startswith("error: t_final must be finite")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_import_loads_no_scipy():
+    # scipy costs ~0.5 s per process start-up; the package must not pull it in
+    src = str(Path(wavetank.__file__).resolve().parents[1])
+    probe = "import sys, wavetank.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_simulate_with_sinusoid_input(tmp_path, capsys):

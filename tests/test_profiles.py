@@ -73,6 +73,7 @@ def test_strategic_check_nonstrategic_fails_at_one(h_ns):
     assert not verdict.strategic
     assert verdict.fails_at == (1,)
     assert verdict.verdict == "fails-at"
+    assert strategic_check(h_ns, 1000).fails_at == (1,)
 
 
 def test_strategic_check_zero_profile_fails_everywhere():
@@ -100,6 +101,14 @@ def test_ussd_margins_h1(h1):
     assert rep.margins[49] == pytest.approx(M50_H1, abs=1e-12)
     assert rep.tail == rep.margins[-1]
     assert ussd_margin(h1, 100).margins[99] == pytest.approx(M100_H1, abs=1e-12)
+
+
+def test_ussd_margins_h1_closed_form_to_1000(h1):
+    # m_k = k (tanh k/(2k) - (1 - sech k)/k^2), with sech in overflow-free form
+    k = np.arange(1, 1001, dtype=float)
+    sech = 2.0 * np.exp(-k) / (1.0 + np.exp(-2.0 * k))
+    expect = k * (np.tanh(k) / (2.0 * k) - (1.0 - sech) / k**2)
+    np.testing.assert_allclose(ussd_margin(h1, 1000).margins, expect, rtol=1e-10, atol=0)
 
 
 def test_ussd_margin_nonstrategic_min_zero(h_ns):
@@ -205,6 +214,10 @@ def test_tabulated_matches_builtin_criteria(h1):
         )
     assert tab.derivative_sup == pytest.approx(1.0)
     assert tab.value_at_zero == pytest.approx(0.5)
+    np.testing.assert_allclose(
+        ussd_margin(tab, 1000).margins, ussd_margin(h1, 1000).margins, rtol=1e-13, atol=0
+    )
+    assert strategic_check(tab, 1000).fails_at == ()
 
 
 def test_csv_round_trip(tmp_path):

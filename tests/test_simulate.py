@@ -300,6 +300,14 @@ def test_signal_validation_errors():
         InputSignal([]).validate(1.0)
 
 
+def test_signal_unsorted_segments_sorted_at_construction():
+    sig = InputSignal([Segment(1, 2, "constant", value=2.0), Segment(0, 1, "constant", value=1.0)])
+    sig.validate(2.0)
+    assert [s.t_start for s in sig.segments] == [0, 1]
+    assert sig(0.5) == 1.0
+    assert sig(2.0) == 2.0  # past the end: the last segment in time, not in the list
+
+
 def test_signal_concat_semantics():
     u = InputSignal.constant(1.0, 2.0)
     v = InputSignal.sinusoid(2.0, 3.0, 1.0, phase=0.1)
