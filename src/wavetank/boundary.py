@@ -161,17 +161,14 @@ def neumann_field(v, nx: int, ny: int) -> FieldGrid:
     return FieldGrid(nx=nx, ny=ny, values=values)
 
 
-def neumann_wall_residual(v, y, fd_step: float = 1e-6) -> float:
+def neumann_wall_residual(v, y) -> float:
     """Residual of the wall boundary condition of the Neumann extension.
 
     The x-derivative of the extension at x = 0 is evaluated through the
     term-wise differentiated series and compared against -v(y) reconstructed
     in the same basis; the result is max_y of the absolute mismatch, which
-    the per-mode identity keeps at roundoff level. ``fd_step`` is validated
-    for interface compatibility; the derivative itself is analytic.
+    the per-mode identity keeps at roundoff level.
     """
-    if not fd_step > 0:
-        raise ValueError(f"fd_step must be positive, got {fd_step}")
     v = _as_coefficients(v)
     y = np.asarray(y, dtype=float)
     if not y.size:

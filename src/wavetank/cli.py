@@ -237,6 +237,7 @@ def cmd_simulate(args) -> int:
             "domain_norm": simulate.domain_norm(series.final_state),
         },
         "samples": len(series.t),
+        "t_end": config.n_steps * config.dt,
         "wall_time_s": wall,
     }
     text = json.dumps(summary, indent=2) + "\n"
@@ -259,6 +260,8 @@ def cmd_decay(args) -> int:
 
 
 def cmd_field(args) -> int:
+    if not np.isfinite(args.u_now):
+        raise ValueError(f"u-now must be finite, got {args.u_now}")
     state = _read_state_csv(args.state)
     h = _load_profile(args.profile)
     grid = boundary.reconstruct_field(
@@ -277,11 +280,7 @@ def cmd_rate_study(args) -> int:
         dt=args.dt,
         sample_every=args.sample_every,
     )
-    entries = stability.rate_vs_n_study(h, n_values, config)
-    lines = ["N,rate,residual_rms"]
-    for e in entries:
-        lines.append(f"{e.n_modes},{_fmt(e.rate)},{_fmt(e.residual_rms)}")
-    _write_or_print("\n".join(lines) + "\n", args.output)
+    stability.study_to_csv(stability.rate_vs_n_study(h, n_values, config), args.output)
     return 0
 
 

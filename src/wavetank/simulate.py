@@ -11,11 +11,11 @@ perturbation of an otherwise norm-preserving oscillation.
 
 The splitting integrator composes exact flows: a half-step rotation of each
 mode pair (zeta_k, w_k), the exact rank-one damping (or the forcing impulse
-in open loop), and a second half rotation. Both substeps are non-expansive,
-and the closed-loop driver propagates the energy through the exact per-step
-dissipation identity, so the recorded norm sequence is non-increasing at
-every step by construction. A classical Runge-Kutta integrator is included
-as an independent cross-check.
+in open loop), and a second half rotation. Both substeps are non-expansive.
+The closed loop advances in blocks of steps and propagates the energy
+through the exact per-step dissipation identity, so the recorded norm
+sequence is non-increasing by construction. A classical Runge-Kutta
+integrator is included as an independent cross-check.
 """
 
 import csv
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .profiles import WavemakerProfile, coupling_vector, CouplingVector
+from .profiles import KERNEL_BLOCK, WavemakerProfile, coupling_vector, CouplingVector
 from .spectral import eigenvalues, frequencies
 
 __all__ = [
@@ -57,6 +57,8 @@ class ModalState:
         self.w = np.atleast_1d(np.asarray(self.w, dtype=float))
         if self.zeta.shape != self.w.shape or self.zeta.ndim != 1:
             raise ValueError("zeta and w must be 1-D arrays of equal length")
+        if not (np.all(np.isfinite(self.zeta)) and np.all(np.isfinite(self.w))):
+            raise ValueError("state holds non-finite entries")
 
     @property
     def n_modes(self) -> int:
@@ -198,6 +200,8 @@ class Segment:
             raise ValueError(f"unknown segment form {self.form!r}")
         if not self.t_end > self.t_start:
             raise ValueError(f"segment needs t_end > t_start, got [{self.t_start}, {self.t_end}]")
+        if not all(map(math.isfinite, (self.value, self.amplitude, self.omega, self.phase))):
+            raise ValueError("segment value, amplitude, omega and phase must be finite")
 
     def __call__(self, t: float) -> float:
         if self.form == "constant":
@@ -341,7 +345,12 @@ class TimeSeries:
 
 
 class _Recorder:
-    def __init__(self, config: SimConfig, n_samples: int):
+    """Sample columns at every ``sample_every``-th step, the start and the last
+    step; the last sample is the final state."""
+
+    def __init__(self, config: SimConfig):
+        self.steps = [*range(0, config.n_steps, config.sample_every), config.n_steps]
+        n_samples = len(self.steps)
         self.t = np.empty(n_samples)
         self.x_norm = np.empty(n_samples)
         self.energy = np.empty(n_samples)
@@ -352,18 +361,19 @@ class _Recorder:
             self.w = np.empty((n_samples, config.n_modes))
         self.i = 0
 
-    def push(self, t, energy, u, state):
+    def push(self, t, energy, u, zeta, w):
         i = self.i
         self.t[i] = t
         self.energy[i] = energy
         self.x_norm[i] = math.sqrt(energy) if energy > 0.0 else 0.0
         self.u[i] = u
         if self.record_modes:
-            self.zeta[i] = state.zeta
-            self.w[i] = state.w
+            self.zeta[i] = zeta
+            self.w[i] = w
+        self.last = (zeta, w)
         self.i += 1
 
-    def series(self, final_state: ModalState) -> TimeSeries:
+    def series(self) -> TimeSeries:
         return TimeSeries(
             t=self.t,
             x_norm=self.x_norm,
@@ -371,7 +381,7 @@ class _Recorder:
             u=self.u,
             zeta=self.zeta if self.record_modes else None,
             w=self.w if self.record_modes else None,
-            final_state=final_state,
+            final_state=ModalState(*self.last),
         )
 
 
@@ -387,18 +397,84 @@ def _coupling_for(h, n_modes: int) -> CouplingVector:
     raise TypeError(f"expected WavemakerProfile or CouplingVector, got {type(h)!r}")
 
 
+class _Propagator:
+    """Powers of the closed-loop splitting step S = R(dt/2) D R(dt/2), in blocks of L.
+
+    With e = [0; b] and kick = (e^{-q dt} - 1)/q, S = R(dt) + kick R(dt/2) e
+    e^T R(dt/2), so S^k z = R(k dt) z + F[:, L-k:] (O[:k] z) for k <= L. Row
+    j of O, e^T R(dt/2) S^(j-1) by an O(N) recurrence, observes b.w at the
+    damping of step j, which sheds (O z)_j^2 (1 - e^{-2 q dt})/q >= 0 of
+    energy; column j of F is kick R((L-j+1/2) dt) e. When L > 2N, a full
+    block is the dense A = R(L dt) + F O, with |O z| from the triangular
+    factor of O.
+    """
+
+    def __init__(self, coupling: CouplingVector, config: SimConfig):
+        n, dt = config.n_modes, config.dt
+        b, q = coupling.b, coupling.q
+        mu = frequencies(n)
+        shed = -math.expm1(-q * dt)  # 1 - e^{-q dt} in [0, 1)
+        kick, self.loss = (-shed / q, shed * (2.0 - shed) / q) if q > 0.0 else (0.0, 0.0)
+        # O and F stay within KERNEL_BLOCK entries each
+        self.block = L = min(config.sample_every, config.n_steps, max(1, KERNEL_BLOCK // (2 * n)))
+        self.mu, self.dt = mu, dt
+        self.swap = np.r_[n : 2 * n, 0:n]
+        self.full = self._turn(L)
+
+        ch, sh = np.cos(mu * (dt / 2)), np.sin(mu * (dt / 2))
+        kicked = np.concatenate([b * sh / mu, b * ch])  # R(dt/2) e
+        observe = np.concatenate([-mu * b * sh, b * ch])  # e^T R(dt/2)
+        keep, cross = self._turn(1)
+        cross = cross[self.swap]  # a row turns as row R(dt) = row * keep + row[swap] * cross
+        self.obs = np.empty((L, 2 * n))
+        row = observe
+        for j in range(L):
+            self.obs[j] = row
+            row = row * keep + row[self.swap] * cross + (kick * float(row @ kicked)) * observe
+        theta = np.outer(mu, (np.arange(L, 0, -1) - 0.5) * dt)
+        self.gain = kick * np.concatenate([(b / mu)[:, None] * np.sin(theta), b[:, None] * np.cos(theta)])
+        self.dense = self.tri = None
+        if L > 2 * n:
+            keep, cross = self.full
+            eye = np.eye(2 * n)
+            self.dense = keep[:, None] * eye + cross[:, None] * eye[self.swap] + self.gain @ self.obs
+            self.tri = np.linalg.qr(self.obs, mode="r")
+
+    def _turn(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(keep, cross) with R(k dt) z = z * keep + z[swap] * cross."""
+        mu = self.mu
+        c, s = np.cos(mu * (k * self.dt)), np.sin(mu * (k * self.dt))
+        return np.concatenate([c, c]), np.concatenate([s / mu, -mu * s])
+
+    def advance(self, z: np.ndarray, energy: float, steps: int) -> tuple[np.ndarray, float]:
+        """State and tracked energy ``steps`` steps after (z, energy)."""
+        while steps:
+            k = min(self.block, steps)
+            if k == self.block and self.dense is not None:
+                seen = self.tri @ z
+                z = self.dense @ z
+            else:
+                keep, cross = self.full if k == self.block else self._turn(k)
+                seen = self.obs[:k] @ z
+                z = z * keep + z[self.swap] * cross + self.gain[:, self.block - k :] @ seen
+            energy = max(energy - self.loss * float(seen @ seen), 0.0)
+            steps -= k
+        return z, energy
+
+
 def simulate_closed(state0: ModalState, h, config: SimConfig) -> TimeSeries:
     """Integrate the collocated closed loop u = -b.w from ``state0``.
 
-    With the splitting integrator the recorded energy is propagated through
-    the exact dissipation identity of the damping substep,
+    The splitting integrator advances blocks of steps between samples and
+    propagates the recorded energy through the exact dissipation identity of
+    each damping substep,
 
         E <- E - s^2 (1 - e^{-q dt})(2 - (1 - e^{-q dt})) / q,
 
     whose decrement is a product of non-negative factors, so the energy and
-    norm columns are non-increasing at every step by construction. The
-    rk4-crosscheck integrator recomputes norms from the state instead and
-    carries no monotonicity guarantee.
+    norm columns are non-increasing by construction. The rk4-crosscheck
+    integrator recomputes norms from the state instead and carries no
+    monotonicity guarantee.
     """
     if config.feedback != "collocated":
         raise ValueError("simulate_closed requires config.feedback == 'collocated'")
@@ -408,49 +484,17 @@ def simulate_closed(state0: ModalState, h, config: SimConfig) -> TimeSeries:
     if config.integrator == "rk4-crosscheck":
         return _simulate_rk4(state0, coupling, config, signal=None)
 
-    b = coupling.b
-    q = coupling.q
-    dt = config.dt
-    mu = frequencies(config.n_modes)
-    inv_mu = 1.0 / mu
-    if q > 0.0:
-        shed = -math.expm1(-q * dt)  # 1 - e^{-q dt} in [0, 1)
-        kick = -shed / q
-    else:
-        shed = kick = 0.0
-
-    # rotating-frame accumulator y = R(-t) z; one step is
-    # y <- R(-t_mid) D R(t_mid) y with the exact mid-step angle, which equals
-    # the R(dt/2) D R(dt/2) composition but lets free flight accumulate no
-    # roundoff bias (the angle varies per step, so rounding decorrelates).
-    y_zeta, y_w = state0.zeta.copy(), state0.w.copy()
+    n = config.n_modes
+    prop = _Propagator(coupling, config)
+    z = np.concatenate([state0.zeta, state0.w])
     energy = x_norm_sq(state0)
-
-    def physical(t: float) -> ModalState:
-        theta = mu * t
-        c, s = np.cos(theta), np.sin(theta)
-        return ModalState(y_zeta * c + y_w * inv_mu * s, -mu * y_zeta * s + y_w * c)
-
-    n_steps = config.n_steps
-    rec = _Recorder(config, n_steps // config.sample_every + 1)
-    rec.push(0.0, energy, -float(np.dot(b, state0.w)), state0)
-    for step in range(1, n_steps + 1):
-        if q > 0.0:
-            theta = mu * ((step - 0.5) * dt)
-            c, s = np.cos(theta), np.sin(theta)
-            pz = y_zeta * c + y_w * inv_mu * s
-            pw = -mu * y_zeta * s + y_w * c
-            sv = float(np.dot(b, pw))
-            pw += (kick * sv) * b
-            energy -= sv * sv * (shed / q) * (2.0 - shed)
-            if energy < 0.0:  # guard against roundoff once fully damped
-                energy = 0.0
-            y_zeta = pz * c - pw * inv_mu * s
-            y_w = mu * pz * s + pw * c
-        if step % config.sample_every == 0:
-            state = physical(step * dt)
-            rec.push(step * dt, energy, -float(np.dot(b, state.w)), state)
-    return rec.series(physical(n_steps * dt))
+    rec = _Recorder(config)
+    done = 0
+    for step in rec.steps:
+        z, energy = prop.advance(z, energy, step - done)
+        done = step
+        rec.push(step * config.dt, energy, -float(np.dot(coupling.b, z[n:])), z[:n], z[n:])
+    return rec.series()
 
 
 def simulate_open(state0: ModalState, h, signal: InputSignal, config: SimConfig) -> TimeSeries:
@@ -489,8 +533,8 @@ def simulate_open(state0: ModalState, h, signal: InputSignal, config: SimConfig)
         return ModalState(y_zeta * c + (y_w / mu) * s, -mu * y_zeta * s + y_w * c)
 
     n_steps = config.n_steps
-    rec = _Recorder(config, n_steps // config.sample_every + 1)
-    rec.push(0.0, x_norm_sq(state0), signal(0.0), state0)
+    rec = _Recorder(config)
+    rec.push(0.0, x_norm_sq(state0), signal(0.0), state0.zeta, state0.w)
     for step in range(1, n_steps + 1):
         t_mid = (step - 0.5) * dt
         u_mid = signal(t_mid)
@@ -498,10 +542,10 @@ def simulate_open(state0: ModalState, h, signal: InputSignal, config: SimConfig)
             theta = mu * t_mid
             y_zeta = y_zeta - (dt * u_mid) * b_over_mu * np.sin(theta)
             y_w = y_w + (dt * u_mid) * b * np.cos(theta)
-        if step % config.sample_every == 0:
+        if step % config.sample_every == 0 or step == n_steps:
             state = physical(step)
-            rec.push(step * dt, x_norm_sq(state), signal(step * dt), state)
-    return rec.series(physical(n_steps))
+            rec.push(step * dt, x_norm_sq(state), signal(step * dt), state.zeta, state.w)
+    return rec.series()
 
 
 def _simulate_rk4(state0, coupling, config, signal):
@@ -520,9 +564,9 @@ def _simulate_rk4(state0, coupling, config, signal):
 
     zeta, w = state0.zeta.copy(), state0.w.copy()
     n_steps = config.n_steps
-    rec = _Recorder(config, n_steps // config.sample_every + 1)
+    rec = _Recorder(config)
     u0 = -float(np.dot(b, w)) if closed else signal(0.0)
-    rec.push(0.0, x_norm_sq(state0), u0, state0)
+    rec.push(0.0, x_norm_sq(state0), u0, state0.zeta, state0.w)
     for step in range(1, n_steps + 1):
         t = (step - 1) * dt
         k1z, k1w = rhs(t, zeta, w)
@@ -531,11 +575,11 @@ def _simulate_rk4(state0, coupling, config, signal):
         k4z, k4w = rhs(t + dt, zeta + dt * k3z, w + dt * k3w)
         zeta = zeta + dt / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
         w = w + dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-        if step % config.sample_every == 0:
+        if step % config.sample_every == 0 or step == n_steps:
             state = ModalState(zeta, w)
             u = -float(np.dot(b, w)) if closed else signal(step * dt)
-            rec.push(step * dt, x_norm_sq(state), u, state)
-    return rec.series(ModalState(zeta, w))
+            rec.push(step * dt, x_norm_sq(state), u, zeta, w)
+    return rec.series()
 
 
 def eigen_coefficients(state: ModalState) -> tuple[np.ndarray, np.ndarray]:

@@ -95,11 +95,6 @@ def test_neumann_wall_residual_random_vector():
     assert neumann_wall_residual(np.zeros(3), y) == 0.0
 
 
-def test_neumann_wall_residual_rejects_bad_step():
-    with pytest.raises(ValueError):
-        neumann_wall_residual(E1, np.linspace(-1, 0, 5), fd_step=0.0)
-
-
 def test_neumann_to_neumann_values():
     x_end = np.array([np.pi])
     assert neumann_to_neumann(E1, x_end)[0] == pytest.approx(BT1, rel=1e-12)

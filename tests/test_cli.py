@@ -104,6 +104,24 @@ def test_simulate_closed_monotone_and_summary(tmp_path, capsys):
     assert summary["wall_time_s"] > 0
 
 
+def test_simulate_records_last_step(tmp_path, capsys):
+    # 1/0.3 rounds to 3 steps; sampling every 2nd step must still end at the last
+    csv_path = tmp_path / "x.csv"
+    json_path = tmp_path / "x.json"
+    code, _, _ = run_cli(
+        capsys,
+        "simulate", "--t-final", "1", "--dt", "0.3", "--sample-every", "2", "--n-modes", "4",
+        "--out-csv", str(csv_path), "--out-json", str(json_path),
+    )
+    assert code == 0
+    series = simulate.TimeSeries.from_csv(csv_path)
+    summary = json.loads(json_path.read_text())
+    assert series.t[-1] == pytest.approx(0.9, rel=1e-15)
+    assert summary["t_end"] == series.t[-1]
+    assert summary["samples"] == len(series.t) == 3
+    assert summary["final"]["x_norm"] == pytest.approx(series.x_norm[-1], rel=1e-12)
+
+
 def test_simulate_rejects_overlapping_input(tmp_path, capsys):
     sig_path = tmp_path / "sig.json"
     sig_path.write_text(json.dumps([
@@ -217,6 +235,34 @@ def test_field_matches_boundary_oracle(tmp_path, capsys, h1):
     assert np.array_equal(data[:, 2].reshape(9, 9), expected.values)
 
 
+@pytest.mark.parametrize("u_now", ["nan", "inf"])
+def test_field_rejects_non_finite_input(tmp_path, capsys, u_now):
+    state = tmp_path / "state.csv"
+    state.write_text("k,zeta,w\n1,1.0,0\n")
+    code, _, err = run_cli(
+        capsys, "field", "--state", str(state), "--u-now", u_now, "--nx", "4", "--ny", "4",
+        "--output", str(tmp_path / "f.csv"),
+    )
+    assert code == 2
+    assert err.startswith("error: u-now must be finite")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_state_csv_rejected(tmp_path, capsys, value):
+    state = tmp_path / "state.csv"
+    state.write_text(f"k,zeta,w\n1,1.0,0\n2,0,{value}\n")
+    for argv in (
+        ["field", "--state", str(state), "--output", str(tmp_path / "f.csv")],
+        ["simulate", "--n-modes", "4", "--t-final", "1", "--init", str(state),
+         "--out-csv", str(tmp_path / "x.csv")],
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and "non-finite" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_field_malformed_state(tmp_path, capsys):
     state = tmp_path / "state.csv"
     state.write_text("k,zeta\n1,0\n")
@@ -237,6 +283,13 @@ def test_rate_study_csv(tmp_path, capsys):
     assert lines[0] == "N,rate,residual_rms"
     assert len(lines) == 3
     assert all(float(line.split(",")[1]) > 0 for line in lines[1:])
+    code, out, _ = run_cli(
+        capsys,
+        "rate-study", "--profile", "h1", "--ns", "2,4", "--t-final", "2000",
+        "--dt", "0.02", "--sample-every", "100",
+    )
+    assert code == 0
+    assert out.strip().splitlines() == lines
 
 
 def test_config_file_merged_under_flags(tmp_path, capsys):

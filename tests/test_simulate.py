@@ -283,6 +283,9 @@ def test_segment_forms():
         Segment(0, 1, "ramp")
     with pytest.raises(ValueError):
         Segment(1, 1, "zero")
+    for field in ("value", "amplitude", "omega", "phase"):
+        with pytest.raises(ValueError, match="finite"):
+            Segment(0, 1, "sinusoid", **{field: math.nan})
 
 
 def test_signal_validation_errors():
@@ -398,3 +401,27 @@ def test_modal_state_validation():
         ModalState(np.zeros(3), np.zeros(2))
     with pytest.raises(ValueError):
         ModalState.single_mode(5, 3)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            ModalState([0.0, bad], [0.0, 0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            ModalState([0.0], [bad])
+
+
+@pytest.mark.parametrize(
+    "feedback, integrator",
+    [("collocated", "splitting"), ("collocated", "rk4-crosscheck"), ("none", "splitting"),
+     ("none", "rk4-crosscheck")],
+)
+def test_last_step_always_recorded(h1, rng, feedback, integrator):
+    # 10 steps sampled every 4th: samples at steps 0, 4, 8 and the last one, 10
+    st = random_state(4, rng)
+    cfg = SimConfig(n_modes=4, t_final=1.0, dt=0.1, feedback=feedback, integrator=integrator,
+                    sample_every=4, record_modes=True)
+    if feedback == "collocated":
+        ts = simulate_closed(st, h1, cfg)
+    else:
+        ts = simulate_open(st, h1, InputSignal.constant(0.5, 1.0), cfg)
+    assert np.allclose(ts.t, [0.0, 0.4, 0.8, 1.0], rtol=1e-15)
+    assert np.array_equal(ts.zeta[-1], ts.final_state.zeta)
+    assert np.array_equal(ts.w[-1], ts.final_state.w)

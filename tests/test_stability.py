@@ -3,9 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wavetank.profiles import coupling_vector
-from wavetank.simulate import ModalState, SimConfig, TimeSeries, simulate_closed, x_norm, domain_norm
+from wavetank.profiles import CouplingVector, coupling_vector
+from wavetank.simulate import (
+    ModalState,
+    SimConfig,
+    TimeSeries,
+    damping_substep,
+    domain_norm,
+    rotation_substep,
+    simulate_closed,
+    x_norm,
+    x_norm_sq,
+)
 from wavetank.spectral import eigenvalues
 from wavetank.stability import (
     closed_loop_matrix,
@@ -15,7 +26,6 @@ from wavetank.stability import (
     smooth_initial_state,
     spectral_abscissa,
     study_to_csv,
-    _strang_step_matrix,
 )
 
 
@@ -152,10 +162,27 @@ def test_closed_loop_matrix_structure(h1):
     assert np.array_equal(m, m2)
 
 
+def strang_step_matrix(coupling, n_modes: int, dt: float) -> np.ndarray:
+    """Matrix of one splitting step, built by driving the public substeps
+    with unit basis states: the reference for the block propagator."""
+    dim = 2 * n_modes
+    m = np.empty((dim, dim))
+    for j in range(dim):
+        e = np.zeros(dim)
+        e[j] = 1.0
+        state = ModalState(e[:n_modes], e[n_modes:])
+        state = rotation_substep(state, dt / 2.0)
+        state = damping_substep(state, coupling, dt)
+        state = rotation_substep(state, dt / 2.0)
+        m[:n_modes, j] = state.zeta
+        m[n_modes:, j] = state.w
+    return m
+
+
 def test_step_matrix_matches_simulator(h1):
     n, dt = 4, 0.02
     cv = coupling_vector(h1, n)
-    step = _strang_step_matrix(cv, n, dt)
+    step = strang_step_matrix(cv, n, dt)
     rng = np.random.default_rng(9)
     z = rng.standard_normal(2 * n)
     cfg = SimConfig(n_modes=n, t_final=200 * dt, dt=dt, sample_every=200)
@@ -163,6 +190,59 @@ def test_step_matrix_matches_simulator(h1):
     advanced = np.linalg.matrix_power(step, 200) @ z
     assert np.allclose(advanced[:n], ts.final_state.zeta, atol=1e-11)
     assert np.allclose(advanced[n:], ts.final_state.w, atol=1e-11)
+
+
+def test_block_cap_splits_sample_intervals(h1):
+    # N = 150 caps blocks at 2**18 // 300 = 873 steps, so each 1000-step
+    # sample interval is a dense full block plus a factored 127-step tail
+    n, dt = 150, 5e-3
+    cv = coupling_vector(h1, n)
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal(2 * n) / np.arange(1, 2 * n + 1)
+    cfg = SimConfig(n_modes=n, t_final=2000 * dt, dt=dt, sample_every=1000)
+    ts = simulate_closed(ModalState(z[:n], z[n:]), cv, cfg)
+    advanced = np.linalg.matrix_power(strang_step_matrix(cv, n, dt), 2000) @ z
+    assert np.allclose(advanced[:n], ts.final_state.zeta, atol=1e-11)
+    assert np.allclose(advanced[n:], ts.final_state.w, atol=1e-11)
+    assert abs(ts.energy[-1] - x_norm_sq(ts.final_state)) <= 1e-11 * ts.energy[0]
+
+
+@st.composite
+def closed_loop_runs(draw):
+    """Random truncation, coupling, state and step, with sample_every drawn from
+    non-divisors of the step count, values above it and values above 2N."""
+    n = draw(st.integers(1, 24))
+    n_steps = draw(st.integers(1, 5000))
+    sample_every = draw(
+        st.one_of(
+            st.integers(1, n_steps).filter(lambda m: n_steps % m != 0),
+            st.integers(n_steps + 1, 2 * n_steps + 10),
+            st.integers(2 * n + 1, 2 * n + 400),
+        )
+    )
+    dt = draw(st.floats(1e-3, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = np.zeros(n) if draw(st.booleans()) else rng.standard_normal(n) * draw(st.floats(0.01, 1.0))
+    state = ModalState(rng.standard_normal(n), rng.standard_normal(n))
+    return CouplingVector(b, b / math.sqrt(2.0), n), state, n_steps * dt, dt, sample_every
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(closed_loop_runs())
+def test_propagator_properties(run):
+    coupling, state, t_final, dt, sample_every = run
+    n = state.n_modes
+    cfg = SimConfig(n_modes=n, t_final=t_final, dt=dt, sample_every=sample_every)
+    ts = simulate_closed(state, coupling, cfg)
+    assert np.all(np.diff(ts.energy) <= 0.0)
+    assert ts.t[-1] == cfg.n_steps * dt
+    assert len(ts.t) == -(-cfg.n_steps // sample_every) + 1
+    e0 = ts.energy[0]
+    assert abs(ts.energy[-1] - x_norm_sq(ts.final_state)) <= 1e-11 * e0
+    z0 = np.concatenate([state.zeta, state.w])
+    ref = np.linalg.matrix_power(strang_step_matrix(coupling, n, dt), cfg.n_steps) @ z0
+    err = ModalState(ts.final_state.zeta - ref[:n], ts.final_state.w - ref[n:])
+    assert x_norm_sq(err) <= 1e-20 * e0
 
 
 # -- rate study -------------------------------------------------------------------
@@ -208,3 +288,12 @@ def test_study_csv(tmp_path, h1):
     n, rate, rms = lines[1].split(",")
     assert int(n) == 2
     assert float(rate) == entries[0].rate
+
+
+def test_study_csv_to_stdout(capsys, h1):
+    cfg = SimConfig(n_modes=2, t_final=2000.0, dt=0.02, sample_every=100)
+    entries = rate_vs_n_study(h1, [2], cfg)
+    study_to_csv(entries, None)
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "N,rate,residual_rms"
+    assert float(lines[1].split(",")[1]) == entries[0].rate
