@@ -20,13 +20,12 @@ vanishes identically (not just to roundoff) on the top boundary.
 """
 
 import math
-import sys
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._hyper import cosh_over_cosh, cosh_ratio_side, exp_left_over_sinh, sinh_ratio_side
+from ._table import write_table
 
 __all__ = [
     "FieldGrid",
@@ -85,12 +84,8 @@ class FieldGrid:
 
         Writes to standard output when ``path`` is empty or None.
         """
-        with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
-            fh.write("x,y,value\n")
-            xs, ys = self.x, self.y
-            for i in range(self.nx + 1):
-                for j in range(self.ny + 1):
-                    fh.write(f"{xs[i]:.17g},{ys[j]:.17g},{self.values[i, j]:.17g}\n")
+        columns = [np.repeat(self.x, self.ny + 1), np.tile(self.y, self.nx + 1), self.values.ravel()]
+        write_table(path, ["x", "y", "value"], columns)
 
 
 def _as_coefficients(c) -> np.ndarray:

@@ -8,7 +8,6 @@ fully resolved configuration for provenance.
 """
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -16,6 +15,7 @@ import time
 import numpy as np
 
 from . import boundary, profiles, simulate, spectral, stability
+from ._table import read_table, write_table
 
 __all__ = ["main"]
 
@@ -24,10 +24,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(2)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _load_profile(name: str) -> profiles.WavemakerProfile:
@@ -72,14 +68,9 @@ def cmd_spectrum(args) -> int:
     kmax = args.kmax
     if kmax < 2:
         raise ValueError(f"kmax must be >= 2, got {kmax}")
-    lam = spectral.eigenvalues(kmax)
-    mu = spectral.frequencies(kmax)
-    gaps = spectral.gap_products(kmax)
-    lines = ["k,lambda,mu,gap_product"]
-    for k in range(1, kmax + 1):
-        p = _fmt(gaps[k - 1]) if k < kmax else ""
-        lines.append(f"{k},{_fmt(lam[k - 1])},{_fmt(mu[k - 1])},{p}")
-    _write_or_print("\n".join(lines) + "\n", args.output)
+    gaps = np.append(spectral.gap_products(kmax), np.nan)  # NaN is written as an empty cell
+    columns = [np.arange(1, kmax + 1), spectral.eigenvalues(kmax), spectral.frequencies(kmax), gaps]
+    write_table(args.output, ["k", "lambda", "mu", "gap_product"], columns)
     return 0
 
 
@@ -132,35 +123,16 @@ def _initial_state(init: str, n_modes: int) -> simulate.ModalState:
 
 
 def _read_state_csv(path, n_modes=None) -> simulate.ModalState:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:3]] != ["k", "zeta", "w"]:
-            raise ValueError(f"malformed state CSV {path}: expected header 'k,zeta,w'")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < 3:
-                raise ValueError(f"malformed state CSV {path}: short row {row!r}")
-            try:
-                rows.append((int(row[0]), float(row[1]), float(row[2])))
-            except ValueError as exc:
-                raise ValueError(f"malformed state CSV {path}: {exc}") from None
-    if not rows:
+    _, data = read_table(path, "state", ("k", "zeta", "w"))
+    if not len(data):
         raise ValueError(f"state CSV {path} has no modes")
-    ks = [r[0] for r in rows]
-    if ks != list(range(1, len(ks) + 1)):
+    if not np.array_equal(data[:, 0], np.arange(1, len(data) + 1)):
         raise ValueError(f"state CSV {path} must list modes k = 1..N in order")
-    n = n_modes or len(ks)
-    if len(ks) > n:
-        raise ValueError(f"state CSV {path} holds {len(ks)} modes, config allows {n}")
-    zeta = np.zeros(n)
-    w = np.zeros(n)
-    for k, z, ww in rows:
-        zeta[k - 1] = z
-        w[k - 1] = ww
-    return simulate.ModalState(zeta, w)
+    n = n_modes or len(data)
+    if len(data) > n:
+        raise ValueError(f"state CSV {path} holds {len(data)} modes, config allows {n}")
+    pad = (0, n - len(data))
+    return simulate.ModalState(np.pad(data[:, 1], pad), np.pad(data[:, 2], pad))
 
 
 def _read_signal_json(path, t_final: float) -> simulate.InputSignal:
@@ -193,6 +165,8 @@ def _read_signal_json(path, t_final: float) -> simulate.InputSignal:
 
 
 def cmd_simulate(args) -> int:
+    if not args.out_csv:
+        raise ValueError("out-csv must name a file")
     h = _load_profile(args.profile)
     config = simulate.SimConfig(
         n_modes=args.n_modes,

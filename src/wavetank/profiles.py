@@ -16,7 +16,6 @@ chosen kmax and report the tail behaviour, claiming nothing about the
 infinitely many remaining indices.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -24,6 +23,7 @@ import numpy as np
 
 from ._gauss import panel_rule
 from ._hyper import cosh_over_cosh
+from ._table import read_table
 
 __all__ = [
     "WavemakerProfile",
@@ -175,23 +175,8 @@ class WavemakerProfile:
     @classmethod
     def from_csv(cls, path, require_zero_mean: bool = True) -> "WavemakerProfile":
         """Read a tabulated profile from a CSV file with header ``y,h``."""
-        ys, hs = [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header[:2]] != ["y", "h"]:
-                raise ValueError(f"malformed profile CSV {path}: expected header 'y,h'")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) < 2:
-                    raise ValueError(f"malformed profile CSV {path}: short row {row!r}")
-                try:
-                    ys.append(float(row[0]))
-                    hs.append(float(row[1]))
-                except ValueError as exc:
-                    raise ValueError(f"malformed profile CSV {path}: {exc}") from None
-        return cls.from_samples(np.array(ys), np.array(hs), require_zero_mean=require_zero_mean)
+        _, data = read_table(path, "profile", ("y", "h"))
+        return cls.from_samples(data[:, 0], data[:, 1], require_zero_mean=require_zero_mean)
 
     @classmethod
     def builtin(cls, name: str) -> "WavemakerProfile":

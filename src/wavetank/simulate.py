@@ -18,12 +18,12 @@ sequence is non-increasing by construction. A classical Runge-Kutta
 integrator is included as an independent cross-check.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._table import read_table, write_table
 from .profiles import KERNEL_BLOCK, WavemakerProfile, coupling_vector, CouplingVector
 from .spectral import eigenvalues, frequencies
 
@@ -297,38 +297,24 @@ class TimeSeries:
         n = len(self.t)
         if not (len(self.x_norm) == len(self.energy) == len(self.u) == n):
             raise ValueError("time series columns must have equal length")
-        if np.any(np.diff(self.t) <= 0):
+        if np.any(self.t[1:] <= self.t[:-1]):  # no overflow at the extremes of float64
             raise ValueError("sample times must be strictly increasing")
 
     def to_csv(self, path) -> None:
         """Write ``t,x_norm,energy,u`` (plus mode columns when recorded), 17 digits."""
-        with open(path, "w", newline="") as fh:
-            header = "t,x_norm,energy,u"
-            n_modes = self.zeta.shape[1] if self.zeta is not None else 0
-            if n_modes:
-                header += "".join(f",zeta_{k}" for k in range(1, n_modes + 1))
-                header += "".join(f",w_{k}" for k in range(1, n_modes + 1))
-            fh.write(header + "\n")
-            for i in range(len(self.t)):
-                row = [self.t[i], self.x_norm[i], self.energy[i], self.u[i]]
-                if n_modes:
-                    row.extend(self.zeta[i])
-                    row.extend(self.w[i])
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        header = ["t", "x_norm", "energy", "u"]
+        columns = [self.t, self.x_norm, self.energy, self.u]
+        if self.zeta is not None:
+            ks = range(1, self.zeta.shape[1] + 1)
+            header += [f"zeta_{k}" for k in ks] + [f"w_{k}" for k in ks]
+            columns += [self.zeta, self.w]
+        write_table(path, header, columns)
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeries":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[:4] != ["t", "x_norm", "energy", "u"]:
-                raise ValueError(
-                    f"malformed time-series CSV {path}: expected header 't,x_norm,energy,u'"
-                )
-            rows = [[float(v) for v in row] for row in reader if row]
-        if not rows:
+        header, data = read_table(path, "time-series", ("t", "x_norm", "energy", "u"))
+        if not len(data):
             raise ValueError(f"time-series CSV {path} has no samples")
-        data = np.array(rows)
         zeta_cols = [i for i, name in enumerate(header) if name.startswith("zeta_")]
         w_cols = [i for i, name in enumerate(header) if name.startswith("w_")]
         series = cls(

@@ -10,12 +10,11 @@ provides the independent spectral-abscissa oracle for the sweep.
 
 import json
 import math
-import sys
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._table import write_table
 from .profiles import coupling_vector
 from .simulate import (
     ModalState,
@@ -183,7 +182,5 @@ def rate_vs_n_study(h, n_values, config: SimConfig | None = None) -> list[RateSt
 def study_to_csv(entries, path=None) -> None:
     """Write study rows ``N,rate,residual_rms`` (17 significant digits) to
     ``path``, or to standard output when it is empty or None."""
-    with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
-        fh.write("N,rate,residual_rms\n")
-        for e in entries:
-            fh.write(f"{e.n_modes},{e.rate:.17g},{e.residual_rms:.17g}\n")
+    rows = [(e.n_modes, e.rate, e.residual_rms) for e in entries]
+    write_table(path, ["N", "rate", "residual_rms"], [np.reshape(rows, (-1, 3))])

@@ -262,6 +262,19 @@ def test_field_grid_csv_export(tmp_path, capsys):
     assert capsys.readouterr().out == path.read_text()
 
 
+def test_field_grid_csv_exact_text(tmp_path):
+    grid = FieldGrid(nx=1, ny=1, values=[[0.1, -0.0], [5e-324, 1.7976931348623157e308]])
+    path = tmp_path / "field.csv"
+    grid.to_csv(path)
+    assert path.read_text() == (
+        "x,y,value\n"
+        "0,-1,0.10000000000000001\n"
+        "0,0,-0\n"
+        "3.1415926535897931,-1,4.9406564584124654e-324\n"
+        "3.1415926535897931,0,1.7976931348623157e+308\n"
+    )
+
+
 def test_field_grid_shape_validation():
     with pytest.raises(ValueError):
         FieldGrid(nx=2, ny=2, values=np.zeros((2, 3)))

@@ -32,6 +32,18 @@ def test_spectrum_table(capsys):
     assert lines[5].endswith(",")
 
 
+def test_spectrum_exact_text(capsys):
+    # 17 significant digits, and an empty gap product in the last row only
+    code, out, _ = run_cli(capsys, "spectrum", "--kmax", "3")
+    assert code == 0
+    assert out == (
+        "k,lambda,mu,gap_product\n"
+        "1,0.76159415595576485,0.87269362089782965,0.45017956150630356\n"
+        "2,1.9280551601516338,1.3885442593420039,0.47101994443291012\n"
+        "3,2.9851642610601914,1.7277627907384137,\n"
+    )
+
+
 def test_spectrum_saturation(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--kmax", "50")
     row50 = out.strip().splitlines()[50].split(",")
@@ -120,6 +132,14 @@ def test_simulate_records_last_step(tmp_path, capsys):
     assert summary["t_end"] == series.t[-1]
     assert summary["samples"] == len(series.t) == 3
     assert summary["final"]["x_norm"] == pytest.approx(series.x_norm[-1], rel=1e-12)
+
+
+def test_simulate_rejects_empty_out_csv(capsys):
+    # an empty path would mean stdout, where the JSON summary goes
+    code, out, err = run_cli(capsys, "simulate", "--n-modes", "4", "--t-final", "1", "--out-csv", "")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out-csv must name a file\n"
 
 
 def test_simulate_rejects_overlapping_input(tmp_path, capsys):
@@ -269,6 +289,33 @@ def test_field_malformed_state(tmp_path, capsys):
     code, _, err = run_cli(capsys, "field", "--state", str(state))
     assert code == 2
     assert "malformed state CSV" in err
+
+
+@pytest.mark.parametrize(
+    "what, text",
+    [
+        pytest.param("time-series", "t,x_norm,energy,u\n0,1,1,0\n1,1,1\n", id="series-ragged-row"),
+        pytest.param("time-series", "t,x_norm,energy,u\n0,1,1,0\n1,1,abc,0\n", id="series-non-numeric"),
+        pytest.param("time-series", "t,x_norm,energy,u\n# note\n0,1,1,0\n", id="series-hash-not-comment"),
+        pytest.param("state", "k,zeta,w\n1,0.5,0,7\n2,0,0\n", id="state-extra-first-cell"),
+        pytest.param("state", "k,zeta,w\n1,0.5,0,7\n", id="state-wider-than-header"),
+        pytest.param("state", "k,zeta,w\n1,abc,0\n", id="state-non-numeric"),
+        pytest.param("profile", "y,h\n-1,0\n0\n", id="profile-short-row"),
+    ],
+)
+def test_malformed_csv_single_error_line(tmp_path, capsys, what, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    argv = {
+        "time-series": ["decay", "--series", str(path)],
+        "state": ["field", "--state", str(path), "--nx", "4", "--ny", "4", "--output", str(tmp_path / "f.csv")],
+        "profile": ["check-profile", "--profile", str(path)],
+    }[what]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: malformed {what} CSV {path}: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_rate_study_csv(tmp_path, capsys):

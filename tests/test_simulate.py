@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wavetank.profiles import coupling_vector
 from wavetank.simulate import (
@@ -214,6 +216,22 @@ def test_open_loop_conservation(h1, rng):
     assert np.max(np.abs(ts.x_norm - ts.x_norm[0])) <= 1e-13 * ts.x_norm[0]
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    n=st.integers(1, 48),
+    n_steps=st.integers(1, 5000),
+    dt=st.floats(1e-3, 0.5),
+    sample_every=st.integers(1, 6000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_open_loop_zero_input_conserves_norm(h1, n, n_steps, dt, sample_every, seed):
+    rng = np.random.default_rng(seed)
+    state = ModalState(rng.standard_normal(n), rng.standard_normal(n))
+    cfg = SimConfig(n_modes=n, t_final=n_steps * dt, dt=dt, feedback="none", sample_every=sample_every)
+    ts = simulate_open(state, h1, InputSignal.zero(cfg.t_final), cfg)
+    assert np.max(np.abs(ts.x_norm - ts.x_norm[0])) <= 8 * np.spacing(ts.x_norm[0])
+
+
 def test_open_loop_resonance_matches_oscillator(h1):
     # u = cos(mu_1 t) drives mode 1 resonantly:
     # zeta_1(t) = b_1 t sin(mu t)/(2 mu), w_1(t) = b_1 (t cos(mu t)/2 + sin(mu t)/(2 mu))
@@ -384,6 +402,34 @@ def test_time_series_csv_round_trip(tmp_path, h1, rng):
     assert np.array_equal(back.x_norm, ts.x_norm)
     assert np.array_equal(back.zeta, ts.zeta)
     assert np.array_equal(back.final_state.w, ts.final_state.w)
+
+
+# finite float64 with the edge cases of 17-digit text drawn often
+FINITE = st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def recorded_series(draw):
+    t = np.array(sorted(draw(st.lists(FINITE, min_size=1, max_size=8, unique=True))))
+    n_modes = draw(st.integers(1, 4))
+    cols = draw(arrays(np.float64, (len(t), 3 + 2 * n_modes), elements=FINITE))
+    return TimeSeries(
+        t=t, x_norm=cols[:, 0], energy=cols[:, 1], u=cols[:, 2],
+        zeta=cols[:, 3 : 3 + n_modes], w=cols[:, 3 + n_modes :],
+    )
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(recorded_series())
+def test_time_series_csv_round_trip_bit_identical(tmp_path_factory, ts):
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    ts.to_csv(path)
+    back = TimeSeries.from_csv(path)
+    for name in ("t", "x_norm", "energy", "u", "zeta", "w"):
+        assert np.array_equal(getattr(back, name).view(np.int64), getattr(ts, name).view(np.int64)), name
+    assert np.array_equal(back.final_state.w.view(np.int64), ts.w[-1].view(np.int64))
 
 
 def test_time_series_rejects_malformed(tmp_path):
