@@ -5,10 +5,14 @@ Subsystems:
 
 - :mod:`wavetank.spectral`: dispersion data and spectral-gap certificates
 - :mod:`wavetank.boundary`: explicit harmonic-extension and trace operators
-- :mod:`wavetank.profiles`: wavemaker profiles and stabilizability criteria
+- :mod:`wavetank.profiles`: wavemaker profiles and stabilizability criteria;
+  every integral of a profile against a modal kernel goes through
+  ``WavemakerProfile.integrals``
 - :mod:`wavetank.simulate`: structure-preserving open/closed loop integration
 - :mod:`wavetank.stability`: decay fits, envelope checks, rate-vs-truncation study
 - :mod:`wavetank.cli`: command-line experiment runner
+
+The names imported below are each listed in their module's ``__all__``.
 """
 
 from .boundary import (
@@ -27,10 +31,8 @@ from .profiles import (
     CouplingVector,
     WavemakerProfile,
     coupling_vector,
-    mean_residual,
     sc_check,
     strategic_check,
-    strategic_integral,
     ussd_margin,
 )
 from .simulate import (
@@ -39,17 +41,13 @@ from .simulate import (
     Segment,
     SimConfig,
     TimeSeries,
-    damping_substep,
     domain_norm,
-    rotation_substep,
     simulate_closed,
     simulate_open,
     x_norm,
 )
 from .spectral import (
     GapViolationError,
-    Mode,
-    SpectralTruncation,
     WavePackageResult,
     eigenvalue,
     frequency,

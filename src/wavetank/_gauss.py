@@ -1,4 +1,4 @@
-"""Gauss-Legendre quadrature helpers shared by the profile and boundary modules."""
+"""Composite Gauss-Legendre rules, on which every profile integral is taken."""
 
 from functools import lru_cache
 

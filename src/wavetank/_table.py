@@ -47,9 +47,30 @@ def read_table(path, what: str, names) -> tuple[list[str], np.ndarray]:
             try:
                 data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
             except ValueError as exc:
-                raise ValueError(malformed + str(exc).partition("; use `usecols`")[0]) from None
+                raise ValueError(malformed + _fault(path, len(header), str(exc))) from None
     if not data.size:
         return header, data.reshape(0, len(header))
     if data.shape[1] != len(header):
         raise ValueError(malformed + f"rows of {data.shape[1]} cells under a header of {len(header)}")
     return header, data
+
+
+def _fault(path, width: int, message: str) -> str:
+    """Where and why loadtxt rejected the body of ``path``: the first line
+    (the header is line 1) whose cell count differs from the header's or
+    whose cells are not numbers. loadtxt's own ``message`` counts body rows
+    only, from 0 or from 1 depending on the fault; it stands if no line is
+    found."""
+    with open(path) as fh:
+        for number, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if number == 1 or not line:  # loadtxt skips empty lines
+                continue
+            cells = line.count(",") + 1
+            if cells != width:
+                return f"line {number}: {cells} cell(s) under a header of {width}"
+            try:
+                np.loadtxt([line], delimiter=",", comments=None)
+            except ValueError as exc:
+                return f"line {number}: " + str(exc).partition(" at row ")[0]
+    return message.partition("; use `usecols`")[0]

@@ -237,21 +237,16 @@ def harmonicity_residual(grid: FieldGrid) -> float:
 
 
 def side_projection(h, n_modes: int = DEFAULT_SIDE_MODES) -> np.ndarray:
-    """Coefficients of the profile h against the wall basis psi_k, k <= n_modes.
+    """Coefficients integral h(y) psi_k(y) dy of the profile h against the
+    wall basis, k = 1..n_modes (n_modes >= 1).
 
-    ``h`` is any profile handle exposing ``integrate_against``; built-in
-    profiles are integrated with a 64-node rule per unit interval, tabulated
-    ones with their per-panel composite rule.
+    ``h`` is a :class:`~wavetank.profiles.WavemakerProfile`; all the
+    coefficients come from one :meth:`~wavetank.profiles.WavemakerProfile.integrals`
+    product on its quadrature rule, the rule behind its strategic integrals.
     """
-    nodes = 64 if getattr(h, "kind", "").startswith("builtin") else None
-    return np.array(
-        [
-            h.integrate_against(
-                lambda y, kk=k: math.sqrt(2.0) * _psi_factor(kk, y), nodes_per_panel=nodes
-            )
-            for k in range(1, n_modes + 1)
-        ]
-    )
+    if n_modes < 1:
+        raise ValueError(f"side-mode count must be >= 1, got {n_modes}")
+    return math.sqrt(2.0) * h.integrals(_psi_factor, np.arange(1, n_modes + 1))
 
 
 def reconstruct_field(
@@ -265,11 +260,11 @@ def reconstruct_field(
     """Fluid field -(D zeta) + u_now (N h) induced by a surface state and input value.
 
     ``zeta`` holds the surface coefficients against phi_k; ``h`` is the
-    wavemaker profile, projected onto the wall basis before extension.
+    wavemaker profile, projected onto ``n_side_modes`` wall modes before
+    extension (projected, and the count checked, whatever ``u_now`` is).
     """
-    field = dirichlet_field(zeta, nx, ny)
-    values = -field.values
+    wall = side_projection(h, n_side_modes)
+    values = -dirichlet_field(zeta, nx, ny).values
     if u_now != 0.0:
-        wall = neumann_field(side_projection(h, n_side_modes), nx, ny)
-        values += u_now * wall.values
+        values += u_now * neumann_field(wall, nx, ny).values
     return FieldGrid(nx=nx, ny=ny, values=values)

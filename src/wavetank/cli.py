@@ -32,25 +32,36 @@ def _load_profile(name: str) -> profiles.WavemakerProfile:
     return profiles.WavemakerProfile.from_csv(name)
 
 
-def _merge_config(args, parser_defaults):
-    """Fill unset options from the JSON config file, then hard defaults."""
-    merged = vars(args)
-    if merged.get("config"):
-        with open(merged["config"]) as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"malformed config JSON {merged['config']}: {exc}") from None
-        if not isinstance(file_cfg, dict):
-            raise ValueError(f"config JSON {merged['config']} must hold an object")
-        for key, value in file_cfg.items():
-            dest = key.replace("-", "_")
-            if dest in merged and merged[dest] is None:
-                merged[dest] = value
-    for dest, value in parser_defaults.items():
-        if merged.get(dest) is None:
-            merged[dest] = value
-    return argparse.Namespace(**merged)
+def _config_flags(path, command: argparse.ArgumentParser) -> list[str]:
+    """The fields of a JSON config file as flags of ``command``'s parser.
+
+    Parsed ahead of the explicit flags, they pass the same type and choice
+    checks, and a flag given explicitly wins. Fields that name no flag of the
+    command, and null values, are ignored.
+    """
+    with open(path) as fh:
+        try:
+            fields = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed config JSON {path}: {exc}") from None
+    if not isinstance(fields, dict):
+        raise ValueError(f"config JSON {path} must hold an object")
+    actions = {a.dest: a for a in command._actions if a.option_strings and a.dest != "help"}
+    flags = []
+    for key, value in fields.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None or value is None:
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # a switch such as --record-modes
+            if not isinstance(value, bool):
+                raise ValueError(f"config field {key} must be true or false, got {value!r}")
+            flags += [flag] if value else []
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            flags.append(f"{flag}={value}")
+        else:
+            raise ValueError(f"config field {key} must be a string or a number, got {value!r}")
+    return flags
 
 
 def _write_or_print(text: str, path) -> None:
@@ -249,7 +260,7 @@ def cmd_rate_study(args) -> int:
     h = _load_profile(args.profile)
     n_values = [int(v) for v in args.ns.split(",") if v.strip()]
     config = simulate.SimConfig(
-        n_modes=max(n_values),
+        n_modes=max(n_values, default=2),  # the study itself rejects an empty list
         t_final=args.t_final,
         dt=args.dt,
         sample_every=args.sample_every,
@@ -260,101 +271,67 @@ def cmd_rate_study(args) -> int:
 
 # -- argument wiring ---------------------------------------------------------
 
-_DEFAULTS = {
-    "spectrum": {"kmax": 50, "output": ""},
-    "check-profile": {"profile": "h1", "kmax": 50, "eps": 0.1, "output": ""},
-    "simulate": {
-        "profile": "h1",
-        "n_modes": 32,
-        "dt": None,
-        "t_final": 10.0,
-        "feedback": "collocated",
-        "integrator": "splitting",
-        "sample_every": 1,
-        "record_modes": False,
-        "init": "spread",
-        "input": "",
-        "out_csv": "series.csv",
-        "out_json": "",
-    },
-    "decay": {"model": "exponential", "t_lo": 0.0, "t_hi": 1e30, "output": ""},
-    "field": {
-        "profile": "h1",
-        "u_now": 0.0,
-        "nx": 64,
-        "ny": 64,
-        "n_side_modes": 64,
-        "output": "",
-    },
-    "rate-study": {
-        "profile": "h1",
-        "ns": "4,8,16,32",
-        "t_final": 40000.0,
-        "dt": 1e-2,
-        "sample_every": 1000,
-        "output": "",
-    },
-}
 
-
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict]:
+    """The top-level parser and the parser of each command."""
     parser = _Parser(prog="wavetank", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+        p = commands[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default="", help="JSON config merged under explicit flags")
         return p
 
     p = add("spectrum", "eigenvalues, frequencies and gap products")
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--output", help="CSV path (stdout when omitted)")
+    p.add_argument("--kmax", type=int, default=50)
+    p.add_argument("--output", default="", help="CSV path (stdout when omitted)")
 
     p = add("check-profile", "strategic / margin / sufficient-condition report")
-    p.add_argument("--profile")
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--output")
+    p.add_argument("--profile", default="h1")
+    p.add_argument("--kmax", type=int, default=50)
+    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--output", default="")
 
     p = add("simulate", "run the open or closed loop and export the series")
-    p.add_argument("--profile")
-    p.add_argument("--n-modes", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-final", type=float)
-    p.add_argument("--feedback", choices=["collocated", "none"])
-    p.add_argument("--integrator", choices=["splitting", "rk4-crosscheck"])
-    p.add_argument("--sample-every", type=int)
-    p.add_argument("--record-modes", action="store_const", const=True)
-    p.add_argument("--init", help="zero | spread | mode:K | smooth:P | state CSV path")
-    p.add_argument("--input", help="input-signal JSON (open loop only)")
-    p.add_argument("--out-csv")
-    p.add_argument("--out-json")
+    p.add_argument("--profile", default="h1")
+    p.add_argument("--n-modes", type=int, default=32)
+    p.add_argument("--dt", type=float, help="step (default min(1e-2, 0.1/mu_N))")
+    p.add_argument("--t-final", type=float, default=10.0)
+    p.add_argument("--feedback", choices=["collocated", "none"], default="collocated")
+    p.add_argument("--integrator", choices=["splitting", "rk4-crosscheck"], default="splitting")
+    p.add_argument("--sample-every", type=int, default=1)
+    p.add_argument("--record-modes", action="store_true")
+    p.add_argument("--init", default="spread", help="zero | spread | mode:K | smooth:P | state CSV path")
+    p.add_argument("--input", default="", help="input-signal JSON (open loop only)")
+    p.add_argument("--out-csv", default="series.csv")
+    p.add_argument("--out-json", default="")
 
     p = add("decay", "fit a decay model to an exported series")
     p.add_argument("--series", required=True)
-    p.add_argument("--model", choices=["exponential", "power"])
-    p.add_argument("--t-lo", type=float)
-    p.add_argument("--t-hi", type=float)
-    p.add_argument("--output")
+    p.add_argument("--model", choices=["exponential", "power"], default="exponential")
+    p.add_argument("--t-lo", type=float, default=0.0)
+    p.add_argument("--t-hi", type=float, default=1e30)
+    p.add_argument("--output", default="")
 
     p = add("field", "reconstruct the fluid field from a state CSV")
     p.add_argument("--state", required=True)
-    p.add_argument("--u-now", type=float)
-    p.add_argument("--profile")
-    p.add_argument("--nx", type=int)
-    p.add_argument("--ny", type=int)
-    p.add_argument("--n-side-modes", type=int)
-    p.add_argument("--output")
+    p.add_argument("--u-now", type=float, default=0.0)
+    p.add_argument("--profile", default="h1")
+    p.add_argument("--nx", type=int, default=64)
+    p.add_argument("--ny", type=int, default=64)
+    p.add_argument("--n-side-modes", type=int, default=64)
+    p.add_argument("--output", default="")
 
     p = add("rate-study", "fitted closed-loop rates over a truncation sweep")
-    p.add_argument("--profile")
-    p.add_argument("--ns", help="comma-separated truncation sizes")
-    p.add_argument("--t-final", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--sample-every", type=int)
-    p.add_argument("--output")
+    p.add_argument("--profile", default="h1")
+    p.add_argument("--ns", default="4,8,16,32", help="comma-separated truncation sizes")
+    p.add_argument("--t-final", type=float, default=40000.0)
+    p.add_argument("--dt", type=float, default=1e-2)
+    p.add_argument("--sample-every", type=int, default=1000)
+    p.add_argument("--output", default="")
 
-    return parser
+    return parser, commands
 
 
 _COMMANDS = {
@@ -368,10 +345,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        args = _merge_config(args, _DEFAULTS[args.command])
+        if args.config:
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args.config, commands[args.command]) + argv[at:])
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

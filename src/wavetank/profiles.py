@@ -31,8 +31,6 @@ __all__ = [
     "StrategicVerdict",
     "UssdMargins",
     "ScVerdict",
-    "mean_residual",
-    "strategic_integral",
     "strategic_integral_scaled",
     "strategic_check",
     "ussd_margin",
@@ -69,12 +67,10 @@ class WavemakerProfile:
     def __init__(self, kind, fn, panels, nodes_per_panel, derivative_sup, value_at_zero):
         self.kind = kind
         self._fn = fn
-        self._panels = tuple(panels)
-        self._nodes_per_panel = nodes_per_panel
         self.derivative_sup = derivative_sup
         self.value_at_zero = float(value_at_zero)
-        # the default rule and the weighted samples w * h(y) every modal integral uses
-        self._y, w = panel_rule(self._panels, nodes_per_panel)
+        # the one rule and the weighted samples w * h(y) every profile integral uses
+        self._y, w = panel_rule(panels, nodes_per_panel)
         self._wh = w * fn(self._y)
 
     # -- constructors ----------------------------------------------------
@@ -192,32 +188,23 @@ class WavemakerProfile:
     def __call__(self, y):
         return self._fn(y)
 
-    def quad_rule(self, nodes_per_panel: int | None = None):
-        """Quadrature nodes and weights covering [-1, 0] for this profile."""
-        return panel_rule(self._panels, nodes_per_panel or self._nodes_per_panel)
-
-    def integrate_against(self, f, nodes_per_panel: int | None = None) -> float:
-        """Quadrature of integral h(y) f(y) dy over [-1, 0]."""
-        y, w = self.quad_rule(nodes_per_panel)
-        return float(np.dot(w, self._fn(y) * f(y)))
-
     def mean_residual(self) -> float:
         """Quadrature of the mean integral of h; zero for a volume-conserving profile."""
         return float(np.sum(self._wh))
 
-    def _scaled_integrals(self, ks) -> np.ndarray:
-        """I_k / cosh(k) for every k in ``ks``.
+    def integrals(self, kernel, ks) -> np.ndarray:
+        """Integrals of h(y) kernel(k, y) dy over [-1, 0], one for every k in ``ks``.
 
-        One product of the kernel matrix cosh[k(y+1)]/cosh(k) on the default
-        nodes with w * h(y), formed in row blocks of at most ``KERNEL_BLOCK``
-        entries so the temporaries stay a few MB for any kmax.
+        ``kernel`` broadcasts a column of k against a row of depths y. One
+        product of the kernel matrix on the profile's nodes with w * h(y),
+        formed in row blocks of at most ``KERNEL_BLOCK`` entries so the
+        temporaries stay a few MB for any number of k.
         """
         ks = np.asarray(ks, dtype=float)
         out = np.empty(ks.size)
         rows = max(1, KERNEL_BLOCK // self._y.size)
         for start in range(0, ks.size, rows):
-            block = ks[start:start + rows, None]
-            out[start:start + rows] = cosh_over_cosh(block, self._y) @ self._wh
+            out[start:start + rows] = kernel(ks[start:start + rows, None], self._y) @ self._wh
         return out
 
 
@@ -231,11 +218,6 @@ BUILTIN_PROFILES = {
 }
 
 
-def mean_residual(h: WavemakerProfile) -> float:
-    """Integral of h over [-1, 0] (conservation-of-volume residual)."""
-    return h.mean_residual()
-
-
 def strategic_integral_scaled(h: WavemakerProfile, k: int) -> float:
     """I_k / cosh(k): the strategic integral with the hyperbolic growth removed.
 
@@ -244,12 +226,7 @@ def strategic_integral_scaled(h: WavemakerProfile, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"mode index must be >= 1, got {k}")
-    return float(h._scaled_integrals([k])[0])
-
-
-def strategic_integral(h: WavemakerProfile, k: int) -> float:
-    """Strategic integral I_k; overflows to inf once cosh(k) does (k ~ 710)."""
-    return strategic_integral_scaled(h, k) * math.cosh(k)
+    return float(h.integrals(cosh_over_cosh, [k])[0])
 
 
 @dataclass(frozen=True)
@@ -274,7 +251,7 @@ def strategic_check(h: WavemakerProfile, kmax: int, atol: float = STRATEGIC_ATOL
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    scaled = h._scaled_integrals(np.arange(1, kmax + 1))
+    scaled = h.integrals(cosh_over_cosh, np.arange(1, kmax + 1))
     fails = tuple((np.flatnonzero(np.abs(scaled) <= atol) + 1).tolist())
     return StrategicVerdict(strategic=not fails, fails_at=fails, kmax=kmax, atol=atol)
 
@@ -299,7 +276,7 @@ def ussd_margin(h: WavemakerProfile, kmax: int) -> UssdMargins:
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     k = np.arange(1, kmax + 1)
-    margins = k * np.abs(h._scaled_integrals(k))
+    margins = k * np.abs(h.integrals(cosh_over_cosh, k))
     imin = int(np.argmin(margins))
     return UssdMargins(
         margins=margins,
@@ -359,5 +336,5 @@ def coupling_vector(h: WavemakerProfile, n_modes: int) -> CouplingVector:
     """Coupling coefficients b_k = -sqrt(2/pi) I_k / cosh(k) for k <= n_modes."""
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    b = -math.sqrt(2.0 / math.pi) * h._scaled_integrals(np.arange(1, n_modes + 1))
+    b = -math.sqrt(2.0 / math.pi) * h.integrals(cosh_over_cosh, np.arange(1, n_modes + 1))
     return CouplingVector(b=b, beta=b / math.sqrt(2.0), n_modes=n_modes)

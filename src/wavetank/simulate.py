@@ -36,12 +36,8 @@ __all__ = [
     "x_norm",
     "x_norm_sq",
     "domain_norm",
-    "rotation_substep",
-    "damping_substep",
     "simulate_closed",
     "simulate_open",
-    "eigen_coefficients",
-    "state_from_eigen",
 ]
 
 
@@ -63,9 +59,6 @@ class ModalState:
     @property
     def n_modes(self) -> int:
         return self.zeta.size
-
-    def copy(self) -> "ModalState":
-        return ModalState(self.zeta.copy(), self.w.copy())
 
     @classmethod
     def zero(cls, n_modes: int) -> "ModalState":
@@ -97,40 +90,6 @@ def domain_norm(state: ModalState) -> float:
     lam = eigenvalues(state.n_modes)
     extra = float(np.dot(lam, state.w**2) + np.dot(lam**2, state.zeta**2))
     return math.sqrt(x_norm_sq(state) + extra)
-
-
-def rotation_substep(state: ModalState, tau: float) -> ModalState:
-    """Exact free oscillation of every mode for time tau.
-
-    Per mode: zeta <- zeta cos(mu tau) + (w/mu) sin(mu tau),
-              w    <- -mu zeta sin(mu tau) + w cos(mu tau),
-    an isometry of the energy norm.
-    """
-    mu = frequencies(state.n_modes)
-    c = np.cos(mu * tau)
-    s = np.sin(mu * tau)
-    zeta = state.zeta * c + (state.w / mu) * s
-    w = -mu * state.zeta * s + state.w * c
-    return ModalState(zeta, w)
-
-
-def damping_substep(state: ModalState, coupling: CouplingVector, tau: float) -> ModalState:
-    """Exact flow of the rank-one damping w' = -b (b.w) for time tau.
-
-    With s = b.w and q = |b|^2: w <- w + ((e^{-q tau} - 1)/q) s b; zeta is
-    untouched and the energy norm never increases.
-    """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    b = coupling.b
-    if b.size != state.n_modes:
-        raise ValueError("coupling length does not match the state truncation")
-    q = coupling.q
-    if q == 0.0:
-        return state.copy()
-    s = float(np.dot(b, state.w))
-    factor = math.expm1(-q * tau) / q
-    return ModalState(state.zeta.copy(), state.w + factor * s * b)
 
 
 @dataclass(frozen=True)
@@ -567,27 +526,3 @@ def _simulate_rk4(state0, coupling, config, signal):
             rec.push(step * dt, x_norm_sq(state), u, zeta, w)
     return rec.series()
 
-
-def eigen_coefficients(state: ModalState) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of the state against the eigenvectors of the first-order form.
-
-    Returns (c_plus, c_minus) with c_{+-k} = (i mu_k zeta_k +- w_k)/sqrt(2);
-    the free dynamics multiplies c_{+-k} by e^{+-i mu_k t} and
-    |c_k|^2 + |c_{-k}|^2 equals the per-mode energy. Documented identity of
-    the real second-order realization with the diagonal complex form.
-    """
-    mu = frequencies(state.n_modes)
-    top = 1j * mu * state.zeta
-    c_plus = (top + state.w) / math.sqrt(2.0)
-    c_minus = (top - state.w) / math.sqrt(2.0)
-    return c_plus, c_minus
-
-
-def state_from_eigen(c_plus: np.ndarray, c_minus: np.ndarray) -> ModalState:
-    """Inverse of :func:`eigen_coefficients`."""
-    c_plus = np.asarray(c_plus, dtype=complex)
-    c_minus = np.asarray(c_minus, dtype=complex)
-    mu = frequencies(c_plus.size)
-    zeta = ((c_plus + c_minus) / (1j * mu * math.sqrt(2.0))).real
-    w = ((c_plus - c_minus) / math.sqrt(2.0)).real
-    return ModalState(zeta, w)

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Mode",
-    "SpectralTruncation",
     "WavePackageResult",
     "GapViolationError",
     "eigenvalue",
@@ -44,30 +42,6 @@ class GapViolationError(ValueError):
             f"gap violation: frequencies {self.indices} all within "
             f"{delta:.6g} of s={s:.6g}"
         )
-
-
-@dataclass(frozen=True)
-class Mode:
-    """Spectral data of one surface mode: index, eigenvalue, frequency."""
-
-    k: int
-    lam: float
-    mu: float
-
-    @classmethod
-    def from_index(cls, k: int) -> "Mode":
-        return cls(k=k, lam=eigenvalue(k), mu=frequency(k))
-
-
-@dataclass(frozen=True)
-class SpectralTruncation:
-    """Number of retained surface modes (k = 1..n_modes)."""
-
-    n_modes: int
-
-    def __post_init__(self):
-        if not isinstance(self.n_modes, (int, np.integer)) or self.n_modes < 1:
-            raise ValueError(f"n_modes must be a positive integer, got {self.n_modes}")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ zero as modes are added. A dense eigensolve of the closed-loop block matrix
 provides the independent spectral-abscissa oracle for the sweep.
 """
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -35,6 +34,7 @@ __all__ = [
     "closed_loop_matrix",
     "spectral_abscissa",
     "rate_vs_n_study",
+    "study_to_csv",
 ]
 
 
@@ -59,9 +59,6 @@ class EnvelopeReport:
 
     M_min: float
     attained_at: float
-
-    def to_json(self) -> str:
-        return json.dumps({"M_min": self.M_min, "attained_at": self.attained_at})
 
 
 @dataclass(frozen=True)
@@ -159,6 +156,8 @@ def rate_vs_n_study(h, n_values, config: SimConfig | None = None) -> list[RateSt
     stabilizability.
     """
     n_values = list(n_values)
+    if not n_values:
+        raise ValueError("the study needs at least one truncation size")
     if any(n < 2 for n in n_values):
         raise ValueError("every truncation in the study must be >= 2")
     if sorted(n_values) != n_values:

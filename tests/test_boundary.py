@@ -15,6 +15,7 @@ from wavetank.boundary import (
     side_projection,
     wall_trace,
 )
+from wavetank.profiles import WavemakerProfile
 
 # frozen from the mpmath oracle
 D_E1_CORNER = 0.5170724995187291  # sqrt(2/pi)/cosh(1)
@@ -215,22 +216,37 @@ def test_linearity_of_evaluators():
     assert np.max(np.abs(combo - split)) <= 1e-13 * max(np.max(np.abs(split)), 1e-30)
 
 
-def test_side_projection_orthonormality(h1):
-    # projecting psi_j onto the basis returns the unit vector
-    class PsiProfile:
-        kind = "builtin-test"
-
-        def integrate_against(self, f, nodes_per_panel=None):
-            from wavetank._gauss import panel_rule
-
-            y, w = panel_rule([(-1.0, 0.0)], nodes_per_panel or 64)
-            psi3 = math.sqrt(2.0) * np.cos(5 * 0.5 * np.pi * (y + 1.0))
-            return float(np.dot(w, psi3 * f(y)))
-
-    v = side_projection(PsiProfile(), 6)
+def test_side_projection_orthonormality():
+    # projecting psi_3 onto the basis returns the unit vector
+    psi3 = WavemakerProfile(
+        kind="psi_3",
+        fn=lambda y: math.sqrt(2.0) * np.cos(5 * 0.5 * np.pi * (np.asarray(y) + 1.0)),
+        panels=[(-1.0, 0.0)],
+        nodes_per_panel=128,
+        derivative_sup=None,
+        value_at_zero=0.0,
+    )
+    v = side_projection(psi3, 6)
     expect = np.zeros(6)
     expect[2] = 1.0
     assert np.allclose(v, expect, atol=1e-12)
+
+
+def test_side_projection_matches_closed_form(h1):
+    # sqrt(2) (-1)^k integral (y + 1/2) sin(a_k y) dy = -sqrt(2) (1/a_k^2 + (-1)^k/(2 a_k))
+    k = np.arange(1, 65)
+    a = (2 * k - 1) * 0.5 * np.pi
+    exact = -math.sqrt(2.0) * (1.0 / a**2 + (-1.0) ** k / (2.0 * a))
+    assert np.max(np.abs(side_projection(h1, 64) - exact)) <= 1e-13
+
+
+@pytest.mark.parametrize("n_modes", [0, -3])
+def test_side_projection_rejects_no_modes(h1, n_modes):
+    with pytest.raises(ValueError, match="side-mode count"):
+        side_projection(h1, n_modes)
+    for u_now in (0.0, 1.0):
+        with pytest.raises(ValueError, match="side-mode count"):
+            reconstruct_field(E1, u_now, h1, 4, 4, n_side_modes=n_modes)
 
 
 def test_reconstruct_field_identities(h1):

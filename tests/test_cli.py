@@ -255,6 +255,22 @@ def test_field_matches_boundary_oracle(tmp_path, capsys, h1):
     assert np.array_equal(data[:, 2].reshape(9, 9), expected.values)
 
 
+@pytest.mark.parametrize("n_side_modes", ["0", "-3"])
+def test_field_rejects_no_side_modes(tmp_path, capsys, n_side_modes):
+    state = tmp_path / "state.csv"
+    state.write_text("k,zeta,w\n1,1.0,0\n")
+    out_path = tmp_path / "f.csv"
+    code, _, err = run_cli(
+        capsys,
+        "field", "--state", str(state), "--u-now", "1", "--nx", "4", "--ny", "4",
+        "--n-side-modes", n_side_modes, "--output", str(out_path),
+    )
+    assert code == 2
+    assert err.startswith("error: side-mode count must be >= 1")
+    assert len(err.strip().splitlines()) == 1
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("u_now", ["nan", "inf"])
 def test_field_rejects_non_finite_input(tmp_path, capsys, u_now):
     state = tmp_path / "state.csv"
@@ -292,18 +308,19 @@ def test_field_malformed_state(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "what, text",
+    "what, text, line",
     [
-        pytest.param("time-series", "t,x_norm,energy,u\n0,1,1,0\n1,1,1\n", id="series-ragged-row"),
-        pytest.param("time-series", "t,x_norm,energy,u\n0,1,1,0\n1,1,abc,0\n", id="series-non-numeric"),
-        pytest.param("time-series", "t,x_norm,energy,u\n# note\n0,1,1,0\n", id="series-hash-not-comment"),
-        pytest.param("state", "k,zeta,w\n1,0.5,0,7\n2,0,0\n", id="state-extra-first-cell"),
-        pytest.param("state", "k,zeta,w\n1,0.5,0,7\n", id="state-wider-than-header"),
-        pytest.param("state", "k,zeta,w\n1,abc,0\n", id="state-non-numeric"),
-        pytest.param("profile", "y,h\n-1,0\n0\n", id="profile-short-row"),
+        pytest.param("time-series", "t,x_norm,energy,u\n0,1,1,0\n1,1,1\n", 3, id="series-ragged-row"),
+        pytest.param("time-series", "t,x_norm,energy,u\n0,1,1,0\n\n1,1,1\n", 4, id="series-short-row-after-blank"),
+        pytest.param("time-series", "t,x_norm,energy,u\n0,1,1,0\n1,1,abc,0\n", 3, id="series-non-numeric"),
+        pytest.param("time-series", "t,x_norm,energy,u\n# note\n0,1,1,0\n", 2, id="series-hash-not-comment"),
+        pytest.param("state", "k,zeta,w\n1,0.5,0,7\n2,0,0\n", 2, id="state-extra-first-cell"),
+        pytest.param("state", "k,zeta,w\n1,0.5,0,7\n", None, id="state-wider-than-header"),
+        pytest.param("state", "k,zeta,w\n1,abc,0\n", 2, id="state-non-numeric"),
+        pytest.param("profile", "y,h\n-1,0\n0\n", 3, id="profile-short-row"),
     ],
 )
-def test_malformed_csv_single_error_line(tmp_path, capsys, what, text):
+def test_malformed_csv_single_error_line(tmp_path, capsys, what, text, line):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     argv = {
@@ -315,6 +332,8 @@ def test_malformed_csv_single_error_line(tmp_path, capsys, what, text):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: malformed {what} CSV {path}: ")
+    if line is not None:  # the header counts as line 1
+        assert err.startswith(f"error: malformed {what} CSV {path}: line {line}: ")
     assert len(err.strip().splitlines()) == 1
 
 
@@ -348,6 +367,53 @@ def test_config_file_merged_under_flags(tmp_path, capsys):
     # explicit flag wins over the config value
     code, out, _ = run_cli(capsys, "spectrum", "--config", str(cfg), "--kmax", "6")
     assert len(out.strip().splitlines()) == 7
+
+
+@pytest.mark.parametrize(
+    "argv, fields, fault",
+    [
+        pytest.param(["spectrum"], {"kmax": 3.5}, "invalid int value: '3.5'", id="spectrum-float-kmax"),
+        pytest.param(["check-profile"], {"kmax": 3.5}, "invalid int value: '3.5'", id="check-float-kmax"),
+        pytest.param(["check-profile"], {"eps": "small"}, "invalid float value: 'small'", id="check-text-eps"),
+        pytest.param(["check-profile"], {"kmax": True}, "kmax must be a string or a number", id="check-bool-kmax"),
+        pytest.param(["simulate", "--n-modes", "2"], {"record_modes": "no"}, "record_modes must be true or false",
+                     id="simulate-text-switch"),
+        pytest.param(["simulate", "--n-modes", "2"], {"feedback": "open"}, "invalid choice: 'open'",
+                     id="simulate-bad-choice"),
+        pytest.param(["simulate", "--n-modes", "2"], {"n_modes": [4]}, "n_modes must be a string or a number",
+                     id="simulate-list-value"),
+    ],
+)
+def test_config_values_checked_like_flags(tmp_path, capsys, argv, fields, fault):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    out_csv = tmp_path / "series.csv"
+    extra = ["--out-csv", str(out_csv)] if argv[0] == "simulate" else []
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg), *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and fault in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out_csv.exists()
+
+
+def test_config_switch_and_flag_order(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"record_modes": True, "n_modes": 3, "t_final": 0.5, "dt": None}))
+    out_csv = tmp_path / "series.csv"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--config", str(cfg), "--n-modes", "2", "--out-csv", str(out_csv)
+    )
+    assert code == 0
+    header = out_csv.read_text().splitlines()[0]
+    assert header == "t,x_norm,energy,u,zeta_1,zeta_2,w_1,w_2"
+
+
+def test_rate_study_rejects_empty_truncation_list(capsys):
+    code, out, err = run_cli(capsys, "rate-study", "--ns", ",")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the study needs at least one truncation size\n"
 
 
 def test_unknown_flag_single_line_error(capsys):

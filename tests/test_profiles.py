@@ -7,10 +7,8 @@ from wavetank.profiles import (
     SC_CONSTANT,
     WavemakerProfile,
     coupling_vector,
-    mean_residual,
     sc_check,
     strategic_check,
-    strategic_integral,
     strategic_integral_scaled,
     ussd_margin,
 )
@@ -34,8 +32,8 @@ def _closed_form_h1(k: int) -> float:
 
 
 def test_mean_residuals(h1, h2):
-    assert mean_residual(h1) == pytest.approx(0.0, abs=1e-15)
-    assert mean_residual(h2) == pytest.approx(0.0, abs=1e-12)
+    assert h1.mean_residual() == pytest.approx(0.0, abs=1e-15)
+    assert h2.mean_residual() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mean_residual_constant_profile():
@@ -52,13 +50,13 @@ def test_strategic_integral_closed_form(h1):
     for k in (1, 2, 5, 10, 30, 50):
         scaled = strategic_integral_scaled(h1, k)
         assert scaled == pytest.approx(_closed_form_h1(k) / math.cosh(k), abs=1e-12)
-    assert strategic_integral(h1, 1) == pytest.approx(I1_H1, abs=1e-13)
-    assert strategic_integral(h1, 2) == pytest.approx(I2_H1, abs=1e-13)
+    assert strategic_integral_scaled(h1, 1) * math.cosh(1) == pytest.approx(I1_H1, abs=1e-13)
+    assert strategic_integral_scaled(h1, 2) * math.cosh(2) == pytest.approx(I2_H1, abs=1e-13)
 
 
 def test_strategic_integral_zero_profile():
     zero = WavemakerProfile.from_samples([-1.0, 0.0], [0.0, 0.0])
-    assert strategic_integral(zero, 3) == 0.0
+    assert strategic_integral_scaled(zero, 3) == 0.0
 
 
 def test_strategic_check_h1_on_range(h1):
@@ -253,7 +251,7 @@ def test_csv_rejects_malformed(tmp_path, text):
 
 def test_bad_mode_indices(h1):
     with pytest.raises(ValueError):
-        strategic_integral(h1, 0)
+        strategic_integral_scaled(h1, 0)
     with pytest.raises(ValueError):
         strategic_check(h1, 0)
     with pytest.raises(ValueError):

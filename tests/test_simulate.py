@@ -12,17 +12,15 @@ from wavetank.simulate import (
     Segment,
     SimConfig,
     TimeSeries,
-    damping_substep,
     domain_norm,
-    eigen_coefficients,
-    rotation_substep,
     simulate_closed,
     simulate_open,
-    state_from_eigen,
     x_norm,
     x_norm_sq,
 )
 from wavetank.spectral import eigenvalues, frequency
+
+from substeps import damping_substep, rotation_substep
 
 MU1 = 0.8726936208978296
 DOMNORM_MODE1 = 1.1582831322011637  # sqrt(lambda_1 + lambda_1^2)
@@ -337,31 +335,6 @@ def test_signal_concat_semantics():
     assert c(1.0) == 1.0
     # v is evaluated in its own clock: c(t) = v(t - tau) for t >= tau
     assert c(2.0) == pytest.approx(2.0 * math.cos(3.0 * 0.5 + 0.1))
-
-
-# -- eigen-coordinate identity -------------------------------------------------
-
-
-def test_eigen_coefficients_round_trip(rng):
-    st = random_state(6, rng)
-    c_plus, c_minus = eigen_coefficients(st)
-    back = state_from_eigen(c_plus, c_minus)
-    assert np.allclose(back.zeta, st.zeta, atol=1e-14)
-    assert np.allclose(back.w, st.w, atol=1e-14)
-    # per-mode energy identity
-    lam = eigenvalues(6)
-    per_mode = lam * st.zeta**2 + st.w**2
-    assert np.allclose(np.abs(c_plus) ** 2 + np.abs(c_minus) ** 2, per_mode, rtol=1e-13)
-
-
-def test_eigen_coefficients_diagonal_flow():
-    st = ModalState.single_mode(1, 4, zeta=0.3, w=-0.2)
-    tau = 0.77
-    c_plus0, c_minus0 = eigen_coefficients(st)
-    c_plus1, c_minus1 = eigen_coefficients(rotation_substep(st, tau))
-    mu = np.sqrt(eigenvalues(4))
-    assert np.allclose(c_plus1, c_plus0 * np.exp(1j * mu * tau), atol=1e-14)
-    assert np.allclose(c_minus1, c_minus0 * np.exp(-1j * mu * tau), atol=1e-14)
 
 
 # -- config and series ---------------------------------------------------------

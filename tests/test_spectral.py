@@ -5,8 +5,6 @@ import pytest
 
 from wavetank.spectral import (
     GapViolationError,
-    Mode,
-    SpectralTruncation,
     eigenvalue,
     eigenvalues,
     frequencies,
@@ -159,12 +157,3 @@ def test_separation_certificate_is_tight():
     delta_needed = (frequency(60) - frequency(59)) / 2 * (abs(mid) + 1.0)
     assert eps0 <= delta_needed + 1e-3
 
-
-def test_mode_and_truncation_types():
-    m = Mode.from_index(2)
-    assert m.k == 2
-    assert m.lam == pytest.approx(LAM2, rel=1e-15)
-    assert m.mu == pytest.approx(MU2, rel=1e-15)
-    assert SpectralTruncation(4).n_modes == 4
-    with pytest.raises(ValueError):
-        SpectralTruncation(0)

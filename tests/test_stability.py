@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,9 +9,7 @@ from wavetank.simulate import (
     ModalState,
     SimConfig,
     TimeSeries,
-    damping_substep,
     domain_norm,
-    rotation_substep,
     simulate_closed,
     x_norm,
     x_norm_sq,
@@ -27,6 +24,8 @@ from wavetank.stability import (
     spectral_abscissa,
     study_to_csv,
 )
+
+from substeps import strang_step_matrix
 
 
 def synthetic_series(fn, t_hi=50.0, n=501):
@@ -112,12 +111,6 @@ def test_envelope_lower_bound():
     assert rep.M_min >= series.x_norm[0] / 4.0
 
 
-def test_envelope_json():
-    rep = envelope_check(synthetic_series(lambda t: np.exp(-t / 9)), 1.0)
-    data = json.loads(rep.to_json())
-    assert set(data) == {"M_min", "attained_at"}
-
-
 # -- smooth initial data ---------------------------------------------------------
 
 
@@ -160,23 +153,6 @@ def test_closed_loop_matrix_structure(h1):
     # accepts a coupling vector in place of the profile
     m2 = closed_loop_matrix(cv, 3)
     assert np.array_equal(m, m2)
-
-
-def strang_step_matrix(coupling, n_modes: int, dt: float) -> np.ndarray:
-    """Matrix of one splitting step, built by driving the public substeps
-    with unit basis states: the reference for the block propagator."""
-    dim = 2 * n_modes
-    m = np.empty((dim, dim))
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        state = ModalState(e[:n_modes], e[n_modes:])
-        state = rotation_substep(state, dt / 2.0)
-        state = damping_substep(state, coupling, dt)
-        state = rotation_substep(state, dt / 2.0)
-        m[:n_modes, j] = state.zeta
-        m[n_modes:, j] = state.w
-    return m
 
 
 def test_step_matrix_matches_simulator(h1):
@@ -276,6 +252,8 @@ def test_rate_study_validation(h1):
         rate_vs_n_study(h1, [1, 4])
     with pytest.raises(ValueError, match="increasing"):
         rate_vs_n_study(h1, [8, 4])
+    with pytest.raises(ValueError, match="at least one truncation"):
+        rate_vs_n_study(h1, [])
 
 
 def test_study_csv(tmp_path, h1):
