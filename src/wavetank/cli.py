@@ -32,12 +32,13 @@ def _load_profile(name: str) -> profiles.WavemakerProfile:
     return profiles.WavemakerProfile.from_csv(name)
 
 
-def _config_flags(path, command: argparse.ArgumentParser) -> list[str]:
+def _config_flags(path, command: str, commands: dict) -> list[str]:
     """The fields of a JSON config file as flags of ``command``'s parser.
 
     Parsed ahead of the explicit flags, they pass the same type and choice
-    checks, and a flag given explicitly wins. Fields that name no flag of the
-    command, and null values, are ignored.
+    checks, and a flag given explicitly wins. Null values and fields of other
+    commands are ignored, so one file can serve several commands; a field
+    that names no option of any command is an error.
     """
     with open(path) as fh:
         try:
@@ -46,10 +47,14 @@ def _config_flags(path, command: argparse.ArgumentParser) -> list[str]:
             raise ValueError(f"malformed config JSON {path}: {exc}") from None
     if not isinstance(fields, dict):
         raise ValueError(f"config JSON {path} must hold an object")
-    actions = {a.dest: a for a in command._actions if a.option_strings and a.dest != "help"}
+    actions = {a.dest: a for a in commands[command]._actions if a.option_strings and a.dest != "help"}
+    known = {a.dest for parser in commands.values() for a in parser._actions}
     flags = []
     for key, value in fields.items():
-        action = actions.get(key.replace("-", "_"))
+        dest = key.replace("-", "_")
+        if dest not in known:
+            raise ValueError(f"config field {key!r} names no option of any command")
+        action = actions.get(dest)
         if action is None or value is None:
             continue
         flag = action.option_strings[0]
@@ -146,7 +151,7 @@ def _read_state_csv(path, n_modes=None) -> simulate.ModalState:
     return simulate.ModalState(np.pad(data[:, 1], pad), np.pad(data[:, 2], pad))
 
 
-def _read_signal_json(path, t_final: float) -> simulate.InputSignal:
+def _read_signal_json(path) -> simulate.InputSignal:
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -170,9 +175,7 @@ def _read_signal_json(path, t_final: float) -> simulate.InputSignal:
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed segment in {path}: {exc}") from None
-    signal = simulate.InputSignal(segments)
-    signal.validate(t_final)
-    return signal
+    return simulate.InputSignal(segments)
 
 
 def cmd_simulate(args) -> int:
@@ -183,18 +186,17 @@ def cmd_simulate(args) -> int:
         n_modes=args.n_modes,
         t_final=args.t_final,
         dt=args.dt,
-        feedback=args.feedback,
         integrator=args.integrator,
         sample_every=args.sample_every,
         record_modes=args.record_modes,
     )
     state0 = _initial_state(args.init, config.n_modes)
     t0 = time.perf_counter()
-    if config.feedback == "collocated":
+    if args.feedback == "collocated":
         series = simulate.simulate_closed(state0, h, config)
     else:
         if args.input:
-            signal = _read_signal_json(args.input, config.t_final)
+            signal = _read_signal_json(args.input)
         else:
             signal = simulate.InputSignal.zero(config.t_final)
         series = simulate.simulate_open(state0, h, signal, config)
@@ -206,7 +208,7 @@ def cmd_simulate(args) -> int:
             "n_modes": config.n_modes,
             "dt": config.dt,
             "t_final": config.t_final,
-            "feedback": config.feedback,
+            "feedback": args.feedback,
             "integrator": config.integrator,
             "sample_every": config.sample_every,
             "profile": args.profile,
@@ -259,13 +261,8 @@ def cmd_field(args) -> int:
 def cmd_rate_study(args) -> int:
     h = _load_profile(args.profile)
     n_values = [int(v) for v in args.ns.split(",") if v.strip()]
-    config = simulate.SimConfig(
-        n_modes=max(n_values, default=2),  # the study itself rejects an empty list
-        t_final=args.t_final,
-        dt=args.dt,
-        sample_every=args.sample_every,
-    )
-    stability.study_to_csv(stability.rate_vs_n_study(h, n_values, config), args.output)
+    entries = stability.rate_vs_n_study(h, n_values, args.t_final, args.dt, args.sample_every)
+    stability.study_to_csv(entries, args.output)
     return 0
 
 
@@ -351,7 +348,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + _config_flags(args.config, commands[args.command]) + argv[at:])
+            args = parser.parse_args(argv[:at] + _config_flags(args.config, args.command, commands) + argv[at:])
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

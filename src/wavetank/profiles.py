@@ -323,8 +323,14 @@ class CouplingVector:
     """
 
     b: np.ndarray
-    beta: np.ndarray
-    n_modes: int
+
+    @property
+    def n_modes(self) -> int:
+        return len(self.b)
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self.b / math.sqrt(2.0)
 
     @property
     def q(self) -> float:
@@ -332,9 +338,15 @@ class CouplingVector:
         return float(np.dot(self.b, self.b))
 
 
-def coupling_vector(h: WavemakerProfile, n_modes: int) -> CouplingVector:
-    """Coupling coefficients b_k = -sqrt(2/pi) I_k / cosh(k) for k <= n_modes."""
+def coupling_vector(h, n_modes: int) -> CouplingVector:
+    """Coupling coefficients b_k = -sqrt(2/pi) I_k / cosh(k) for k <= n_modes
+    of a profile ``h``, or the first n_modes of a :class:`CouplingVector` ``h``."""
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    b = -math.sqrt(2.0 / math.pi) * h.integrals(cosh_over_cosh, np.arange(1, n_modes + 1))
-    return CouplingVector(b=b, beta=b / math.sqrt(2.0), n_modes=n_modes)
+    if isinstance(h, CouplingVector):
+        if h.n_modes < n_modes:
+            raise ValueError("coupling vector shorter than the requested truncation")
+        return h if h.n_modes == n_modes else CouplingVector(h.b[:n_modes])
+    if not isinstance(h, WavemakerProfile):
+        raise TypeError(f"expected WavemakerProfile or CouplingVector, got {type(h)!r}")
+    return CouplingVector(-math.sqrt(2.0 / math.pi) * h.integrals(cosh_over_cosh, np.arange(1, n_modes + 1)))

@@ -18,13 +18,14 @@ sequence is non-increasing by construction. A classical Runge-Kutta
 integrator is included as an independent cross-check.
 """
 
+import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._table import read_table, write_table
-from .profiles import KERNEL_BLOCK, WavemakerProfile, coupling_vector, CouplingVector
+from .profiles import KERNEL_BLOCK, CouplingVector, coupling_vector
 from .spectral import eigenvalues, frequencies
 
 __all__ = [
@@ -104,7 +105,6 @@ class SimConfig:
     n_modes: int
     t_final: float
     dt: float | None = None
-    feedback: str = "collocated"
     integrator: str = "splitting"
     sample_every: int = 1
     record_modes: bool = False
@@ -121,8 +121,6 @@ class SimConfig:
             raise ValueError(f"t_final must be finite, got {self.t_final}")
         if self.t_final < self.dt:
             raise ValueError(f"t_final must be >= dt, got {self.t_final} < {self.dt}")
-        if self.feedback not in ("collocated", "none"):
-            raise ValueError(f"feedback must be 'collocated' or 'none', got {self.feedback!r}")
         if self.integrator not in ("splitting", "rk4-crosscheck"):
             raise ValueError(
                 f"integrator must be 'splitting' or 'rk4-crosscheck', got {self.integrator!r}"
@@ -137,6 +135,10 @@ class SimConfig:
     @property
     def n_steps(self) -> int:
         return max(1, int(round(self.t_final / self.dt)))
+
+    def sample_steps(self) -> list[int]:
+        """The recorded steps: every ``sample_every``-th from 0, and always the last."""
+        return [*range(0, self.n_steps, self.sample_every), self.n_steps]
 
 
 @dataclass(frozen=True)
@@ -175,15 +177,34 @@ class Segment:
         return replace(self, t_start=self.t_start + tau, t_end=self.t_end + tau, phase=phase)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InputSignal:
-    """Piecewise input covering [0, t_final] with non-overlapping segments."""
+    """Piecewise input: contiguous segments from t = 0, in any order.
 
-    segments: list = field(default_factory=list)
+    Construction sorts the segments by start and rejects an empty list, a
+    start after t = 0, and overlaps or gaps between neighbours (beyond
+    1e-12). Segment i serves [t_start_i, t_start_{i+1}); the last one also
+    serves every later time.
+    """
+
+    segments: tuple
 
     def __post_init__(self):
-        # lookup and concatenation rely on time order, whatever order the caller used
-        self.segments = sorted(self.segments, key=lambda s: s.t_start)
+        segs = tuple(sorted(self.segments, key=lambda s: s.t_start))
+        if not segs:
+            raise ValueError("input signal has no segments")
+        if segs[0].t_start > 1e-12:
+            raise ValueError(f"input signal must start at t=0, first segment at {segs[0].t_start}")
+        for prev, cur in zip(segs, segs[1:]):
+            if cur.t_start < prev.t_end - 1e-12:
+                raise ValueError(
+                    f"overlapping segments: [{prev.t_start}, {prev.t_end}] and "
+                    f"[{cur.t_start}, {cur.t_end}]"
+                )
+            if cur.t_start > prev.t_end + 1e-12:
+                raise ValueError(f"gap in input coverage between t={prev.t_end} and t={cur.t_start}")
+        object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "_seams", [seg.t_start for seg in segs[1:]])
 
     @classmethod
     def zero(cls, t_final: float) -> "InputSignal":
@@ -198,34 +219,12 @@ class InputSignal:
         return cls([Segment(0.0, t_final, "sinusoid", amplitude=amplitude, omega=omega, phase=phase)])
 
     def validate(self, t_final: float) -> None:
-        """Check the segments are non-overlapping and cover [0, t_final]."""
-        if not self.segments:
-            raise ValueError("input signal has no segments")
-        segs = self.segments
-        if segs[0].t_start > 1e-12:
-            raise ValueError(f"input signal must start at t=0, first segment at {segs[0].t_start}")
-        for prev, cur in zip(segs, segs[1:]):
-            if cur.t_start < prev.t_end - 1e-12:
-                raise ValueError(
-                    f"overlapping segments: [{prev.t_start}, {prev.t_end}] and "
-                    f"[{cur.t_start}, {cur.t_end}]"
-                )
-            if cur.t_start > prev.t_end + 1e-12:
-                raise ValueError(
-                    f"gap in input coverage between t={prev.t_end} and t={cur.t_start}"
-                )
-        if segs[-1].t_end < t_final - 1e-12:
-            raise ValueError(
-                f"input signal ends at {segs[-1].t_end} before t_final={t_final}"
-            )
+        """Check the signal reaches t_final."""
+        if self.segments[-1].t_end < t_final - 1e-12:
+            raise ValueError(f"input signal ends at {self.segments[-1].t_end} before t_final={t_final}")
 
     def __call__(self, t: float) -> float:
-        for seg in self.segments:
-            if seg.t_start <= t < seg.t_end:
-                return seg(t)
-        if self.segments and t >= self.segments[-1].t_end:
-            return self.segments[-1](t)
-        return 0.0
+        return self.segments[bisect.bisect_right(self._seams, t)](t)
 
     def concat(self, tau: float, other: "InputSignal") -> "InputSignal":
         """Concatenation: this signal on [0, tau), then ``other`` delayed by tau."""
@@ -287,59 +286,6 @@ class TimeSeries:
         if zeta_cols and w_cols:
             series.final_state = ModalState(data[-1, zeta_cols], data[-1, w_cols])
         return series
-
-
-class _Recorder:
-    """Sample columns at every ``sample_every``-th step, the start and the last
-    step; the last sample is the final state."""
-
-    def __init__(self, config: SimConfig):
-        self.steps = [*range(0, config.n_steps, config.sample_every), config.n_steps]
-        n_samples = len(self.steps)
-        self.t = np.empty(n_samples)
-        self.x_norm = np.empty(n_samples)
-        self.energy = np.empty(n_samples)
-        self.u = np.empty(n_samples)
-        self.record_modes = config.record_modes
-        if self.record_modes:
-            self.zeta = np.empty((n_samples, config.n_modes))
-            self.w = np.empty((n_samples, config.n_modes))
-        self.i = 0
-
-    def push(self, t, energy, u, zeta, w):
-        i = self.i
-        self.t[i] = t
-        self.energy[i] = energy
-        self.x_norm[i] = math.sqrt(energy) if energy > 0.0 else 0.0
-        self.u[i] = u
-        if self.record_modes:
-            self.zeta[i] = zeta
-            self.w[i] = w
-        self.last = (zeta, w)
-        self.i += 1
-
-    def series(self) -> TimeSeries:
-        return TimeSeries(
-            t=self.t,
-            x_norm=self.x_norm,
-            energy=self.energy,
-            u=self.u,
-            zeta=self.zeta if self.record_modes else None,
-            w=self.w if self.record_modes else None,
-            final_state=ModalState(*self.last),
-        )
-
-
-def _coupling_for(h, n_modes: int) -> CouplingVector:
-    if isinstance(h, CouplingVector):
-        if h.n_modes < n_modes:
-            raise ValueError("coupling vector shorter than the requested truncation")
-        if h.n_modes > n_modes:
-            return CouplingVector(h.b[:n_modes], h.beta[:n_modes], n_modes)
-        return h
-    if isinstance(h, WavemakerProfile):
-        return coupling_vector(h, n_modes)
-    raise TypeError(f"expected WavemakerProfile or CouplingVector, got {type(h)!r}")
 
 
 class _Propagator:
@@ -407,12 +353,104 @@ class _Propagator:
         return z, energy
 
 
+def _closed_splitting(state0: ModalState, coupling: CouplingVector, config: SimConfig):
+    """(z, energy, u) of the closed splitting at each sample step."""
+    n = config.n_modes
+    prop = _Propagator(coupling, config)
+    z = np.concatenate([state0.zeta, state0.w])
+    energy = x_norm_sq(state0)
+    done = 0
+    for step in config.sample_steps():
+        z, energy = prop.advance(z, energy, step - done)
+        done = step
+        yield z, energy, -float(np.dot(coupling.b, z[n:]))
+
+
+def _open_splitting(state0: ModalState, b: np.ndarray, signal: InputSignal, config: SimConfig):
+    """(z, energy, u) of the open splitting at each sample step."""
+    dt = config.dt
+    mu = frequencies(config.n_modes)
+    b_over_mu = b / mu
+    y_zeta, y_w = state0.zeta, state0.w
+    done = 0
+    for step in config.sample_steps():
+        for k in range(done + 1, step + 1):
+            t_mid = (k - 0.5) * dt
+            u_mid = signal(t_mid)
+            if u_mid != 0.0:
+                theta = mu * t_mid
+                y_zeta = y_zeta - (dt * u_mid) * b_over_mu * np.sin(theta)
+                y_w = y_w + (dt * u_mid) * b * np.cos(theta)
+        done = step
+        zeta, w = y_zeta, y_w
+        if step:  # R(0) is the identity, and applying it would turn -0.0 into 0.0
+            c, s = np.cos(mu * (step * dt)), np.sin(mu * (step * dt))
+            zeta, w = y_zeta * c + (y_w / mu) * s, -mu * y_zeta * s + y_w * c
+        state = ModalState(zeta, w)
+        yield np.concatenate([state.zeta, state.w]), x_norm_sq(state), signal(step * dt)
+
+
+def _rk4(state0: ModalState, b: np.ndarray, control, config: SimConfig):
+    """(z, energy, u) at each sample step of classical RK4 on the full
+    right-hand side, with the input u = control(t, w); independent cross-check."""
+    lam = eigenvalues(config.n_modes)
+    dt = config.dt
+
+    def rhs(t, zeta, w):
+        return w, -lam * zeta + control(t, w) * b
+
+    zeta, w = state0.zeta, state0.w
+    done = 0
+    for step in config.sample_steps():
+        for k in range(done, step):
+            t = k * dt
+            k1z, k1w = rhs(t, zeta, w)
+            k2z, k2w = rhs(t + dt / 2, zeta + dt / 2 * k1z, w + dt / 2 * k1w)
+            k3z, k3w = rhs(t + dt / 2, zeta + dt / 2 * k2z, w + dt / 2 * k2w)
+            k4z, k4w = rhs(t + dt, zeta + dt * k3z, w + dt * k3w)
+            zeta = zeta + dt / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
+            w = w + dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
+        done = step
+        yield np.concatenate([zeta, w]), x_norm_sq(ModalState(zeta, w)), control(step * dt, w)
+
+
+def _sampled(config: SimConfig, samples) -> TimeSeries:
+    """The series of a run whose ``samples`` yield (z, energy, u), z = [zeta; w],
+    at each of ``config.sample_steps()``; the last z is the final state."""
+    steps = config.sample_steps()
+    n = config.n_modes
+    energy, u = np.empty(len(steps)), np.empty(len(steps))
+    zeta = w = None
+    if config.record_modes:
+        zeta, w = np.empty((len(steps), n)), np.empty((len(steps), n))
+    for i, (z, energy_i, u_i) in enumerate(samples):
+        energy[i], u[i] = energy_i, u_i
+        if zeta is not None:
+            zeta[i], w[i] = z[:n], z[n:]
+    return TimeSeries(
+        t=np.array(steps) * config.dt,
+        x_norm=np.sqrt(energy),
+        energy=energy,
+        u=u,
+        zeta=zeta,
+        w=w,
+        final_state=ModalState(z[:n], z[n:]),
+    )
+
+
+def _checked_coupling(state0: ModalState, h, config: SimConfig) -> CouplingVector:
+    if state0.n_modes != config.n_modes:
+        raise ValueError("initial state truncation does not match config.n_modes")
+    return coupling_vector(h, config.n_modes)
+
+
 def simulate_closed(state0: ModalState, h, config: SimConfig) -> TimeSeries:
     """Integrate the collocated closed loop u = -b.w from ``state0``.
 
-    The splitting integrator advances blocks of steps between samples and
-    propagates the recorded energy through the exact dissipation identity of
-    each damping substep,
+    ``h`` is a profile or a :class:`CouplingVector` of at least
+    ``config.n_modes`` entries. The splitting integrator advances blocks of
+    steps between samples and propagates the recorded energy through the
+    exact dissipation identity of each damping substep,
 
         E <- E - s^2 (1 - e^{-q dt})(2 - (1 - e^{-q dt})) / q,
 
@@ -421,25 +459,11 @@ def simulate_closed(state0: ModalState, h, config: SimConfig) -> TimeSeries:
     integrator recomputes norms from the state instead and carries no
     monotonicity guarantee.
     """
-    if config.feedback != "collocated":
-        raise ValueError("simulate_closed requires config.feedback == 'collocated'")
-    if state0.n_modes != config.n_modes:
-        raise ValueError("initial state truncation does not match config.n_modes")
-    coupling = _coupling_for(h, config.n_modes)
+    coupling = _checked_coupling(state0, h, config)
     if config.integrator == "rk4-crosscheck":
-        return _simulate_rk4(state0, coupling, config, signal=None)
-
-    n = config.n_modes
-    prop = _Propagator(coupling, config)
-    z = np.concatenate([state0.zeta, state0.w])
-    energy = x_norm_sq(state0)
-    rec = _Recorder(config)
-    done = 0
-    for step in rec.steps:
-        z, energy = prop.advance(z, energy, step - done)
-        done = step
-        rec.push(step * config.dt, energy, -float(np.dot(coupling.b, z[n:])), z[:n], z[n:])
-    return rec.series()
+        b = coupling.b
+        return _sampled(config, _rk4(state0, b, lambda t, w: -float(np.dot(b, w)), config))
+    return _sampled(config, _closed_splitting(state0, coupling, config))
 
 
 def simulate_open(state0: ModalState, h, signal: InputSignal, config: SimConfig) -> TimeSeries:
@@ -456,73 +480,8 @@ def simulate_open(state0: ModalState, h, signal: InputSignal, config: SimConfig)
     the energy norm is conserved to a couple of ulps over any horizon.
     Norms are recomputed from the state at every sample.
     """
-    if config.feedback != "none":
-        raise ValueError("simulate_open requires config.feedback == 'none'")
-    if state0.n_modes != config.n_modes:
-        raise ValueError("initial state truncation does not match config.n_modes")
+    coupling = _checked_coupling(state0, h, config)
     signal.validate(config.t_final)
-    coupling = _coupling_for(h, config.n_modes)
     if config.integrator == "rk4-crosscheck":
-        return _simulate_rk4(state0, coupling, config, signal=signal)
-
-    b = coupling.b
-    dt = config.dt
-    mu = frequencies(config.n_modes)
-    b_over_mu = b / mu
-
-    y_zeta, y_w = state0.zeta.copy(), state0.w.copy()
-
-    def physical(step: int) -> ModalState:
-        theta = mu * (step * dt)
-        c, s = np.cos(theta), np.sin(theta)
-        return ModalState(y_zeta * c + (y_w / mu) * s, -mu * y_zeta * s + y_w * c)
-
-    n_steps = config.n_steps
-    rec = _Recorder(config)
-    rec.push(0.0, x_norm_sq(state0), signal(0.0), state0.zeta, state0.w)
-    for step in range(1, n_steps + 1):
-        t_mid = (step - 0.5) * dt
-        u_mid = signal(t_mid)
-        if u_mid != 0.0:
-            theta = mu * t_mid
-            y_zeta = y_zeta - (dt * u_mid) * b_over_mu * np.sin(theta)
-            y_w = y_w + (dt * u_mid) * b * np.cos(theta)
-        if step % config.sample_every == 0 or step == n_steps:
-            state = physical(step)
-            rec.push(step * dt, x_norm_sq(state), signal(step * dt), state.zeta, state.w)
-    return rec.series()
-
-
-def _simulate_rk4(state0, coupling, config, signal):
-    """Classical RK4 on the full right-hand side; independent cross-check."""
-    lam = eigenvalues(config.n_modes)
-    b = coupling.b
-    closed = signal is None
-    dt = config.dt
-
-    def rhs(t, zeta, w):
-        if closed:
-            u = -float(np.dot(b, w))
-        else:
-            u = signal(t)
-        return w, -lam * zeta + u * b
-
-    zeta, w = state0.zeta.copy(), state0.w.copy()
-    n_steps = config.n_steps
-    rec = _Recorder(config)
-    u0 = -float(np.dot(b, w)) if closed else signal(0.0)
-    rec.push(0.0, x_norm_sq(state0), u0, state0.zeta, state0.w)
-    for step in range(1, n_steps + 1):
-        t = (step - 1) * dt
-        k1z, k1w = rhs(t, zeta, w)
-        k2z, k2w = rhs(t + dt / 2, zeta + dt / 2 * k1z, w + dt / 2 * k1w)
-        k3z, k3w = rhs(t + dt / 2, zeta + dt / 2 * k2z, w + dt / 2 * k2w)
-        k4z, k4w = rhs(t + dt, zeta + dt * k3z, w + dt * k3w)
-        zeta = zeta + dt / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
-        w = w + dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-        if step % config.sample_every == 0 or step == n_steps:
-            state = ModalState(zeta, w)
-            u = -float(np.dot(b, w)) if closed else signal(step * dt)
-            rec.push(step * dt, x_norm_sq(state), u, zeta, w)
-    return rec.series()
-
+        return _sampled(config, _rk4(state0, coupling.b, lambda t, w: signal(t), config))
+    return _sampled(config, _open_splitting(state0, coupling.b, signal, config))

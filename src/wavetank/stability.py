@@ -9,7 +9,7 @@ provides the independent spectral-abscissa oracle for the sweep.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,9 +122,9 @@ def smooth_initial_state(n_modes: int, decay_power: float) -> ModalState:
 
 
 def closed_loop_matrix(h, n_modes: int) -> np.ndarray:
-    """Dense block matrix [[0, I], [-diag(lambda), -b b^T]] of the closed loop."""
+    """Dense block matrix [[0, I], [-diag(lambda), -b b^T]] of the closed loop of ``h``."""
     lam = eigenvalues(n_modes)
-    b = coupling_vector(h, n_modes).b if not hasattr(h, "b") else h.b[:n_modes]
+    b = coupling_vector(h, n_modes).b
     m = np.zeros((2 * n_modes, 2 * n_modes))
     m[:n_modes, n_modes:] = np.eye(n_modes)
     m[n_modes:, :n_modes] = -np.diag(lam)
@@ -141,11 +141,12 @@ def spectral_abscissa(h, n_modes: int) -> float:
     return float(np.linalg.eigvals(closed_loop_matrix(h, n_modes)).real.max())
 
 
-def rate_vs_n_study(h, n_values, config: SimConfig | None = None) -> list[RateStudyEntry]:
+def rate_vs_n_study(h, n_values, t_final=40000.0, dt=1e-2, sample_every=1000) -> list[RateStudyEntry]:
     """Fitted tail decay rates of the closed loop for increasing truncations.
 
     Each run starts from the evenly spread state zeta_k = w_k = 1/sqrt(N),
-    is advanced by :func:`simulate_closed` with the modes recorded, and fits
+    is advanced to ``t_final`` by :func:`simulate_closed` in steps of ``dt``,
+    with the modes recorded every ``sample_every``-th step, and fits
     the exponential model to norms recomputed from the recorded modes on the
     last half of the samples. Long horizons are required to out-wait the
     slowest mode, and over them the tracked energy, a running difference of
@@ -162,13 +163,11 @@ def rate_vs_n_study(h, n_values, config: SimConfig | None = None) -> list[RateSt
         raise ValueError("every truncation in the study must be >= 2")
     if sorted(n_values) != n_values:
         raise ValueError("truncation sizes must be increasing")
-    if config is None:
-        config = SimConfig(n_modes=2, t_final=40000.0, dt=1e-2, sample_every=1000)
     entries = []
     for n in n_values:
         coupling = coupling_vector(h, n)
         gamma_floor = float(np.min(np.abs(coupling.beta) * (frequencies(n) + 1.0) ** 2))
-        cfg = replace(config, n_modes=n, feedback="collocated", integrator="splitting", record_modes=True)
+        cfg = SimConfig(n_modes=n, t_final=t_final, dt=dt, sample_every=sample_every, record_modes=True)
         v = np.ones(n) / math.sqrt(n)
         run = simulate_closed(ModalState(v, v.copy()), coupling, cfg)
         x = np.sqrt(run.zeta**2 @ eigenvalues(n) + np.sum(run.w**2, axis=1))

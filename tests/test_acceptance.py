@@ -215,7 +215,7 @@ def test_criterion_5_dynamics(h1):
     # open-loop conservation over t = 100, N = 16, dt = 1e-3
     st16 = simulate.ModalState(rng.standard_normal(16), rng.standard_normal(16))
     cfg_open = simulate.SimConfig(
-        n_modes=16, t_final=100.0, dt=1e-3, feedback="none", sample_every=100
+        n_modes=16, t_final=100.0, dt=1e-3, sample_every=100
     )
     ts_open = simulate.simulate_open(st16, h1, simulate.InputSignal.zero(100.0), cfg_open)
     drift = np.max(np.abs(ts_open.x_norm - ts_open.x_norm[0])) / ts_open.x_norm[0]
@@ -243,7 +243,7 @@ def test_criterion_5_dynamics(h1):
 
     def run(signal, t_final, state):
         cfg = simulate.SimConfig(
-            n_modes=n, t_final=t_final, dt=1e-3, feedback="none", sample_every=10**9
+            n_modes=n, t_final=t_final, dt=1e-3, sample_every=10**9
         )
         return simulate.simulate_open(state, h1, signal, cfg).final_state
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wavetank
 from wavetank import boundary, simulate, stability
@@ -420,3 +423,129 @@ def test_unknown_flag_single_line_error(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--bogus", "1")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_config_field_of_no_command_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k_max": 4}))
+    code, out, err = run_cli(capsys, "spectrum", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == "error: config field 'k_max' names no option of any command\n"
+    # a field of another command is ignored, so one file serves several commands
+    cfg.write_text(json.dumps({"profile": "h2", "kmax": 3}))
+    code, out, _ = run_cli(capsys, "spectrum", "--config", str(cfg))
+    assert code == 0
+    assert len(out.strip().splitlines()) == 4
+
+
+# -- exit codes under random argument lists ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Valid, malformed and missing inputs for every file-reading option."""
+    d = tmp_path_factory.mktemp("fuzz")
+    files = {
+        "profile.csv": "y,h\n-1,-0.5\n0,0.5\n",
+        "flat.csv": "y,h\n-1,1\n0,1\n",
+        "bad.csv": "y,h\n-1,abc\n",
+        "state.csv": "k,zeta,w\n1,0.5,0\n2,0,0.25\n",
+        "nan_state.csv": "k,zeta,w\n1,nan,0\n",
+        "series.csv": "t,x_norm,energy,u\n" + "".join(f"{t},{math.exp(-t)},{math.exp(-2 * t)},0\n" for t in range(20)),
+        "signal.json": json.dumps([{"t_start": 0, "t_end": 0.5, "form": "constant", "value": 1.0},
+                                   {"t_start": 0.5, "t_end": 6, "form": "sinusoid", "amplitude": 1, "omega": 2}]),
+        "short_signal.json": json.dumps([{"t_start": 0, "t_end": 0.2, "form": "zero"}]),
+        "overlap.json": json.dumps([{"t_start": 0, "t_end": 3, "form": "zero"}, {"t_start": 1, "t_end": 6, "form": "zero"}]),
+        "keyless.json": json.dumps([{"t_start": 0, "form": "zero"}]),
+        "object.json": json.dumps({"t_start": 0}),
+        "malformed.json": "[{",
+        "config.json": json.dumps({"kmax": 3, "n_modes": 4, "t_final": 0.5, "profile": "h2", "record_modes": True}),
+        "bad_config.json": json.dumps({"kmax": "three"}),
+        "unknown_config.json": json.dumps({"k_max": 3}),
+    }
+    for name, text in files.items():
+        (d / name).write_text(text)
+    (d / "binary.csv").write_bytes(b"\xff\xfe\x00")
+    return d
+
+
+def fuzz_flags(d):
+    """Each command's options, with values both valid and invalid."""
+    def among(*values):
+        return st.sampled_from([str(v) for v in values])
+
+    def ints(lo, hi):
+        return st.integers(lo, hi).map(str)
+
+    def paths(*names):
+        return among(*(d / name for name in names), d / "missing.csv", d / "binary.csv", d)
+
+    output = among("", d / "out.txt", d / "no" / "out.txt", d)
+    profile = among("h1", "h2", "nonstrategic", "bogus") | paths("profile.csv", "flat.csv", "bad.csv")
+    times = among(0, 1e-3, 0.5, 1, 5, -1, "nan", "inf", "x")
+    config = paths("config.json", "bad_config.json", "unknown_config.json", "malformed.json", "object.json")
+    return {
+        "spectrum": {"--config": config, "--kmax": ints(-3, 50), "--output": output},
+        "check-profile": {"--config": config, "--profile": profile, "--kmax": ints(-3, 50),
+                          "--eps": among(0.1, 0, 1, -1, "nan", "x"), "--output": output},
+        "simulate": {"--config": config, "--profile": profile, "--n-modes": ints(-2, 16),
+                     "--dt": among(0.01, 0.05, 0.5, 0, -0.1, "nan", "inf", "x"), "--t-final": times,
+                     "--feedback": among("collocated", "none", "open"),
+                     "--integrator": among("splitting", "rk4-crosscheck", "euler"),
+                     "--sample-every": ints(-1, 60), "--record-modes": None,
+                     "--init": among("zero", "spread", "mode:1", "mode:0", "mode:99", "mode:x", "smooth:3",
+                                     "smooth:1", "smooth:inf", "smooth:nan")
+                     | paths("state.csv", "nan_state.csv", "bad.csv"),
+                     "--input": among("") | paths("signal.json", "short_signal.json", "overlap.json",
+                                                  "keyless.json", "object.json", "malformed.json"),
+                     "--out-csv": output, "--out-json": output},
+        "decay": {"--config": config, "--series": paths("series.csv", "profile.csv", "bad.csv"),
+                  "--model": among("exponential", "power", "linear"),
+                  "--t-lo": times, "--t-hi": times, "--output": output},
+        "field": {"--config": config, "--state": paths("state.csv", "nan_state.csv", "bad.csv"),
+                  "--u-now": among(0, 1.5, "nan", "inf", "x"), "--profile": profile,
+                  "--nx": ints(-2, 16), "--ny": ints(-2, 16), "--n-side-modes": ints(-2, 16), "--output": output},
+        "rate-study": {"--config": config, "--profile": profile,
+                       "--ns": among("2", "2,4", "4,2", "1", ",", "", "a", "2,16", "-3"),
+                       "--t-final": times, "--dt": among(0.01, 0.05, 0.5, 0, -0.1, "nan", "x"),
+                       "--sample-every": ints(-1, 60), "--output": output},
+    }
+
+
+def fuzz_base(d):
+    """Flags every drawn list starts with, which the drawn flags override: the
+    required files, an output file, and small runs where the defaults run long."""
+    return {
+        "simulate": ["--n-modes", "8", "--t-final", "1", "--out-csv", str(d / "series_out.csv")],
+        "rate-study": ["--t-final", "5", "--ns", "2,4"],
+        "decay": ["--series", str(d / "series.csv")],
+        "field": ["--state", str(d / "state.csv")],
+    }
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_cli_exits_zero_or_two_with_one_error_line(fuzz_dir, data):
+    flags = fuzz_flags(fuzz_dir)
+    command = data.draw(st.sampled_from(sorted(flags)), label="command")
+    own = flags[command]
+    foreign = {f: s for c in flags if c != command for f, s in flags[c].items() if f not in own}
+    names = data.draw(st.lists(st.sampled_from(sorted(own)), max_size=6), label="own")
+    if data.draw(st.sampled_from([False, False, False, True]), label="foreign"):
+        names.append(data.draw(st.sampled_from(sorted(foreign)), label="foreign flag"))
+    argv = [command, *fuzz_base(fuzz_dir).get(command, [])]
+    for name in names:
+        strategy = own.get(name, foreign.get(name))
+        argv.append(name)
+        if strategy is not None and data.draw(st.sampled_from([True] * 9 + [False]), label="with value"):
+            argv.append(data.draw(strategy, label=name))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert err.getvalue() == ""

@@ -1,8 +1,10 @@
-"""The public surface: every exported name resolves, and the benchmark's
-tracer, which wraps the public functions by name, installs and uninstalls."""
+"""The public surface: every exported name resolves, the README's library
+sketch runs, and the benchmark's tracer, which wraps the public functions by
+name, installs and uninstalls."""
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,8 @@ import pytest
 import wavetank
 from wavetank import boundary, cli, profiles, simulate, spectral, stability
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 MODULES = [boundary, cli, profiles, simulate, spectral, stability]
 
 
@@ -53,3 +56,12 @@ def test_benchmark_tracer_installs_and_uninstalls():
     after = _namespaces()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_readme_library_sketch_runs(capsys):
+    block = re.search(r"## Library sketch\n\n```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    namespace = {}
+    exec(block.group(1), namespace)
+    # the rate it prints beside the spectral abscissa is a fit that has reached it
+    oracle = -namespace["spectral_abscissa"](namespace["h"], 16)
+    assert namespace["fit"].fitted_value == pytest.approx(oracle, rel=0.05)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,6 +151,11 @@ def test_closed_loop_matrix_structure(h1):
     # accepts a coupling vector in place of the profile
     m2 = closed_loop_matrix(cv, 3)
     assert np.array_equal(m, m2)
+    # a longer coupling vector is truncated, a shorter one rejected
+    cv5 = coupling_vector(h1, 5)
+    assert np.array_equal(closed_loop_matrix(cv5, 3)[3:, 3:], -np.outer(cv5.b[:3], cv5.b[:3]))
+    with pytest.raises(ValueError, match="shorter than the requested truncation"):
+        closed_loop_matrix(coupling_vector(h1, 4), 8)
 
 
 def test_step_matrix_matches_simulator(h1):
@@ -200,7 +203,7 @@ def closed_loop_runs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     b = np.zeros(n) if draw(st.booleans()) else rng.standard_normal(n) * draw(st.floats(0.01, 1.0))
     state = ModalState(rng.standard_normal(n), rng.standard_normal(n))
-    return CouplingVector(b, b / math.sqrt(2.0), n), state, n_steps * dt, dt, sample_every
+    return CouplingVector(b), state, n_steps * dt, dt, sample_every
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -225,16 +228,14 @@ def test_propagator_properties(run):
 
 
 def test_rate_study_single_truncation(h1):
-    cfg = SimConfig(n_modes=2, t_final=4000.0, dt=0.02, sample_every=200)
-    entries = rate_vs_n_study(h1, [2], cfg)
+    entries = rate_vs_n_study(h1, [2], t_final=4000.0, dt=0.02, sample_every=200)
     assert len(entries) == 1
     assert entries[0].rate > 0
     assert entries[0].gamma_floor > 0
 
 
 def test_rate_study_matches_abscissa_small(h1):
-    cfg = SimConfig(n_modes=4, t_final=30000.0, dt=0.02, sample_every=1500)
-    entries = rate_vs_n_study(h1, [2, 4], cfg)
+    entries = rate_vs_n_study(h1, [2, 4], t_final=30000.0, dt=0.02, sample_every=1500)
     for e in entries:
         oracle = -spectral_abscissa(h1, e.n_modes)
         assert e.rate == pytest.approx(oracle, rel=0.10)
@@ -242,8 +243,7 @@ def test_rate_study_matches_abscissa_small(h1):
 
 def test_rate_study_nonstrategic_flat_tail(h_ns):
     # mode 1 never damps, so the trajectory flattens onto its invariant energy
-    cfg = SimConfig(n_modes=4, t_final=2000.0, dt=0.02, sample_every=100)
-    entries = rate_vs_n_study(h_ns, [4], cfg)
+    entries = rate_vs_n_study(h_ns, [4], t_final=2000.0, dt=0.02, sample_every=100)
     assert abs(entries[0].rate) < 1e-5
 
 
@@ -257,8 +257,7 @@ def test_rate_study_validation(h1):
 
 
 def test_study_csv(tmp_path, h1):
-    cfg = SimConfig(n_modes=2, t_final=2000.0, dt=0.02, sample_every=100)
-    entries = rate_vs_n_study(h1, [2], cfg)
+    entries = rate_vs_n_study(h1, [2], t_final=2000.0, dt=0.02, sample_every=100)
     path = tmp_path / "study.csv"
     study_to_csv(entries, path)
     lines = path.read_text().strip().splitlines()
@@ -269,8 +268,7 @@ def test_study_csv(tmp_path, h1):
 
 
 def test_study_csv_to_stdout(capsys, h1):
-    cfg = SimConfig(n_modes=2, t_final=2000.0, dt=0.02, sample_every=100)
-    entries = rate_vs_n_study(h1, [2], cfg)
+    entries = rate_vs_n_study(h1, [2], t_final=2000.0, dt=0.02, sample_every=100)
     study_to_csv(entries, None)
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "N,rate,residual_rms"
