@@ -255,6 +255,9 @@ class TimeSeries:
         n = len(self.t)
         if not (len(self.x_norm) == len(self.energy) == len(self.u) == n):
             raise ValueError("time series columns must have equal length")
+        for name in ("t", "x_norm", "energy", "u"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"time series column {name} has non-finite values")
         if np.any(self.t[1:] <= self.t[:-1]):  # no overflow at the extremes of float64
             raise ValueError("sample times must be strictly increasing")
 

@@ -4,8 +4,9 @@ Fits exponential or power-law decay models to sampled norm histories,
 measures the smallest constant closing the (1+t)^{-1/6} envelope over a
 run, and sweeps the truncation size to exhibit non-uniform stabilizability:
 every truncation is exponentially stable, but the fitted rates sink toward
-zero as modes are added. A dense eigensolve of the closed-loop block matrix
-provides the independent spectral-abscissa oracle for the sweep.
+zero as modes are added. The closed-loop eigenvalues, found as the roots of
+the secular equation of the rank-one damping, provide the independent
+spectral-abscissa oracle for the sweep.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import write_table
-from .profiles import coupling_vector
+from .profiles import KERNEL_BLOCK, coupling_vector
 from .simulate import (
     ModalState,
     SimConfig,
@@ -122,7 +123,8 @@ def smooth_initial_state(n_modes: int, decay_power: float) -> ModalState:
 
 
 def closed_loop_matrix(h, n_modes: int) -> np.ndarray:
-    """Dense block matrix [[0, I], [-diag(lambda), -b b^T]] of the closed loop of ``h``."""
+    """Dense block matrix [[0, I], [-diag(lambda), -b b^T]] of the closed loop of ``h``,
+    whose eigenvalues are the roots that :func:`spectral_abscissa` finds."""
     lam = eigenvalues(n_modes)
     b = coupling_vector(h, n_modes).b
     m = np.zeros((2 * n_modes, 2 * n_modes))
@@ -132,13 +134,99 @@ def closed_loop_matrix(h, n_modes: int) -> np.ndarray:
     return m
 
 
+_SEED_NUDGE = 2.0**-10  # relative shift of the lower seeds off conjugate symmetry
+_STALL = 1e-10  # a correction below this share of its offset that stops shrinking is rounding
+_MAX_SWEEPS = 500  # Aberth sweeps before the root finder gives up
+
+
+def _closed_loop_roots(b) -> np.ndarray:
+    """All 2N eigenvalues of the closed loop with coupling ``b``.
+
+    The rank-one damping factors the characteristic polynomial as
+    prod_k (s^2 + lambda_k) f(s), with the secular function
+    f(s) = 1 + s sum_k b_k^2 / (s^2 + lambda_k). Its 2N roots are found by
+    the Aberth-Ehrlich iteration on that form, seeded at the first-order
+    values +-i mu_k - b_k^2/2; the lower seeds are nudged off conjugate
+    symmetry so that a strongly damped pair can split onto the real axis.
+    Each root is held as its home pole p = +-i mu_k plus an offset d, so its
+    real part is exactly Re d, and the home denominator is formed as
+    d (d + 2p), never as s^2 + lambda_k, whose cancellation would hide
+    couplings below eps mu_k. Modes with b_k^2 zero or below the normal
+    float64 range are deflated: their roots are exactly +-i mu_k.
+
+    Returns the roots homed at i mu_1, ..., i mu_N, then those homed at
+    -i mu_1, ..., -i mu_N. Raises LinAlgError when the iteration does not
+    converge, or when the roots miss the trace identity
+    sum Re s = -|b|^2 by more than 1e-13 |b|^2.
+    """
+    b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("coupling coefficients must be finite")
+    n = b.size
+    lam = eigenvalues(n)
+    mu = np.sqrt(lam)
+    roots = np.concatenate([1j * mu, -1j * mu])
+    eps = np.finfo(float).eps
+    rows = max(1, KERNEL_BLOCK // (2 * n))  # roots per chunk of the N x 2N temporaries
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            b2 = b * b
+            live = np.flatnonzero(b2 >= np.finfo(float).tiny)
+            iterated = np.concatenate([live, n + live])
+            q = b2[live]
+            pole = roots[iterated]
+            lam_live, lam_home = lam[live], lam[np.concatenate([live, live])]
+            off = np.concatenate([-0.5 * q, -0.5 * (1.0 + _SEED_NUDGE) * q]).astype(complex)
+            last = np.full(off.size, np.inf)
+            todo = np.arange(off.size)
+            for _ in range(_MAX_SWEEPS):
+                if not todo.size:
+                    break
+                chunks = np.array_split(todo, -(-todo.size // rows))
+                step = np.concatenate([_aberth_step(i, pole, off, lam_live, lam_home[i], q) for i in chunks])
+                off[todo] -= step
+                size, scale = np.abs(step), np.abs(off[todo])
+                done = (size <= 4.0 * eps * scale) | ((size >= last[todo]) & (size <= _STALL * scale))
+                last[todo] = size
+                todo = todo[~done]
+    except FloatingPointError as exc:
+        raise np.linalg.LinAlgError(f"closed-loop root finder broke down: {exc}") from exc
+    if todo.size:
+        raise np.linalg.LinAlgError(
+            f"closed-loop root finder left {todo.size} roots unconverged after {_MAX_SWEEPS} sweeps"
+        )
+    gap = abs(math.fsum(off.real) + math.fsum(q))
+    if gap > 1e-13 * math.fsum(q):
+        raise np.linalg.LinAlgError(f"closed-loop roots miss the trace identity by {gap:.3g}")
+    roots[iterated] = pole + off
+    return roots
+
+
+def _aberth_step(i, pole, off, lam, lam_home, q):
+    """Aberth corrections to the offsets of rows ``i``: N / (1 - N sum_j 1/(z_i - z_j))
+    with the Newton correction N of the characteristic polynomial,
+    P'/P = sum_k 2z/(z^2 + lambda_k) + f'/f and f' = sum_k b_k^2 (lambda_k - z^2)/(z^2 + lambda_k)^2."""
+    z = pole[i] + off[i]
+    # z^2 + lambda_k = (lambda_k - lambda_home) + d (d + 2p), exact zero shift at home
+    inv = 1.0 / ((lam[None, :] - lam_home[:, None]) + (off[i] * (off[i] + 2.0 * pole[i]))[:, None])
+    terms = inv * q
+    g = terms.sum(axis=1)
+    f = 1.0 + z * g
+    df = g - 2.0 * z * z * (terms * inv).sum(axis=1)
+    gaps = (pole[i][:, None] - pole[None, :]) + (off[i][:, None] - off[None, :])
+    gaps[np.arange(i.size), i] = np.inf
+    repel = (1.0 / gaps).sum(axis=1)
+    return f / (f * (2.0 * z * inv.sum(axis=1) - repel) + df)
+
+
 def spectral_abscissa(h, n_modes: int) -> float:
-    """Largest eigenvalue real part of the closed-loop matrix (dense QR eigensolve).
+    """Largest real part of the closed-loop eigenvalues, the roots of the
+    secular equation of the rank-one damping (see :func:`_closed_loop_roots`).
 
     Independent oracle for the fitted rates: the trajectory decay rate of the
     truncated loop equals minus this abscissa asymptotically.
     """
-    return float(np.linalg.eigvals(closed_loop_matrix(h, n_modes)).real.max())
+    return float(_closed_loop_roots(coupling_vector(h, n_modes).b).real.max())
 
 
 def rate_vs_n_study(h, n_values, t_final=40000.0, dt=1e-2, sample_every=1000) -> list[RateStudyEntry]:

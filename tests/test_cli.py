@@ -229,6 +229,25 @@ def test_decay_missing_file(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "column, row, value",
+    [("x_norm", 5, "nan"), ("x_norm", 7, "inf"), ("t", 3, "nan")],
+    ids=["nan-norm", "inf-norm", "nan-time"],
+)
+def test_decay_rejects_non_finite_samples(tmp_path, capsys, column, row, value):
+    t = np.arange(12.0)
+    cells = {"t": t.tolist(), "x_norm": np.exp(-0.1 * t).tolist()}
+    cells[column][row] = value
+    lines = [f"{a},{b},1,0" for a, b in zip(cells["t"], cells["x_norm"])]
+    path = tmp_path / "series.csv"
+    path.write_text("t,x_norm,energy,u\n" + "\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "decay", "--series", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and f"column {column}" in err and "non-finite" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_field_zero_state(tmp_path, capsys):
     state = tmp_path / "state.csv"
     state.write_text("k,zeta,w\n1,0,0\n")

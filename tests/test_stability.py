@@ -1,7 +1,11 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from wavetank import stability
 from wavetank.profiles import CouplingVector, coupling_vector
 from wavetank.simulate import (
     ModalState,
@@ -14,6 +18,7 @@ from wavetank.simulate import (
 )
 from wavetank.spectral import eigenvalues
 from wavetank.stability import (
+    _closed_loop_roots,
     closed_loop_matrix,
     decay_fit,
     envelope_check,
@@ -139,6 +144,138 @@ def test_spectral_abscissa_single_mode(h1):
     # N=1 closed form: roots of s^2 + b^2 s + lambda, complex pair with Re = -b^2/2
     b1 = coupling_vector(h1, 1).b[0]
     assert spectral_abscissa(h1, 1) == pytest.approx(-b1**2 / 2, rel=1e-10)
+
+
+def dense_roots(b):
+    """Closed-loop eigenvalues from a dense eigensolve of the block matrix."""
+    return np.linalg.eigvals(closed_loop_matrix(CouplingVector(np.asarray(b, dtype=float)), len(b)))
+
+
+def by_imag(z):
+    return z[np.lexsort((z.real, z.imag))]
+
+
+@pytest.mark.parametrize("n", [16, 100, 400])
+def test_nonstrategic_abscissa_is_first_order(h_ns, n):
+    # mode 1 couples only through rounding (b_1 ~ 5.6e-18); its root sits
+    # -b_1^2/2 off the axis, which a dense eigensolve cannot resolve
+    b1 = coupling_vector(h_ns, n).b[0]
+    a = spectral_abscissa(h_ns, n)
+    assert a <= 0.0
+    assert a == pytest.approx(-b1**2 / 2, rel=1e-6)
+
+
+def test_zero_coupling_is_deflated():
+    assert spectral_abscissa(CouplingVector(np.array([0.0, 0.3])), 2) == 0.0
+    roots = _closed_loop_roots(np.array([0.0, 0.3]))
+    mu1 = math.sqrt(math.tanh(1.0))
+    assert roots[0] == 1j * mu1 and roots[2] == -1j * mu1
+    assert roots[1].real == pytest.approx(-0.045, rel=1e-14)
+    # a coupling whose square underflows the normal range is deflated too
+    assert spectral_abscissa(CouplingVector(np.array([1e-160, 0.3])), 2) == 0.0
+    assert np.array_equal(_closed_loop_roots(np.zeros(3)).real, np.zeros(6))
+
+
+def mpmath_root(b, start):
+    """Root of the secular function f near ``start`` at 40 digits, with the
+    float64 couplings and eigenvalues taken as exact."""
+    lam = eigenvalues(len(b))
+    with mpmath.workdps(40):
+        terms = [(mpmath.mpf(float(bk)) ** 2, mpmath.mpf(float(lk))) for bk, lk in zip(b, lam)]
+
+        def f(s):
+            return 1 + s * mpmath.fsum(q / (s * s + lk) for q, lk in terms)
+
+        return complex(mpmath.findroot(f, mpmath.mpc(start)))
+
+
+@pytest.mark.parametrize("n", [16, 64, 400])
+@pytest.mark.parametrize("profile", ["h1", "h2"])
+def test_slowest_root_matches_mpmath(request, profile, n):
+    b = coupling_vector(request.getfixturevalue(profile), n).b
+    roots = _closed_loop_roots(b)
+    s = roots[np.argmax(roots.real)]
+    ref = mpmath_root(b, s)
+    assert abs(s.real - ref.real) <= 1e-13 * abs(ref.real)
+    assert abs(s - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("n", [16, 100, 400])
+@pytest.mark.parametrize("profile", ["h1", "h2"])
+def test_roots_match_dense(request, profile, n):
+    # a dense solve is accurate to a few eps ||M|| ~ eps lambda_N absolute
+    b = coupling_vector(request.getfixturevalue(profile), n).b
+    roots = _closed_loop_roots(b)
+    err = np.abs(by_imag(roots) - by_imag(dense_roots(b)))
+    assert err.max() <= 20 * np.finfo(float).eps * eigenvalues(n)[-1]
+
+
+@pytest.mark.parametrize("scale", [1.0, 30.0])
+@pytest.mark.parametrize("profile", ["h1", "h2", "h_ns"])
+def test_roots_trace_identity(request, profile, scale):
+    # the coefficient of s^(2N-1) of det(s^2 + Lambda + s b b^T) is |b|^2
+    b = scale * coupling_vector(request.getfixturevalue(profile), 400).b
+    roots = _closed_loop_roots(b)
+    q = math.fsum(b * b)
+    assert roots.size == 800
+    assert abs(math.fsum(roots.real) + q) <= 1e-13 * q
+
+
+def test_strong_damping_gives_real_roots(h1):
+    # a strongly damped pair leaves the imaginary axis for the real one
+    b = 30.0 * coupling_vector(h1, 16).b
+    roots = _closed_loop_roots(b)
+    dense = dense_roots(b)
+    assert np.sum(dense.imag == 0.0) == 2
+    real = np.sort(roots[np.abs(roots.imag) <= 1e-12 * np.abs(roots)].real)
+    assert real.size == 2
+    assert np.allclose(real, np.sort(dense[dense.imag == 0.0].real), rtol=1e-12)
+
+
+def test_root_finder_fails_loudly(monkeypatch):
+    b = np.array([0.3, 0.2, 0.1])
+    with pytest.raises(ValueError, match="finite"):
+        _closed_loop_roots(np.array([0.3, np.nan]))
+    monkeypatch.setattr(stability, "_MAX_SWEEPS", 1)
+    with pytest.raises(np.linalg.LinAlgError, match="unconverged"):
+        _closed_loop_roots(b)
+    monkeypatch.undo()
+    # offsets left at the seeds miss the trace identity
+    monkeypatch.setattr(stability, "_aberth_step", lambda i, *args: np.zeros(i.size, dtype=complex))
+    with pytest.raises(np.linalg.LinAlgError, match="trace identity"):
+        _closed_loop_roots(b)
+
+
+@st.composite
+def strong_couplings(draw):
+    """Couplings with N <= 40 and |b|^2 up to 400, of mixed magnitudes and with
+    zeros; strong damping drives root pairs onto the real axis."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["normal", "log-uniform", "sparse", "flat"]))
+    if shape == "normal":
+        b = rng.standard_normal(n)
+    elif shape == "log-uniform":
+        b = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-20.0, 0.0, n)
+    elif shape == "sparse":
+        b = rng.standard_normal(n) * (rng.random(n) < 0.7)
+    else:
+        b = np.ones(n)
+    norm2 = float(np.sum(b * b))
+    if norm2 > 0.0:
+        b *= math.sqrt(draw(st.floats(1e-4, 400.0)) / norm2)
+    return b
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(strong_couplings())
+@example(np.full(8, 5.0))  # two real roots
+def test_abscissa_strong_coupling_property(b):
+    # warnings are errors under the test configuration, so none may be raised
+    a = spectral_abscissa(CouplingVector(b), len(b))
+    dense = dense_roots(b)
+    assert a <= 0.0
+    assert abs(a - dense.real.max()) <= 100 * np.finfo(float).eps * (eigenvalues(len(b))[-1] + np.sum(b * b))
 
 
 def test_closed_loop_matrix_structure(h1):
