@@ -12,13 +12,17 @@ perturbation of an otherwise norm-preserving oscillation.
 The splitting integrator composes exact flows: a half-step rotation of each
 mode pair (zeta_k, w_k), the exact rank-one damping (or the forcing impulse
 in open loop), and a second half rotation. Both substeps are non-expansive.
-The closed loop advances in blocks of steps and propagates the energy
-through the exact per-step dissipation identity, so the recorded norm
-sequence is non-increasing by construction. A classical Runge-Kutta
-integrator is included as an independent cross-check.
+One call walks the whole sample schedule of a run and hands the samples
+back as arrays, in blocks of at most ``KERNEL_BLOCK`` state entries, which
+fill the columns of the series. The closed loop advances by closed-form
+powers of the step, and its energy column is the initial energy less a
+running sum of the exact per-step dissipations, so the recorded norm
+sequence is non-increasing by construction. The open loop sums the
+midpoint impulses of each sample interval in rotating coordinates with one
+product against a table of phases. A classical Runge-Kutta integrator,
+one sample at a time, is included as an independent cross-check.
 """
 
-import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -136,9 +140,9 @@ class SimConfig:
     def n_steps(self) -> int:
         return max(1, int(round(self.t_final / self.dt)))
 
-    def sample_steps(self) -> list[int]:
+    def sample_steps(self) -> np.ndarray:
         """The recorded steps: every ``sample_every``-th from 0, and always the last."""
-        return [*range(0, self.n_steps, self.sample_every), self.n_steps]
+        return np.r_[np.arange(0, self.n_steps, self.sample_every), self.n_steps]
 
 
 @dataclass(frozen=True)
@@ -164,12 +168,11 @@ class Segment:
         if not all(map(math.isfinite, (self.value, self.amplitude, self.omega, self.phase))):
             raise ValueError("segment value, amplitude, omega and phase must be finite")
 
-    def __call__(self, t: float) -> float:
-        if self.form == "constant":
-            return self.value
+    def __call__(self, t):
+        """Value at ``t``, a time or an array of times."""
         if self.form == "sinusoid":
-            return self.amplitude * math.cos(self.omega * t + self.phase)
-        return 0.0
+            return self.amplitude * np.cos(self.omega * t + self.phase)
+        return np.full(np.shape(t), self.value if self.form == "constant" else 0.0)[()]
 
     def shifted(self, tau: float) -> "Segment":
         # shifting a sinusoid in time adjusts its phase: cos(w(t-tau)+p)
@@ -204,7 +207,7 @@ class InputSignal:
             if cur.t_start > prev.t_end + 1e-12:
                 raise ValueError(f"gap in input coverage between t={prev.t_end} and t={cur.t_start}")
         object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "_seams", [seg.t_start for seg in segs[1:]])
+        object.__setattr__(self, "_seams", np.array([seg.t_start for seg in segs[1:]]))
 
     @classmethod
     def zero(cls, t_final: float) -> "InputSignal":
@@ -223,8 +226,19 @@ class InputSignal:
         if self.segments[-1].t_end < t_final - 1e-12:
             raise ValueError(f"input signal ends at {self.segments[-1].t_end} before t_final={t_final}")
 
+    def at(self, t) -> np.ndarray:
+        """Values at the times ``t`` (any shape), each from the segment serving it."""
+        t = np.asarray(t, dtype=float)
+        which = np.searchsorted(self._seams, t, side="right")
+        first, last = int(which.min(initial=len(self.segments))), int(which.max(initial=0))
+        out = np.empty(t.shape)
+        for i in range(first, last + 1):
+            hit = which == i
+            out[hit] = self.segments[i](t[hit])
+        return out
+
     def __call__(self, t: float) -> float:
-        return self.segments[bisect.bisect_right(self._seams, t)](t)
+        return float(self.at(t))
 
     def concat(self, tau: float, other: "InputSignal") -> "InputSignal":
         """Concatenation: this signal on [0, tau), then ``other`` delayed by tau."""
@@ -291,6 +305,16 @@ class TimeSeries:
         return series
 
 
+def _schedule(config: SimConfig):
+    """The sample steps, with the gap of steps that leads to each (0 before
+    step 0), in blocks whose states hold at most KERNEL_BLOCK entries."""
+    steps = config.sample_steps()
+    gaps = np.diff(steps, prepend=0)
+    rows = max(1, KERNEL_BLOCK // (2 * config.n_modes))
+    for lo in range(0, len(steps), rows):
+        yield steps[lo : lo + rows], gaps[lo : lo + rows]
+
+
 class _Propagator:
     """Powers of the closed-loop splitting step S = R(dt/2) D R(dt/2), in blocks of L.
 
@@ -301,6 +325,14 @@ class _Propagator:
     energy; column j of F is kick R((L-j+1/2) dt) e. When L > 2N, a full
     block is the dense A = R(L dt) + F O, with |O z| from the triangular
     factor of O.
+
+    :meth:`run` walks the whole sample schedule and yields the samples a
+    block of rows at a time. A sample interval of one full dense block costs
+    one product with A; the energy such intervals shed is taken for the whole
+    block after its loop, from one product of the preceding states with the
+    triangular factor. Other intervals (a shorter tail, factored blocks, or
+    several blocks when the cap splits an interval) step through the blocks
+    one at a time.
     """
 
     def __init__(self, coupling: CouplingVector, config: SimConfig):
@@ -311,7 +343,7 @@ class _Propagator:
         kick, self.loss = (-shed / q, shed * (2.0 - shed) / q) if q > 0.0 else (0.0, 0.0)
         # O and F stay within KERNEL_BLOCK entries each
         self.block = L = min(config.sample_every, config.n_steps, max(1, KERNEL_BLOCK // (2 * n)))
-        self.mu, self.dt = mu, dt
+        self.mu, self.dt, self.b = mu, dt, b
         self.swap = np.r_[n : 2 * n, 0:n]
         self.full = self._turn(L)
 
@@ -340,62 +372,91 @@ class _Propagator:
         c, s = np.cos(mu * (k * self.dt)), np.sin(mu * (k * self.dt))
         return np.concatenate([c, c]), np.concatenate([s / mu, -mu * s])
 
-    def advance(self, z: np.ndarray, energy: float, steps: int) -> tuple[np.ndarray, float]:
-        """State and tracked energy ``steps`` steps after (z, energy)."""
-        while steps:
-            k = min(self.block, steps)
-            if k == self.block and self.dense is not None:
-                seen = self.tri @ z
-                z = self.dense @ z
-            else:
-                keep, cross = self.full if k == self.block else self._turn(k)
-                seen = self.obs[:k] @ z
-                z = z * keep + z[self.swap] * cross + self.gain[:, self.block - k :] @ seen
-            energy = max(energy - self.loss * float(seen @ seen), 0.0)
-            steps -= k
-        return z, energy
+    def _seen_sq(self, first: np.ndarray, rest: np.ndarray) -> np.ndarray:
+        """|R z|^2 for z = first and each row of rest, R the triangular factor of O."""
+        head, seen = self.tri @ first, rest @ self.tri.T
+        return np.r_[head @ head, np.einsum("ij,ij->i", seen, seen)]
 
+    def run(self, state0: ModalState, config: SimConfig):
+        """Blocks (states, energies, inputs) at the sample steps of ``config``.
 
-def _closed_splitting(state0: ModalState, coupling: CouplingVector, config: SimConfig):
-    """(z, energy, u) of the closed splitting at each sample step."""
-    n = config.n_modes
-    prop = _Propagator(coupling, config)
-    z = np.concatenate([state0.zeta, state0.w])
-    energy = x_norm_sq(state0)
-    done = 0
-    for step in config.sample_steps():
-        z, energy = prop.advance(z, energy, step - done)
-        done = step
-        yield z, energy, -float(np.dot(coupling.b, z[n:]))
+        The energy column is E0 less the running sum of the non-negative
+        decrements loss |O z|^2, clamped at 0, so it never increases.
+        """
+        n = config.n_modes
+        z = np.concatenate([state0.zeta, state0.w])
+        energy = x_norm_sq(state0)
+        whole = self.block if self.dense is not None else None  # the gap of one dense block
+        dense = self.dense.dot if self.dense is not None else None
+        for steps, gaps in _schedule(config):
+            states, seen_sq = np.empty((len(steps), 2 * n)), np.zeros(len(steps))
+            before = z
+            for i, (row, gap) in enumerate(zip(states, gaps.tolist())):
+                if gap == whole:
+                    z = dense(z, out=row)
+                    continue
+                while gap:  # a tail block, or an interval longer than a block
+                    k = min(self.block, gap)
+                    if k == whole:
+                        seen = self.tri @ z
+                        z = dense(z)
+                    else:
+                        keep, cross = self.full if k == self.block else self._turn(k)
+                        seen = self.obs[:k] @ z
+                        z = z * keep + z[self.swap] * cross + self.gain[:, self.block - k :] @ seen
+                    seen_sq[i] += float(seen @ seen)
+                    gap -= k
+                row[:] = z
+            if dense is not None:  # |O z|^2 = |R z|^2 for the state z before each row
+                seen_sq = np.where(gaps == whole, self._seen_sq(before, states[:-1]), seen_sq)
+            energies = np.maximum(np.subtract.accumulate(np.r_[energy, self.loss * seen_sq]), 0.0)[1:]
+            energy = energies[-1]
+            yield states, energies, -(states[:, n:] @ self.b)
 
 
 def _open_splitting(state0: ModalState, b: np.ndarray, signal: InputSignal, config: SimConfig):
-    """(z, energy, u) of the open splitting at each sample step."""
-    dt = config.dt
-    mu = frequencies(config.n_modes)
-    b_over_mu = b / mu
+    """Blocks (states, energies, inputs) of the open splitting at the sample steps.
+
+    The rotating-frame forcing of the k <= span steps after step a is
+    sum_j u_j dt R(-(a + j + 1/2) dt) B. It is one product of the midpoint
+    inputs u_j with a table of cos and sin of mu (j + 1/2) dt, turned to the
+    angle mu a dt by angle addition. A span of steps with zero input leaves
+    the accumulator untouched.
+    """
+    n, dt = config.n_modes, config.dt
+    mu = frequencies(n)
+    # the cos and sin tables hold at most KERNEL_BLOCK entries and no more steps than a gap
+    span = min(config.sample_every, config.n_steps, max(1, KERNEL_BLOCK // (2 * n)))
+    phase = np.outer((np.arange(span) + 0.5) * dt, mu)
+    cos_tab, sin_tab = np.cos(phase), np.sin(phase)
+    push_zeta, push_w = -dt * b / mu, dt * b
     y_zeta, y_w = state0.zeta, state0.w
-    done = 0
-    for step in config.sample_steps():
-        for k in range(done + 1, step + 1):
-            t_mid = (k - 0.5) * dt
-            u_mid = signal(t_mid)
-            if u_mid != 0.0:
-                theta = mu * t_mid
-                y_zeta = y_zeta - (dt * u_mid) * b_over_mu * np.sin(theta)
-                y_w = y_w + (dt * u_mid) * b * np.cos(theta)
-        done = step
-        zeta, w = y_zeta, y_w
-        if step:  # R(0) is the identity, and applying it would turn -0.0 into 0.0
-            c, s = np.cos(mu * (step * dt)), np.sin(mu * (step * dt))
-            zeta, w = y_zeta * c + (y_w / mu) * s, -mu * y_zeta * s + y_w * c
-        state = ModalState(zeta, w)
-        yield np.concatenate([state.zeta, state.w]), x_norm_sq(state), signal(step * dt)
+    for steps, gaps in _schedule(config):
+        ys = np.empty((len(steps), 2 * n))
+        for i, (step, gap) in enumerate(zip(steps.tolist(), gaps.tolist())):
+            for a in range(step - gap, step, span):
+                k = min(span, step - a)
+                u = signal.at((np.arange(a, a + k) + 0.5) * dt)
+                if u.any():
+                    uc, us = u @ cos_tab[:k], u @ sin_tab[:k]
+                    c, s = np.cos(mu * (a * dt)), np.sin(mu * (a * dt))
+                    y_zeta = y_zeta + push_zeta * (s * uc + c * us)
+                    y_w = y_w + push_w * (c * uc - s * us)
+            ys[i, :n], ys[i, n:] = y_zeta, y_w
+        theta = np.outer(steps * dt, mu)
+        c, s = np.cos(theta), np.sin(theta)
+        zeta = ys[:, :n] * c + (ys[:, n:] / mu) * s
+        w = -mu * ys[:, :n] * s + ys[:, n:] * c
+        if steps[0] == 0:  # R(0) is the identity, and applying it would turn -0.0 into 0.0
+            zeta[0], w[0] = ys[0, :n], ys[0, n:]
+        energies = zeta**2 @ eigenvalues(n) + np.einsum("ij,ij->i", w, w)
+        yield np.hstack([zeta, w]), energies, signal.at(steps * dt)
 
 
 def _rk4(state0: ModalState, b: np.ndarray, control, config: SimConfig):
-    """(z, energy, u) at each sample step of classical RK4 on the full
-    right-hand side, with the input u = control(t, w); independent cross-check."""
+    """One-row blocks (states, energies, inputs) at each sample step of
+    classical RK4 on the full right-hand side, with the input
+    u = control(t, w); independent cross-check."""
     lam = eigenvalues(config.n_modes)
     dt = config.dt
 
@@ -404,7 +465,7 @@ def _rk4(state0: ModalState, b: np.ndarray, control, config: SimConfig):
 
     zeta, w = state0.zeta, state0.w
     done = 0
-    for step in config.sample_steps():
+    for step in config.sample_steps().tolist():
         for k in range(done, step):
             t = k * dt
             k1z, k1w = rhs(t, zeta, w)
@@ -414,30 +475,35 @@ def _rk4(state0: ModalState, b: np.ndarray, control, config: SimConfig):
             zeta = zeta + dt / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
             w = w + dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
         done = step
-        yield np.concatenate([zeta, w]), x_norm_sq(ModalState(zeta, w)), control(step * dt, w)
+        energy = x_norm_sq(ModalState(zeta, w))
+        yield np.concatenate([zeta, w])[None], np.array([energy]), np.array([control(step * dt, w)])
 
 
-def _sampled(config: SimConfig, samples) -> TimeSeries:
-    """The series of a run whose ``samples`` yield (z, energy, u), z = [zeta; w],
-    at each of ``config.sample_steps()``; the last z is the final state."""
+def _sampled(config: SimConfig, blocks) -> TimeSeries:
+    """The series of a run whose ``blocks`` give (states, energies, inputs) rows,
+    states z = [zeta; w], at consecutive steps of ``config.sample_steps()``;
+    the last state is the final one. Only the recorded modes are kept."""
     steps = config.sample_steps()
     n = config.n_modes
     energy, u = np.empty(len(steps)), np.empty(len(steps))
     zeta = w = None
     if config.record_modes:
         zeta, w = np.empty((len(steps), n)), np.empty((len(steps), n))
-    for i, (z, energy_i, u_i) in enumerate(samples):
-        energy[i], u[i] = energy_i, u_i
+    done = 0
+    for states, energies, inputs in blocks:
+        rows = slice(done, done + len(states))
+        energy[rows], u[rows] = energies, inputs
         if zeta is not None:
-            zeta[i], w[i] = z[:n], z[n:]
+            zeta[rows], w[rows] = states[:, :n], states[:, n:]
+        done = rows.stop
     return TimeSeries(
-        t=np.array(steps) * config.dt,
+        t=steps * config.dt,
         x_norm=np.sqrt(energy),
         energy=energy,
         u=u,
         zeta=zeta,
         w=w,
-        final_state=ModalState(z[:n], z[n:]),
+        final_state=ModalState(states[-1, :n].copy(), states[-1, n:].copy()),
     )
 
 
@@ -457,8 +523,9 @@ def simulate_closed(state0: ModalState, h, config: SimConfig) -> TimeSeries:
 
         E <- E - s^2 (1 - e^{-q dt})(2 - (1 - e^{-q dt})) / q,
 
-    whose decrement is a product of non-negative factors, so the energy and
-    norm columns are non-increasing by construction. The rk4-crosscheck
+    whose decrement is a product of non-negative factors. The energy column
+    is E0 less the running sum of these decrements, clamped at 0, so the
+    energy and norm columns are non-increasing by construction. The rk4-crosscheck
     integrator recomputes norms from the state instead and carries no
     monotonicity guarantee.
     """
@@ -466,7 +533,7 @@ def simulate_closed(state0: ModalState, h, config: SimConfig) -> TimeSeries:
     if config.integrator == "rk4-crosscheck":
         b = coupling.b
         return _sampled(config, _rk4(state0, b, lambda t, w: -float(np.dot(b, w)), config))
-    return _sampled(config, _closed_splitting(state0, coupling, config))
+    return _sampled(config, _Propagator(coupling, config).run(state0, config))
 
 
 def simulate_open(state0: ModalState, h, signal: InputSignal, config: SimConfig) -> TimeSeries:
@@ -480,8 +547,11 @@ def simulate_open(state0: ModalState, h, signal: InputSignal, config: SimConfig)
 
     so free flight accumulates no roundoff: each recorded state rotates the
     accumulator once by the exact total angle mu t_n, and with a zero signal
-    the energy norm is conserved to a couple of ulps over any horizon.
-    Norms are recomputed from the state at every sample.
+    the energy norm is conserved to a couple of ulps over any horizon. The
+    impulses of each sample interval are summed with one product of the
+    midpoint inputs against a table of phases, turned to the interval's
+    start by angle addition. Norms are recomputed from the state at every
+    sample.
     """
     coupling = _checked_coupling(state0, h, config)
     signal.validate(config.t_final)

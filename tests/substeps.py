@@ -1,8 +1,9 @@
-"""Reference substeps of the closed-loop splitting, for the tests only.
+"""Reference steps of the splitting integrators, for the tests only.
 
-The package advances the closed loop with a block propagator; these are the
-exact per-step flows it must reproduce, written out one mode at a time, and
-the one-step matrix built by driving them with unit basis states.
+The package advances both loops a block of samples per call; these are the
+exact per-step flows it must reproduce, written out one mode at a time: the
+closed-loop substeps, the one-step matrix built by driving them with unit
+basis states, and the open loop stepped one midpoint impulse at a time.
 """
 
 import math
@@ -62,3 +63,26 @@ def strang_step_matrix(coupling, n_modes: int, dt: float) -> np.ndarray:
         m[:n_modes, j] = state.zeta
         m[n_modes:, j] = state.w
     return m
+
+
+def open_splitting_states(state0: ModalState, b: np.ndarray, signal, config) -> np.ndarray:
+    """States [zeta; w] of the open splitting at each sample step, one row per
+    sample, advanced one midpoint-forced step at a time in the rotating frame."""
+    dt = config.dt
+    mu = frequencies(config.n_modes)
+    b_over_mu = b / mu
+    y_zeta, y_w = state0.zeta, state0.w
+    rows = []
+    done = 0
+    for step in config.sample_steps().tolist():
+        for k in range(done + 1, step + 1):
+            t_mid = (k - 0.5) * dt
+            u_mid = signal(t_mid)
+            if u_mid != 0.0:
+                theta = mu * t_mid
+                y_zeta = y_zeta - (dt * u_mid) * b_over_mu * np.sin(theta)
+                y_w = y_w + (dt * u_mid) * b * np.cos(theta)
+        done = step
+        c, s = np.cos(mu * (step * dt)), np.sin(mu * (step * dt))
+        rows.append(np.concatenate([y_zeta * c + (y_w / mu) * s, -mu * y_zeta * s + y_w * c]))
+    return np.array(rows)

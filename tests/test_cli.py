@@ -438,6 +438,13 @@ def test_rate_study_rejects_empty_truncation_list(capsys):
     assert err == "error: the study needs at least one truncation size\n"
 
 
+def test_rate_study_rejects_repeated_truncation(capsys):
+    code, out, err = run_cli(capsys, "rate-study", "--ns", "8,8")
+    assert code == 2
+    assert out == ""
+    assert err == "error: truncation sizes must be strictly increasing\n"
+
+
 def test_unknown_flag_single_line_error(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--bogus", "1")
     assert code == 2

@@ -20,7 +20,7 @@ from wavetank.simulate import (
 )
 from wavetank.spectral import eigenvalues, frequency
 
-from substeps import damping_substep, rotation_substep
+from substeps import damping_substep, open_splitting_states, rotation_substep
 
 MU1 = 0.8726936208978296
 DOMNORM_MODE1 = 1.1582831322011637  # sqrt(lambda_1 + lambda_1^2)
@@ -330,8 +330,56 @@ def test_signal_lookup_matches_first_match(signal, data):
     ends = [seg.t_end for seg in signal.segments]
     times = [0.0, *ends, *(0.5 * (seg.t_start + seg.t_end) for seg in signal.segments)]
     times += [ends[-1] + data.draw(st.floats(0.0, 100.0)), data.draw(st.floats(0.0, ends[-1]))]
-    for t in times:
-        assert signal(t) == first_match(signal, t)
+    times += [seg.t_start for seg in signal.segments]
+    want = np.array([first_match(signal, t) for t in times], dtype=float)
+    # the array evaluation, in the drawn order and shuffled, bit for bit
+    order = data.draw(st.permutations(range(len(times))))
+    for idx in (list(range(len(times))), order):
+        got = signal.at(np.array(times)[idx])
+        assert np.array_equal(got.view(np.int64), want[idx].view(np.int64))
+    for t, value in zip(times, want):
+        assert np.float64(signal(t)).view(np.int64) == value.view(np.int64)
+
+
+@st.composite
+def open_loop_runs(draw):
+    """Truncation up to 48, state, step, a multi-segment signal, and sample_every
+    drawn from non-divisors of the step count and from values above it."""
+    n = draw(st.integers(1, 48))
+    n_steps = draw(st.integers(1, 4000))
+    sample_every = draw(
+        st.one_of(
+            st.integers(1, n_steps).filter(lambda m: n_steps % m != 0),
+            st.integers(n_steps + 1, 2 * n_steps + 10),
+        )
+    )
+    dt = draw(st.floats(1e-3, 0.1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = ModalState(rng.standard_normal(n), rng.standard_normal(n)) if draw(st.booleans()) else ModalState.zero(n)
+    return state, draw(contiguous_signals(n_steps * dt)), n_steps * dt, dt, sample_every
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(open_loop_runs())
+@example((ModalState.zero(48), InputSignal([Segment(0.0, 2.0, "sinusoid", amplitude=1.5, omega=2.0, phase=0.3),
+                                            Segment(2.0, 4.0, "zero"), Segment(4.0, 5.5, "constant", value=-1.0)]),
+          5.5, 1e-3, 3001))  # a forcing table of 2**18 // 96 = 2730 steps, so gaps of two spans
+def test_open_loop_matches_per_step_reference(h1, run):
+    state, signal, t_final, dt, sample_every = run
+    n = state.n_modes
+    cfg = SimConfig(n_modes=n, t_final=t_final, dt=dt, sample_every=sample_every, record_modes=True)
+    ts = simulate_open(state, h1, signal, cfg)
+    ref = open_splitting_states(state, coupling_vector(h1, n).b, signal, cfg)
+    lam = eigenvalues(n)
+
+    def norms(z):
+        return np.sqrt(z[:, :n] ** 2 @ lam + np.sum(z[:, n:] ** 2, axis=1))
+
+    err = norms(np.hstack([ts.zeta, ts.w]) - ref)
+    assert np.max(err) <= 5e-12 * np.max(norms(ref))
+    assert np.array_equal(ts.t, cfg.sample_steps() * dt)
+    assert np.array_equal(ts.u, [signal(t) for t in ts.t])
+    assert np.allclose(ts.x_norm, norms(ref), rtol=1e-12, atol=1e-12 * np.max(norms(ref)))
 
 
 @st.composite
