@@ -2,11 +2,12 @@
 
 A table is a header row of names, then rows of floats written with 17
 significant digits, so every float64 reads back bit-exactly. NaN is written
-as an empty cell. Readers skip blank lines; ``#`` starts no comment.
+as an empty cell. A reader walks the body once: it skips blank lines, checks
+every row's cell count against the header, and parses only the leading
+columns its caller asks for; ``#`` starts no comment.
 """
 
 import sys
-import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -31,46 +32,42 @@ def write_table(path, header, columns) -> None:
             fh.write(((row * len(block)) % tuple(block.ravel().tolist())).replace("nan", ""))
 
 
-def read_table(path, what: str, names) -> tuple[list[str], np.ndarray]:
-    """Header names and float rows of a table whose header begins with ``names``.
+def read_table(path, what: str, names, leading: int | None = None) -> tuple[list[str], np.ndarray]:
+    """Names and float rows of the parsed columns of a table whose header
+    begins with ``names``: the first ``leading`` columns, or all when None.
 
-    Any fault in the file raises ``ValueError("malformed <what> CSV <path>:
-    ...")``. A table without rows gives an empty array for the caller to judge.
+    One pass over the body: blank lines are skipped, every other line must
+    hold as many cells as the header, and the text of its parsed cells goes
+    to a single ``np.loadtxt`` call, so the cells after them are counted but
+    not parsed. Any fault in the file raises ``ValueError("malformed <what>
+    CSV <path>: ...")``; a ragged line, or else the first line whose parsed
+    cells are not all numbers, is named by its line number in the file (the
+    header is line 1). A table without rows gives an empty array for the
+    caller to judge.
     """
     malformed = f"malformed {what} CSV {path}: "
     with open(path) as fh:
         header = [name.strip() for name in fh.readline().split(",")]
         if header[: len(names)] != list(names):
             raise ValueError(malformed + f"expected header '{','.join(names)}'")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on an empty body
-            try:
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            except ValueError as exc:
-                raise ValueError(malformed + _fault(path, len(header), str(exc))) from None
-    if not data.size:
-        return header, data.reshape(0, len(header))
-    if data.shape[1] != len(header):
-        raise ValueError(malformed + f"rows of {data.shape[1]} cells under a header of {len(header)}")
-    return header, data
-
-
-def _fault(path, width: int, message: str) -> str:
-    """Where and why loadtxt rejected the body of ``path``: the first line
-    (the header is line 1) whose cell count differs from the header's or
-    whose cells are not numbers. loadtxt's own ``message`` counts body rows
-    only, from 0 or from 1 depending on the fault; it stands if no line is
-    found."""
-    with open(path) as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if number == 1 or not line:  # loadtxt skips empty lines
+        width = len(header)
+        keep = width if leading is None else leading
+        numbers, rows = [], []
+        for number, line in enumerate(fh, start=2):
+            if line == "\n":
                 continue
             cells = line.count(",") + 1
             if cells != width:
-                return f"line {number}: {cells} cell(s) under a header of {width}"
-            try:
-                np.loadtxt([line], delimiter=",", comments=None)
-            except ValueError as exc:
-                return f"line {number}: " + str(exc).partition(" at row ")[0]
-    return message.partition("; use `usecols`")[0]
+                raise ValueError(malformed + f"line {number}: {cells} cell(s) under a header of {width}")
+            numbers.append(number)
+            rows.append(line if keep == width else ",".join(line.split(",", keep)[:keep]))
+    if not rows:
+        return header[:keep], np.empty((0, keep))
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        message, _, where = str(exc).partition(" at row ")
+        if where:  # loadtxt counts the rows it was given from 0
+            message = f"line {numbers[int(where.partition(',')[0])]}: {message}"
+        raise ValueError(malformed + message) from None
+    return header[:keep], data

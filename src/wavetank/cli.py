@@ -233,7 +233,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_decay(args) -> int:
-    series = simulate.TimeSeries.from_csv(args.series)
+    series = simulate.TimeSeries.from_csv(args.series, modes=False)
     fit = stability.decay_fit(series, (args.t_lo, args.t_hi), args.model)
     report = {
         "series": args.series,

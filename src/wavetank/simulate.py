@@ -24,6 +24,7 @@ one sample at a time, is included as an independent cross-check.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -172,7 +173,8 @@ class Segment:
         """Value at ``t``, a time or an array of times."""
         if self.form == "sinusoid":
             return self.amplitude * np.cos(self.omega * t + self.phase)
-        return np.full(np.shape(t), self.value if self.form == "constant" else 0.0)[()]
+        value = self.value if self.form == "constant" else 0.0
+        return np.full(t.shape, value) if isinstance(t, np.ndarray) else np.float64(value)
 
     def shifted(self, tau: float) -> "Segment":
         # shifting a sinusoid in time adjusts its phase: cos(w(t-tau)+p)
@@ -207,7 +209,7 @@ class InputSignal:
             if cur.t_start > prev.t_end + 1e-12:
                 raise ValueError(f"gap in input coverage between t={prev.t_end} and t={cur.t_start}")
         object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "_seams", np.array([seg.t_start for seg in segs[1:]]))
+        object.__setattr__(self, "_seams", tuple(seg.t_start for seg in segs[1:]))
 
     @classmethod
     def zero(cls, t_final: float) -> "InputSignal":
@@ -238,7 +240,8 @@ class InputSignal:
         return out
 
     def __call__(self, t: float) -> float:
-        return float(self.at(t))
+        """Value at the time ``t``, from the segment :meth:`at` would use."""
+        return float(self.segments[bisect_right(self._seams, t)](t))
 
     def concat(self, tau: float, other: "InputSignal") -> "InputSignal":
         """Concatenation: this signal on [0, tau), then ``other`` delayed by tau."""
@@ -286,8 +289,12 @@ class TimeSeries:
         write_table(path, header, columns)
 
     @classmethod
-    def from_csv(cls, path) -> "TimeSeries":
-        header, data = read_table(path, "time-series", ("t", "x_norm", "energy", "u"))
+    def from_csv(cls, path, modes: bool = True) -> "TimeSeries":
+        """The series that :meth:`to_csv` wrote to ``path``. Every row's cell
+        count is checked; with ``modes=False`` only ``t,x_norm,energy,u`` are
+        parsed, and the series holds no mode columns."""
+        names = ("t", "x_norm", "energy", "u")
+        header, data = read_table(path, "time-series", names, None if modes else len(names))
         if not len(data):
             raise ValueError(f"time-series CSV {path} has no samples")
         zeta_cols = [i for i, name in enumerate(header) if name.startswith("zeta_")]
@@ -457,11 +464,11 @@ def _rk4(state0: ModalState, b: np.ndarray, control, config: SimConfig):
     """One-row blocks (states, energies, inputs) at each sample step of
     classical RK4 on the full right-hand side, with the input
     u = control(t, w); independent cross-check."""
-    lam = eigenvalues(config.n_modes)
+    neg_lam = -eigenvalues(config.n_modes)
     dt = config.dt
 
     def rhs(t, zeta, w):
-        return w, -lam * zeta + control(t, w) * b
+        return w, neg_lam * zeta + control(t, w) * b
 
     zeta, w = state0.zeta, state0.w
     done = 0

@@ -76,7 +76,8 @@ class RateStudyEntry:
 def decay_fit(series: TimeSeries, window: tuple[float, float], model: str) -> DecayFit:
     """Fit log x_norm against t (exponential) or log(1+t) (power) on a window.
 
-    Requires at least 10 samples inside the window, all with positive norm.
+    Requires at least 10 samples inside the window, all with positive norm,
+    and for the power model all at t > -1.
     """
     t_lo, t_hi = window
     if not t_lo < t_hi:
@@ -90,6 +91,8 @@ def decay_fit(series: TimeSeries, window: tuple[float, float], model: str) -> De
     if np.any(xs <= 0.0):
         raise ValueError("window contains non-positive norms; decay fit undefined")
     ts = series.t[mask]
+    if model == "power" and ts[0] <= -1.0:
+        raise ValueError(f"power model needs t > -1, window holds t = {ts[0]:g}")
     logx = np.log(xs)
     abscissa = ts if model == "exponential" else np.log1p(ts)
     slope, intercept = np.polyfit(abscissa, logx, 1)

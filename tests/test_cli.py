@@ -202,25 +202,82 @@ def test_simulate_with_sinusoid_input(tmp_path, capsys):
 
 def test_decay_round_trip_bit_identical(tmp_path, capsys):
     # an exported series re-ingested by the decay command yields the same
-    # fit as the in-process analysis (17-digit CSV is lossless)
+    # fit as the in-process analysis of the full read (17-digit CSV is
+    # lossless), with and without the mode columns that decay does not parse
+    for record in ([], ["--record-modes"]):
+        csv_path = tmp_path / f"run{len(record)}.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "simulate", "--profile", "h1", "--n-modes", "4", "--t-final", "20",
+            "--dt", "0.01", "--sample-every", "10", "--out-csv", str(csv_path), *record,
+        )
+        assert code == 0
+        series = simulate.TimeSeries.from_csv(csv_path)
+        assert (series.zeta is not None) == bool(record)
+        fit = stability.decay_fit(series, (5.0, 20.0), "exponential")
+        code, out, _ = run_cli(
+            capsys,
+            "decay", "--series", str(csv_path), "--model", "exponential",
+            "--t-lo", "5", "--t-hi", "20",
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "series": str(csv_path), "model": fit.model, "window": list(fit.window),
+            "fitted_value": fit.fitted_value, "residual_rms": fit.residual_rms,
+        }
+
+
+@pytest.mark.parametrize("t0", ["-3", "-1"])
+def test_decay_power_window_before_minus_one_single_error_line(tmp_path, t0):
+    # a child process, so numpy warnings and LAPACK's own prints would show
+    t = np.linspace(float(t0), float(t0) + 20.0, 41)
+    path = tmp_path / "series.csv"
+    path.write_text("t,x_norm,energy,u\n" + "".join(f"{a!r},{math.exp(-0.1 * a)!r},1,0\n" for a in t.tolist()))
+    src = str(Path(wavetank.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "wavetank.cli", "decay", "--series", str(path), "--model", "power", f"--t-lo={t0}"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: power model needs t > -1")
+    assert len(out.stderr.splitlines()) == 1
+
+
+def recorded_run(tmp_path, capsys):
     csv_path = tmp_path / "run.csv"
     code, _, _ = run_cli(
         capsys,
-        "simulate", "--profile", "h1", "--n-modes", "4", "--t-final", "20",
-        "--dt", "0.01", "--sample-every", "10", "--out-csv", str(csv_path),
+        "simulate", "--profile", "h1", "--n-modes", "3", "--t-final", "2",
+        "--dt", "0.01", "--sample-every", "10", "--record-modes", "--out-csv", str(csv_path),
     )
     assert code == 0
-    series = simulate.TimeSeries.from_csv(csv_path)
-    in_process = stability.decay_fit(series, (5.0, 20.0), "exponential")
-    code, out, _ = run_cli(
-        capsys,
-        "decay", "--series", str(csv_path), "--model", "exponential",
-        "--t-lo", "5", "--t-hi", "20",
-    )
+    return csv_path, csv_path.read_text().splitlines(keepends=True)
+
+
+def test_decay_rejects_row_one_mode_cell_short(tmp_path, capsys):
+    # decay parses only the leading columns but counts every row's cells
+    csv_path, lines = recorded_run(tmp_path, capsys)
+    lines[7] = lines[7].rsplit(",", 1)[0] + "\n"
+    csv_path.write_text("".join(lines))
+    code, out, err = run_cli(capsys, "decay", "--series", str(csv_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: malformed time-series CSV {csv_path}: line 8: 9 cell(s) under a header of 10\n"
+
+
+def test_decay_does_not_parse_mode_cells(tmp_path, capsys):
+    csv_path, lines = recorded_run(tmp_path, capsys)
+    cells = lines[7].split(",")
+    cells[5] = "abc"  # zeta_2
+    lines[7] = ",".join(cells)
+    csv_path.write_text("".join(lines))
+    code, out, _ = run_cli(capsys, "decay", "--series", str(csv_path), "--t-hi", "2")
     assert code == 0
-    report = json.loads(out)
-    assert report["fitted_value"] == in_process.fitted_value
-    assert report["residual_rms"] == in_process.residual_rms
+    assert json.loads(out)["model"] == "exponential"
+    # the full read parses the mode cells and names the line
+    with pytest.raises(ValueError, match=r": line 8: could not convert string 'abc'"):
+        simulate.TimeSeries.from_csv(csv_path)
 
 
 def test_decay_missing_file(capsys):
@@ -337,7 +394,7 @@ def test_field_malformed_state(tmp_path, capsys):
         pytest.param("time-series", "t,x_norm,energy,u\n0,1,1,0\n1,1,abc,0\n", 3, id="series-non-numeric"),
         pytest.param("time-series", "t,x_norm,energy,u\n# note\n0,1,1,0\n", 2, id="series-hash-not-comment"),
         pytest.param("state", "k,zeta,w\n1,0.5,0,7\n2,0,0\n", 2, id="state-extra-first-cell"),
-        pytest.param("state", "k,zeta,w\n1,0.5,0,7\n", None, id="state-wider-than-header"),
+        pytest.param("state", "k,zeta,w\n1,0.5,0,7\n", 2, id="state-wider-than-header"),
         pytest.param("state", "k,zeta,w\n1,abc,0\n", 2, id="state-non-numeric"),
         pytest.param("profile", "y,h\n-1,0\n0\n", 3, id="profile-short-row"),
     ],
@@ -353,9 +410,8 @@ def test_malformed_csv_single_error_line(tmp_path, capsys, what, text, line):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: malformed {what} CSV {path}: ")
-    if line is not None:  # the header counts as line 1
-        assert err.startswith(f"error: malformed {what} CSV {path}: line {line}: ")
+    # the header counts as line 1
+    assert err.startswith(f"error: malformed {what} CSV {path}: line {line}: ")
     assert len(err.strip().splitlines()) == 1
 
 

@@ -502,6 +502,17 @@ def test_time_series_csv_round_trip_bit_identical(tmp_path_factory, ts):
     assert np.array_equal(back.final_state.w.view(np.int64), ts.w[-1].view(np.int64))
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(recorded_series())
+def test_time_series_csv_without_modes_bit_identical(tmp_path_factory, ts):
+    path = tmp_path_factory.getbasetemp() / "leading.csv"
+    ts.to_csv(path)
+    full, lead = TimeSeries.from_csv(path), TimeSeries.from_csv(path, modes=False)
+    for name in ("t", "x_norm", "energy", "u"):
+        assert np.array_equal(getattr(lead, name).view(np.int64), getattr(full, name).view(np.int64)), name
+    assert lead.zeta is None and lead.w is None and lead.final_state is None
+
+
 def test_time_series_rejects_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,norm\n0,1\n")

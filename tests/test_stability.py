@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -73,6 +74,20 @@ def test_decay_fit_window_errors():
     dying = synthetic_series(lambda t: np.maximum(1.0 - t / 25.0, 0.0))
     with pytest.raises(ValueError, match="non-positive"):
         decay_fit(dying, (0.0, 50.0), "exponential")
+
+
+@pytest.mark.parametrize("t0", [-3.0, -1.0], ids=["before-minus-one", "at-minus-one"])
+def test_decay_fit_power_needs_times_above_minus_one(t0):
+    # log(1+t) is undefined for t < -1 and -inf at t = -1: one ValueError,
+    # no numpy warning and no failed SVD
+    t = np.linspace(t0, t0 + 20.0, 41)
+    series = TimeSeries(t=t, x_norm=np.exp(-0.1 * t), energy=np.exp(-0.2 * t), u=np.zeros_like(t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"power model needs t > -1"):
+            decay_fit(series, (t0, t0 + 20.0), "power")
+        decay_fit(series, (t0, t0 + 20.0), "exponential")
+        decay_fit(series, (t0 + 2.5, t0 + 20.0), "power")
 
 
 # -- envelope -------------------------------------------------------------------
