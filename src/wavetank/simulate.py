@@ -231,7 +231,10 @@ class InputSignal:
     def at(self, t) -> np.ndarray:
         """Values at the times ``t`` (any shape), each from the segment serving it."""
         t = np.asarray(t, dtype=float)
-        which = np.searchsorted(self._seams, t, side="right")
+        return self._from(np.searchsorted(self._seams, t, side="right"), t)
+
+    def _from(self, which: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Values at the times ``t``, each from the segment numbered in ``which``."""
         first, last = int(which.min(initial=len(self.segments))), int(which.max(initial=0))
         out = np.empty(t.shape)
         for i in range(first, last + 1):
@@ -437,13 +440,19 @@ def _open_splitting(state0: ModalState, b: np.ndarray, signal: InputSignal, conf
     phase = np.outer((np.arange(span) + 0.5) * dt, mu)
     cos_tab, sin_tab = np.cos(phase), np.sin(phase)
     push_zeta, push_w = -dt * b / mu, dt * b
+    # each seam in step units, once: a seam within a few ulps of a midpoint j + 1/2
+    # lies on it, so step j takes the later segment however the seam's time rounded
+    seams = np.asarray(signal._seams) / dt
+    mid = np.floor(seams) + 0.5
+    seams = np.where(np.abs(seams - mid) <= 4 * np.spacing(mid), mid, seams)
     y_zeta, y_w = state0.zeta, state0.w
     for steps, gaps in _schedule(config):
         ys = np.empty((len(steps), 2 * n))
         for i, (step, gap) in enumerate(zip(steps.tolist(), gaps.tolist())):
             for a in range(step - gap, step, span):
                 k = min(span, step - a)
-                u = signal.at((np.arange(a, a + k) + 0.5) * dt)
+                j = np.arange(a, a + k) + 0.5
+                u = signal._from(np.searchsorted(seams, j, side="right"), j * dt)
                 if u.any():
                     uc, us = u @ cos_tab[:k], u @ sin_tab[:k]
                     c, s = np.cos(mu * (a * dt)), np.sin(mu * (a * dt))
@@ -557,8 +566,10 @@ def simulate_open(state0: ModalState, h, signal: InputSignal, config: SimConfig)
     the energy norm is conserved to a couple of ulps over any horizon. The
     impulses of each sample interval are summed with one product of the
     midpoint inputs against a table of phases, turned to the interval's
-    start by angle addition. Norms are recomputed from the state at every
-    sample.
+    start by angle addition. Each step's u(t_mid) comes from the segment
+    holding its midpoint in step units; a seam within a few ulps of a
+    midpoint lies on it, and the step takes the later segment. Norms are
+    recomputed from the state at every sample.
     """
     coupling = _checked_coupling(state0, h, config)
     signal.validate(config.t_final)

@@ -32,7 +32,6 @@ __all__ = [
     "decay_fit",
     "envelope_check",
     "smooth_initial_state",
-    "closed_loop_matrix",
     "spectral_abscissa",
     "rate_vs_n_study",
     "study_to_csv",
@@ -123,18 +122,6 @@ def smooth_initial_state(n_modes: int, decay_power: float) -> ModalState:
     state = ModalState(zeta, np.zeros(n_modes))
     scale = domain_norm(state)
     return ModalState(zeta / scale, np.zeros(n_modes))
-
-
-def closed_loop_matrix(h, n_modes: int) -> np.ndarray:
-    """Dense block matrix [[0, I], [-diag(lambda), -b b^T]] of the closed loop of ``h``,
-    whose eigenvalues are the roots that :func:`spectral_abscissa` finds."""
-    lam = eigenvalues(n_modes)
-    b = coupling_vector(h, n_modes).b
-    m = np.zeros((2 * n_modes, 2 * n_modes))
-    m[:n_modes, n_modes:] = np.eye(n_modes)
-    m[n_modes:, :n_modes] = -np.diag(lam)
-    m[n_modes:, n_modes:] = -np.outer(b, b)
-    return m
 
 
 _SEED_NUDGE = 2.0**-10  # relative shift of the lower seeds off conjugate symmetry

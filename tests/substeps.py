@@ -6,6 +6,7 @@ closed-loop substeps, the one-step matrix built by driving them with unit
 basis states, and the open loop stepped one midpoint impulse at a time.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -67,9 +68,16 @@ def strang_step_matrix(coupling, n_modes: int, dt: float) -> np.ndarray:
 
 def open_splitting_states(state0: ModalState, b: np.ndarray, signal, config) -> np.ndarray:
     """States [zeta; w] of the open splitting at each sample step, one row per
-    sample, advanced one midpoint-forced step at a time in the rotating frame."""
+    sample, advanced one midpoint-forced step at a time in the rotating frame.
+    Step k takes its input from the segment of its midpoint k - 1/2 in step
+    units, a seam within 4 ulps of that midpoint counting as on it."""
     dt = config.dt
     mu = frequencies(config.n_modes)
+    seams = []
+    for seg in signal.segments[1:]:
+        sigma = seg.t_start / dt
+        mid = math.floor(sigma) + 0.5
+        seams.append(mid if abs(sigma - mid) <= 4 * math.ulp(mid) else sigma)
     b_over_mu = b / mu
     y_zeta, y_w = state0.zeta, state0.w
     rows = []
@@ -77,7 +85,7 @@ def open_splitting_states(state0: ModalState, b: np.ndarray, signal, config) -> 
     for step in config.sample_steps().tolist():
         for k in range(done + 1, step + 1):
             t_mid = (k - 0.5) * dt
-            u_mid = signal(t_mid)
+            u_mid = float(signal.segments[bisect.bisect_right(seams, k - 0.5)](t_mid))
             if u_mid != 0.0:
                 theta = mu * t_mid
                 y_zeta = y_zeta - (dt * u_mid) * b_over_mu * np.sin(theta)

@@ -393,13 +393,15 @@ def concat_runs(draw):
     return n, dt, tau, t, draw(contiguous_signals(tau)), draw(contiguous_signals(t))
 
 
-@settings(max_examples=40, deadline=None, database=None)
-@given(concat_runs())
-@example((8, 1e-3, 1.0, 0.5, InputSignal.sinusoid(0.7, 1.3, 1.0, phase=0.2), InputSignal.constant(0.5, 0.5)))
-def test_open_loop_concatenation_identity(h1, case):
-    # the open loop is linear and time-invariant: driving with u then v from
-    # zero equals u's state rotated freely over t plus v's response from zero
-    n, dt, tau, t, u, v = case
+def step_at_half(t):
+    """+1 then -1, switching at t/2."""
+    return InputSignal([Segment(0.0, t / 2, "constant", value=1.0), Segment(t / 2, t, "constant", value=-1.0)])
+
+
+def concatenation_defect(h1, n, dt, tau, t, u, v):
+    """Energy norm of the open loop's failure to be linear and time-invariant:
+    driving with u then v from zero, against u's state rotated freely over t
+    plus v's response from zero."""
     lam = eigenvalues(n)
 
     def run(signal, t_final, state):
@@ -412,8 +414,26 @@ def test_open_loop_concatenation_identity(h1, case):
     driven = run(v, t, ModalState.zero(n))
     dz = rotated.zeta + driven.zeta - lhs.zeta
     dw = rotated.w + driven.w - lhs.w
+    return math.sqrt(float(lam @ dz**2 + dw @ dw))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(concat_runs())
+@example((8, 1e-3, 1.0, 0.5, InputSignal.sinusoid(0.7, 1.3, 1.0, phase=0.2), InputSignal.constant(0.5, 0.5)))
+# a seam on the midpoint of step 26; shifted by 3 steps, it rounded to the other side
+@example((4, 5e-3, 3 * 5e-3, 53 * 5e-3, InputSignal.zero(3 * 5e-3), step_at_half(53 * 5e-3)))
+def test_open_loop_concatenation_identity(h1, case):
     # roundoff only: 400 draws gave at most 1.5e-15
-    assert math.sqrt(float(lam @ dz**2 + dw @ dw)) <= 1e-12
+    assert concatenation_defect(h1, *case) <= 1e-12
+
+
+def test_open_loop_seam_on_midpoint_takes_later_segment(h1):
+    # a seam at t/2 with an odd step count lies on a step midpoint: every shift
+    # of it must give the step the later segment, as the unshifted run does
+    dt, k_t = 5e-3, 53
+    v = step_at_half(k_t * dt)
+    defects = [concatenation_defect(h1, 4, dt, k * dt, k_t * dt, InputSignal.zero(k * dt), v) for k in range(1, 400)]
+    assert max(defects) <= 1e-12
 
 
 def test_signal_unsorted_segments_sorted_at_construction():

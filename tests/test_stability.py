@@ -21,7 +21,6 @@ from wavetank.simulate import (
 from wavetank.spectral import eigenvalues
 from wavetank.stability import (
     _closed_loop_roots,
-    closed_loop_matrix,
     decay_fit,
     envelope_check,
     rate_vs_n_study,
@@ -160,6 +159,18 @@ def test_spectral_abscissa_single_mode(h1):
     # N=1 closed form: roots of s^2 + b^2 s + lambda, complex pair with Re = -b^2/2
     b1 = coupling_vector(h1, 1).b[0]
     assert spectral_abscissa(h1, 1) == pytest.approx(-b1**2 / 2, rel=1e-10)
+
+
+def closed_loop_matrix(h, n_modes: int) -> np.ndarray:
+    """Dense block matrix [[0, I], [-diag(lambda), -b b^T]] of the closed loop of ``h``,
+    whose eigenvalues are the roots that :func:`spectral_abscissa` finds."""
+    lam = eigenvalues(n_modes)
+    b = coupling_vector(h, n_modes).b
+    m = np.zeros((2 * n_modes, 2 * n_modes))
+    m[:n_modes, n_modes:] = np.eye(n_modes)
+    m[n_modes:, :n_modes] = -np.diag(lam)
+    m[n_modes:, n_modes:] = -np.outer(b, b)
+    return m
 
 
 def dense_roots(b):
