@@ -20,11 +20,11 @@ vanishes identically (not just to roundoff) on the top boundary.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._hyper import cosh_over_cosh, cosh_ratio_side, exp_left_over_sinh, sinh_ratio_side
+from ._record import Record
 from ._table import write_table
 
 __all__ = [
@@ -44,20 +44,18 @@ DEFAULT_SIDE_MODES = 64
 HILBERT_SIMPSON_PANELS = 2048
 
 
-@dataclass
-class FieldGrid:
+class FieldGrid(Record):
     """Field samples on the uniform grid x_i = i pi/nx, y_j = -1 + j/ny.
 
     ``values[i, j]`` holds the field at (x_i, y_j); the top boundary is the
     last column.
     """
 
-    nx: int
-    ny: int
-    values: np.ndarray
+    __slots__ = ("nx", "ny", "values")
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+    def __init__(self, nx: int, ny: int, values: np.ndarray):
+        self.nx, self.ny = nx, ny
+        self.values = np.asarray(values, dtype=float)
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid needs nx >= 1 and ny >= 1")
         if self.values.shape != (self.nx + 1, self.ny + 1):

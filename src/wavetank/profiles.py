@@ -14,15 +14,23 @@ input drives each surface mode.
 All verdicts are finite-range certificates: they check k up to a caller
 chosen kmax and report the tail behaviour, claiming nothing about the
 infinitely many remaining indices.
+
+One rule sizes the blocked loops of the package: block temporaries stay
+below 128 KiB. glibc's malloc maps a request of 128 KiB or more afresh and
+unmaps it when freed, so such a temporary made per block faults its pages
+in again on every block, while smaller ones are reused from the heap. The
+kernel sub-blocks here and the root finder's chunks in ``stability``
+follow it; a larger array is made once per call and reused.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._gauss import panel_rule
 from ._hyper import cosh_over_cosh
+from ._record import Frozen
 from ._table import read_table
 
 __all__ = [
@@ -40,7 +48,15 @@ __all__ = [
 
 MEAN_TOLERANCE = 1e-10
 STRATEGIC_ATOL = 1e-11  # on I_k / cosh(k); below quadrature error, above roundoff
-KERNEL_BLOCK = 1 << 18  # kernel-matrix entries per row block (2 MB of float64)
+# entries of one row block of a product against a state or a kernel matrix: a
+# 2 MB float64 buffer, the operand of each gemv call in ``integrals`` and the
+# bound on the sample and propagator blocks of ``simulate``
+KERNEL_BLOCK = 1 << 18
+# kernel entries evaluated at once, so that each temporary of a kernel call
+# (64 KiB) stays below glibc's 128 KiB mmap threshold and comes back from the
+# heap. A fresh process's first tabulated kernel at kmax 1000 (1,600 nodes)
+# took 7,460 page faults with whole 2^18-entry blocks, 544 with these
+KERNEL_SUB_BLOCK = 1 << 13
 
 # sufficient-condition constant tanh(1) / (1 - 2/e)
 SC_CONSTANT = math.tanh(1.0) / (1.0 - 2.0 / math.e)
@@ -72,6 +88,7 @@ class WavemakerProfile:
         # the one rule and the weighted samples w * h(y) every profile integral uses
         self._y, w = panel_rule(panels, nodes_per_panel)
         self._wh = w * fn(self._y)
+        self._strategic_memo = None  # ((first, last), read-only I_k / cosh k for those k)
 
     # -- constructors ----------------------------------------------------
 
@@ -197,15 +214,34 @@ class WavemakerProfile:
 
         ``kernel`` broadcasts a column of k against a row of depths y. One
         product of the kernel matrix on the profile's nodes with w * h(y),
-        formed in row blocks of at most ``KERNEL_BLOCK`` entries so the
-        temporaries stay a few MB for any number of k.
+        in row blocks of at most ``KERNEL_BLOCK`` entries. Each block is
+        filled in sub-blocks of ``KERNEL_SUB_BLOCK`` entries (one row when a
+        row is longer) into one buffer that every block reuses, so the
+        kernel's temporaries stay below 128 KiB for any number of k.
         """
         ks = np.asarray(ks, dtype=float)
         out = np.empty(ks.size)
         rows = max(1, KERNEL_BLOCK // self._y.size)
+        part = max(1, KERNEL_SUB_BLOCK // self._y.size)
+        buffer = np.empty((min(rows, ks.size), self._y.size))
         for start in range(0, ks.size, rows):
-            out[start:start + rows] = kernel(ks[start:start + rows, None], self._y) @ self._wh
+            block_ks = ks[start : start + rows, None]
+            block = buffer[: len(block_ks)]
+            for lo in range(0, len(block), part):
+                block[lo : lo + part] = kernel(block_ks[lo : lo + part], self._y)
+            out[start : start + rows] = block @ self._wh
         return out
+
+    def _strategic(self, last: int, first: int = 1) -> np.ndarray:
+        """I_k / cosh(k) for k = first..last, read-only. The values of the
+        last range asked are kept, so the criteria of one range share one
+        kernel evaluation (a k's last bits depend on the row block it is
+        formed in, so a range is served only by the same range)."""
+        if self._strategic_memo is None or self._strategic_memo[0] != (first, last):
+            scaled = self.integrals(cosh_over_cosh, np.arange(first, last + 1))
+            scaled.flags.writeable = False
+            self._strategic_memo = ((first, last), scaled)
+        return self._strategic_memo[1]
 
 
 # short name -> constructor of each built-in profile
@@ -226,11 +262,10 @@ def strategic_integral_scaled(h: WavemakerProfile, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"mode index must be >= 1, got {k}")
-    return float(h.integrals(cosh_over_cosh, [k])[0])
+    return float(h._strategic(k, k)[0])
 
 
-@dataclass(frozen=True)
-class StrategicVerdict:
+class StrategicVerdict(NamedTuple):
     """Finite-range strategic certificate: which k <= kmax have I_k = 0."""
 
     strategic: bool
@@ -251,13 +286,12 @@ def strategic_check(h: WavemakerProfile, kmax: int, atol: float = STRATEGIC_ATOL
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    scaled = h.integrals(cosh_over_cosh, np.arange(1, kmax + 1))
+    scaled = h._strategic(kmax)
     fails = tuple((np.flatnonzero(np.abs(scaled) <= atol) + 1).tolist())
     return StrategicVerdict(strategic=not fails, fails_at=fails, kmax=kmax, atol=atol)
 
 
-@dataclass(frozen=True)
-class UssdMargins:
+class UssdMargins(NamedTuple):
     """Margins m_k = (k/cosh k)|I_k| whose positive infimum certifies uniform decay."""
 
     margins: np.ndarray
@@ -276,7 +310,7 @@ def ussd_margin(h: WavemakerProfile, kmax: int) -> UssdMargins:
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     k = np.arange(1, kmax + 1)
-    margins = k * np.abs(h.integrals(cosh_over_cosh, k))
+    margins = k * np.abs(h._strategic(kmax))
     imin = int(np.argmin(margins))
     return UssdMargins(
         margins=margins,
@@ -287,8 +321,7 @@ def ussd_margin(h: WavemakerProfile, kmax: int) -> UssdMargins:
     )
 
 
-@dataclass(frozen=True)
-class ScVerdict:
+class ScVerdict(NamedTuple):
     """Outcome of the sufficient derivative-bound condition."""
 
     verdict: str  # pass | fail | unknown
@@ -313,8 +346,7 @@ def sc_check(h: WavemakerProfile, eps: float) -> ScVerdict:
     return ScVerdict(verdict=verdict, derivative_sup=h.derivative_sup, bound=bound, eps=eps)
 
 
-@dataclass(frozen=True)
-class CouplingVector:
+class CouplingVector(Frozen):
     """Truncated coupling coefficients of the input map.
 
     ``b`` drives the second-order modal equations (zeta_k'' = -lambda_k zeta_k
@@ -322,7 +354,10 @@ class CouplingVector:
     couples to each eigenvector of the first-order form.
     """
 
-    b: np.ndarray
+    __slots__ = ("b",)
+
+    def __init__(self, b: np.ndarray):
+        self._freeze(b)
 
     @property
     def n_modes(self) -> int:
@@ -349,4 +384,4 @@ def coupling_vector(h, n_modes: int) -> CouplingVector:
         return h if h.n_modes == n_modes else CouplingVector(h.b[:n_modes])
     if not isinstance(h, WavemakerProfile):
         raise TypeError(f"expected WavemakerProfile or CouplingVector, got {type(h)!r}")
-    return CouplingVector(-math.sqrt(2.0 / math.pi) * h.integrals(cosh_over_cosh, np.arange(1, n_modes + 1)))
+    return CouplingVector(-math.sqrt(2.0 / math.pi) * h._strategic(n_modes))

@@ -25,10 +25,10 @@ one sample at a time, is included as an independent cross-check.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._record import Frozen, Record
 from ._table import read_table, write_table
 from .profiles import KERNEL_BLOCK, CouplingVector, coupling_vector
 from .spectral import eigenvalues, frequencies
@@ -47,16 +47,14 @@ __all__ = [
 ]
 
 
-@dataclass
-class ModalState:
+class ModalState(Record):
     """Truncated state (zeta_k, w_k) of the surface elevation and its velocity."""
 
-    zeta: np.ndarray
-    w: np.ndarray
+    __slots__ = ("zeta", "w")
 
-    def __post_init__(self):
-        self.zeta = np.atleast_1d(np.asarray(self.zeta, dtype=float))
-        self.w = np.atleast_1d(np.asarray(self.w, dtype=float))
+    def __init__(self, zeta: np.ndarray, w: np.ndarray):
+        self.zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
+        self.w = np.atleast_1d(np.asarray(w, dtype=float))
         if self.zeta.shape != self.w.shape or self.zeta.ndim != 1:
             raise ValueError("zeta and w must be 1-D arrays of equal length")
         if not (np.all(np.isfinite(self.zeta)) and np.all(np.isfinite(self.w))):
@@ -98,8 +96,7 @@ def domain_norm(state: ModalState) -> float:
     return math.sqrt(x_norm_sq(state) + extra)
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Frozen):
     """Simulation parameters; ``dt=None`` resolves to min(1e-2, 0.1/mu_N).
 
     The default step keeps at least ~60 steps per period of the fastest
@@ -107,19 +104,23 @@ class SimConfig:
     requires dt * mu_N <= 0.5.
     """
 
-    n_modes: int
-    t_final: float
-    dt: float | None = None
-    integrator: str = "splitting"
-    sample_every: int = 1
-    record_modes: bool = False
+    __slots__ = ("n_modes", "t_final", "dt", "integrator", "sample_every", "record_modes")
 
-    def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
-        mu_max = float(frequencies(self.n_modes)[-1])
-        if self.dt is None:
-            object.__setattr__(self, "dt", min(1e-2, 0.1 / mu_max))
+    def __init__(
+        self,
+        n_modes: int,
+        t_final: float,
+        dt: float | None = None,
+        integrator: str = "splitting",
+        sample_every: int = 1,
+        record_modes: bool = False,
+    ):
+        if n_modes < 1:
+            raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+        mu_max = float(frequencies(n_modes)[-1])
+        if dt is None:
+            dt = min(1e-2, 0.1 / mu_max)
+        self._freeze(n_modes, t_final, dt, integrator, sample_every, record_modes)
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not math.isfinite(self.t_final):
@@ -146,22 +147,25 @@ class SimConfig:
         return np.r_[np.arange(0, self.n_steps, self.sample_every), self.n_steps]
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Frozen):
     """One piece of a piecewise input: zero, constant, or a*cos(omega t + phase).
 
     The time argument of a sinusoid is absolute simulation time.
     """
 
-    t_start: float
-    t_end: float
-    form: str
-    value: float = 0.0
-    amplitude: float = 0.0
-    omega: float = 0.0
-    phase: float = 0.0
+    __slots__ = ("t_start", "t_end", "form", "value", "amplitude", "omega", "phase")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        t_start: float,
+        t_end: float,
+        form: str,
+        value: float = 0.0,
+        amplitude: float = 0.0,
+        omega: float = 0.0,
+        phase: float = 0.0,
+    ):
+        self._freeze(t_start, t_end, form, value, amplitude, omega, phase)
         if self.form not in ("zero", "constant", "sinusoid"):
             raise ValueError(f"unknown segment form {self.form!r}")
         if not self.t_end > self.t_start:
@@ -179,11 +183,12 @@ class Segment:
     def shifted(self, tau: float) -> "Segment":
         # shifting a sinusoid in time adjusts its phase: cos(w(t-tau)+p)
         phase = self.phase - self.omega * tau if self.form == "sinusoid" else self.phase
-        return replace(self, t_start=self.t_start + tau, t_end=self.t_end + tau, phase=phase)
+        return Segment(
+            self.t_start + tau, self.t_end + tau, self.form, self.value, self.amplitude, self.omega, phase
+        )
 
 
-@dataclass(frozen=True)
-class InputSignal:
+class InputSignal(Frozen):
     """Piecewise input: contiguous segments from t = 0, in any order.
 
     Construction sorts the segments by start and rejects an empty list, a
@@ -192,10 +197,10 @@ class InputSignal:
     serves every later time.
     """
 
-    segments: tuple
+    __slots__ = ("segments", "_seams")
 
-    def __post_init__(self):
-        segs = tuple(sorted(self.segments, key=lambda s: s.t_start))
+    def __init__(self, segments):
+        segs = tuple(sorted(segments, key=lambda s: s.t_start))
         if not segs:
             raise ValueError("input signal has no segments")
         if segs[0].t_start > 1e-12:
@@ -208,8 +213,7 @@ class InputSignal:
                 )
             if cur.t_start > prev.t_end + 1e-12:
                 raise ValueError(f"gap in input coverage between t={prev.t_end} and t={cur.t_start}")
-        object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "_seams", tuple(seg.t_start for seg in segs[1:]))
+        self._freeze(segs, tuple(seg.t_start for seg in segs[1:]))
 
     @classmethod
     def zero(cls, t_final: float) -> "InputSignal":
@@ -254,24 +258,30 @@ class InputSignal:
         for seg in self.segments:
             if seg.t_start >= tau:
                 break
-            head.append(replace(seg, t_end=min(seg.t_end, tau)))
+            head.append(
+                Segment(seg.t_start, min(seg.t_end, tau), seg.form, seg.value, seg.amplitude, seg.omega, seg.phase)
+            )
         tail = [seg.shifted(tau) for seg in other.segments]
         return InputSignal(head + tail)
 
 
-@dataclass
-class TimeSeries:
+class TimeSeries(Record):
     """Sampled trajectory: times, energy norm, energy, and input/feedback value."""
 
-    t: np.ndarray
-    x_norm: np.ndarray
-    energy: np.ndarray
-    u: np.ndarray
-    zeta: np.ndarray | None = None
-    w: np.ndarray | None = None
-    final_state: ModalState | None = None
+    __slots__ = ("t", "x_norm", "energy", "u", "zeta", "w", "final_state")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        t: np.ndarray,
+        x_norm: np.ndarray,
+        energy: np.ndarray,
+        u: np.ndarray,
+        zeta: np.ndarray | None = None,
+        w: np.ndarray | None = None,
+        final_state: ModalState | None = None,
+    ):
+        self.t, self.x_norm, self.energy, self.u = t, x_norm, energy, u
+        self.zeta, self.w, self.final_state = zeta, w, final_state
         n = len(self.t)
         if not (len(self.x_norm) == len(self.energy) == len(self.u) == n):
             raise ValueError("time series columns must have equal length")

@@ -14,7 +14,7 @@ diagnostics.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ class GapViolationError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class WavePackageResult:
+class WavePackageResult(NamedTuple):
     """Outcome of a wave-package lookup around center frequency ``center_s``.
 
     ``member`` is the unique signed mode index whose frequency lies within

@@ -173,6 +173,46 @@ def test_simulate_rejects_non_finite_horizon(tmp_path, capsys, t_final):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_simulate_names_a_nan_decay_power(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--n-modes", "4", "--t-final", "1", "--init", "smooth:nan",
+        "--out-csv", str(tmp_path / "x.csv"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: decay_power must be >= 2, got nan\n"
+
+
+# every first request below is at least 1 PiB, more than any machine grants:
+# 10^15 eight-byte entries, or 2^47 + 1 grid abscissae
+HUGE = str(10**15)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-profile", "--kmax", HUGE, "--output", "{d}/out.json"],
+        ["spectrum", "--kmax", HUGE, "--output", "{d}/out.csv"],
+        ["simulate", "--n-modes", "4", "--t-final", "1e13", "--dt", "0.01", "--out-csv", "{d}/out.csv"],
+        ["field", "--state", "{d}/state.csv", "--nx", str(2**47), "--ny", "4", "--output", "{d}/out.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_of_memory_single_error_line(tmp_path, argv):
+    # a child process, so nothing stays allocated here whatever numpy does
+    (tmp_path / "state.csv").write_text("k,zeta,w\n1,0.5,0\n")
+    src = str(Path(wavetank.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "wavetank.cli", *(arg.format(d=tmp_path) for arg in argv)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: out of memory: ") and "PiB" in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+
+
 def test_import_loads_no_scipy():
     # scipy costs ~0.5 s per process start-up; the package must not pull it in
     src = str(Path(wavetank.__file__).resolve().parents[1])

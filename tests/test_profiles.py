@@ -1,9 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wavetank._hyper import cosh_over_cosh
+from wavetank.boundary import _psi_factor
+from wavetank.cli import main
 from wavetank.profiles import (
+    KERNEL_BLOCK,
     SC_CONSTANT,
     WavemakerProfile,
     coupling_vector,
@@ -258,3 +264,90 @@ def test_bad_mode_indices(h1):
         ussd_margin(h1, 0)
     with pytest.raises(ValueError):
         coupling_vector(h1, 0)
+
+
+# -- the kernel matrix and its memo -------------------------------------------------
+
+
+def jittered_profile(panels=200, seed=1):
+    """Increasing zero-mean piecewise-linear profile on a jittered grid (about
+    1,600 quadrature nodes for 200 panels)."""
+    rng = np.random.default_rng(seed)
+    cuts = np.cumsum(0.5 + rng.random(panels))
+    y = np.concatenate([[-1.0], -1.0 + cuts / cuts[-1]])
+    y[-1] = 0.0
+    h = np.concatenate([[0.0], np.cumsum(0.1 + rng.random(panels))])
+    h -= np.sum(0.5 * (h[1:] + h[:-1]) * np.diff(y))
+    return y, h
+
+
+@pytest.mark.parametrize(
+    "profile, kernel, kmax",
+    [("h1", cosh_over_cosh, 5000), ("tabulated", cosh_over_cosh, 1000), ("h2", _psi_factor, 3000)],
+)
+def test_integrals_match_whole_block_kernel(h1, h2, profile, kernel, kmax):
+    # the kernel of each gemv row block formed at once, as one array: filling the
+    # block in sub-blocks must leave every bit of every integral as it was
+    h = {"h1": h1, "h2": h2, "tabulated": WavemakerProfile.from_samples(*jittered_profile())}[profile]
+    ks = np.arange(1, kmax + 1, dtype=float)
+    rows = KERNEL_BLOCK // h._y.size
+    assert kmax > rows  # several blocks and a shorter last one
+    want = np.concatenate([kernel(ks[lo : lo + rows, None], h._y) @ h._wh for lo in range(0, kmax, rows)])
+    assert h.integrals(kernel, ks).tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    k=st.lists(st.floats(1e-6, 3000.0), min_size=1, max_size=12),
+    y=st.lists(st.floats(-1.0, 0.0), min_size=1, max_size=12),
+)
+def test_cosh_over_cosh_skip_is_exact(k, y):
+    # where e^{-2k(y+1)} is skipped, 1 + e^{-2k(y+1)} rounds to 1 anyway
+    k, y = np.array(k)[:, None], np.array(y)
+    two_exp = np.exp(k * y) * (1.0 + np.exp(-2.0 * k * (y + 1.0))) / (1.0 + np.exp(-2.0 * k))
+    assert cosh_over_cosh(k, y).tobytes() == two_exp.tobytes()
+
+
+@pytest.fixture(scope="module")
+def profile_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("profile") / "profile.csv"
+    y, h = jittered_profile(panels=40, seed=2)
+    path.write_text("y,h\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(y.tolist(), h.tolist())))
+    return path
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(kmax=st.integers(1, 400), name=st.sampled_from(["h1", "h2", "tabulated"]))
+def test_check_profile_evaluates_the_kernel_once(profile_csv, kmax, name):
+    # the strategic verdict and the margins of one range share one kernel matrix
+    calls = []
+    integrals = WavemakerProfile.integrals
+
+    def counted(self, kernel, ks):
+        calls.append((kernel, len(ks)))
+        return integrals(self, kernel, ks)
+
+    profile = str(profile_csv) if name == "tabulated" else name
+    out = profile_csv.parent / "report.json"
+    with mock.patch.object(WavemakerProfile, "integrals", counted):
+        assert main(["check-profile", "--profile", profile, "--kmax", str(kmax), "--output", str(out)]) == 0
+    assert calls == [(cosh_over_cosh, kmax)]
+
+
+def test_strategic_memo_is_read_only_and_shared():
+    h = WavemakerProfile.from_samples(*jittered_profile(panels=20))
+    margins = ussd_margin(h, 300).margins
+    memo = h._strategic(300)
+    assert not memo.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        memo[0] = 1.0
+    assert strategic_check(h, 300).fails_at == ()
+    assert h._strategic(300) is memo
+    np.testing.assert_array_equal(margins, np.arange(1, 301) * np.abs(memo))
+    # what the criteria hand out is their own, writable array
+    cv = coupling_vector(h, 300)
+    assert cv.b.flags.writeable and margins.flags.writeable
+    np.testing.assert_array_equal(cv.b, -math.sqrt(2.0 / math.pi) * memo)
+    # another range is a kernel of its own, and a single k is its own one-row range
+    assert h._strategic(299) is not memo
+    assert strategic_integral_scaled(h, 7) == h.integrals(cosh_over_cosh, [7])[0]
