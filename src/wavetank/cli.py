@@ -181,6 +181,8 @@ def _read_signal_json(path) -> simulate.InputSignal:
 def cmd_simulate(args) -> int:
     if not args.out_csv:
         raise ValueError("out-csv must name a file")
+    if args.input and args.feedback == "collocated":
+        raise ValueError("input drives the open loop only; it needs feedback none")
     h = _load_profile(args.profile)
     config = simulate.SimConfig(
         n_modes=args.n_modes,
@@ -195,10 +197,7 @@ def cmd_simulate(args) -> int:
     if args.feedback == "collocated":
         series = simulate.simulate_closed(state0, h, config)
     else:
-        if args.input:
-            signal = _read_signal_json(args.input)
-        else:
-            signal = simulate.InputSignal.zero(config.t_final)
+        signal = _read_signal_json(args.input) if args.input else simulate.InputSignal.zero(config.t_final)
         series = simulate.simulate_open(state0, h, signal, config)
     wall = time.perf_counter() - t0
     series.to_csv(args.out_csv)

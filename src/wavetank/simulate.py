@@ -9,18 +9,18 @@ input signal; the closed loop applies the collocated feedback
 u = -sum_k b_k w_k, which damps the energy norm through a rank-one
 perturbation of an otherwise norm-preserving oscillation.
 
-The splitting integrator composes exact flows: a half-step rotation of each
-mode pair (zeta_k, w_k), the exact rank-one damping (or the forcing impulse
-in open loop), and a second half rotation. Both substeps are non-expansive.
-One call walks the whole sample schedule of a run and hands the samples
-back as arrays, in blocks of at most ``KERNEL_BLOCK`` state entries, which
-fill the columns of the series. The closed loop advances by closed-form
-powers of the step, and its energy column is the initial energy less a
-running sum of the exact per-step dissipations, so the recorded norm
-sequence is non-increasing by construction. The open loop sums the
-midpoint impulses of each sample interval in rotating coordinates with one
-product against a table of phases. A classical Runge-Kutta integrator,
-one sample at a time, is included as an independent cross-check.
+The closed-loop splitting integrator composes exact flows: a half-step
+rotation of each mode pair (zeta_k, w_k), the exact rank-one damping, and a
+second half rotation. Both substeps are non-expansive. One call walks the
+whole sample schedule of a run and hands the samples back as arrays, in
+blocks of at most ``KERNEL_BLOCK`` state entries, which fill the columns of
+the series. The closed loop advances by closed-form powers of the step, and
+its energy column is the initial energy less a running sum of the exact
+per-step dissipations, so the recorded norm sequence is non-increasing by
+construction. The open loop needs no step: every segment of its input is
+integrated against the rotation in closed form, so each sample is exact to
+rounding and ``dt`` only sets the sample grid. A classical Runge-Kutta
+integrator, one sample at a time, is included as an independent cross-check.
 """
 
 import math
@@ -235,10 +235,7 @@ class InputSignal(Frozen):
     def at(self, t) -> np.ndarray:
         """Values at the times ``t`` (any shape), each from the segment serving it."""
         t = np.asarray(t, dtype=float)
-        return self._from(np.searchsorted(self._seams, t, side="right"), t)
-
-    def _from(self, which: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Values at the times ``t``, each from the segment numbered in ``which``."""
+        which = np.searchsorted(self._seams, t, side="right")
         first, last = int(which.min(initial=len(self.segments))), int(which.max(initial=0))
         out = np.empty(t.shape)
         for i in range(first, last + 1):
@@ -434,49 +431,49 @@ class _Propagator:
             yield states, energies, -(states[:, n:] @ self.b)
 
 
-def _open_splitting(state0: ModalState, b: np.ndarray, signal: InputSignal, config: SimConfig):
-    """Blocks (states, energies, inputs) of the open splitting at the sample steps.
+def _integrals(wave, lo, hi, mu: np.ndarray) -> np.ndarray:
+    """int_lo^hi A cos(omega s + phase) e^{-i mu s} ds: one row per column
+    (A, omega, phase) of ``wave`` with its own lo and hi, one column per mu.
+    Each half e^{+-i(omega s + phase)} of the cosine gives
+    (hi - lo) e^{i(+-phase + d m)} sinc(d (hi - lo) / 2 pi), d = +-omega - mu,
+    m the midpoint, which is exact at resonance d = 0 with no branch."""
+    amp, omega, phase = (col[:, None] for col in wave)
+    span, mid = (hi - lo)[:, None], ((hi + lo) / 2)[:, None]
+    total = 0.0
+    for p, d in ((phase, omega - mu), (-phase, -omega - mu)):
+        total = total + np.exp(1j * (p + d * mid)) * np.sinc(d * span / (2 * np.pi))
+    return amp / 2 * span * total
 
-    The rotating-frame forcing of the k <= span steps after step a is
-    sum_j u_j dt R(-(a + j + 1/2) dt) B. It is one product of the midpoint
-    inputs u_j with a table of cos and sin of mu (j + 1/2) dt, turned to the
-    angle mu a dt by angle addition. A span of steps with zero input leaves
-    the accumulator untouched.
-    """
+
+def _open_exact(state0: ModalState, b: np.ndarray, signal: InputSignal, config: SimConfig):
+    """Blocks (states, energies, inputs) of the exact open loop at the sample
+    steps, each the rotating-frame y0 + [(b/mu) Im E; b Re E] turned by R(t).
+    E at t sums the whole segments before the one serving t and that one up
+    to t; a row with E = 0 keeps y0 as it is."""
     n, dt = config.n_modes, config.dt
     mu = frequencies(n)
-    # the cos and sin tables hold at most KERNEL_BLOCK entries and no more steps than a gap
-    span = min(config.sample_every, config.n_steps, max(1, KERNEL_BLOCK // (2 * n)))
-    phase = np.outer((np.arange(span) + 0.5) * dt, mu)
-    cos_tab, sin_tab = np.cos(phase), np.sin(phase)
-    push_zeta, push_w = -dt * b / mu, dt * b
-    # each seam in step units, once: a seam within a few ulps of a midpoint j + 1/2
-    # lies on it, so step j takes the later segment however the seam's time rounded
-    seams = np.asarray(signal._seams) / dt
-    mid = np.floor(seams) + 0.5
-    seams = np.where(np.abs(seams - mid) <= 4 * np.spacing(mid), mid, seams)
-    y_zeta, y_w = state0.zeta, state0.w
-    for steps, gaps in _schedule(config):
-        ys = np.empty((len(steps), 2 * n))
-        for i, (step, gap) in enumerate(zip(steps.tolist(), gaps.tolist())):
-            for a in range(step - gap, step, span):
-                k = min(span, step - a)
-                j = np.arange(a, a + k) + 0.5
-                u = signal._from(np.searchsorted(seams, j, side="right"), j * dt)
-                if u.any():
-                    uc, us = u @ cos_tab[:k], u @ sin_tab[:k]
-                    c, s = np.cos(mu * (a * dt)), np.sin(mu * (a * dt))
-                    y_zeta = y_zeta + push_zeta * (s * uc + c * us)
-                    y_w = y_w + push_w * (c * uc - s * us)
-            ys[i, :n], ys[i, n:] = y_zeta, y_w
-        theta = np.outer(steps * dt, mu)
+    wave = np.array([(g.amplitude, g.omega, g.phase) if g.form == "sinusoid" else
+                     (g.value if g.form == "constant" else 0.0, 0.0, 0.0) for g in signal.segments]).T
+    starts = np.maximum(np.r_[0.0, signal._seams], 0.0)  # where the integral enters each segment
+    whole = _integrals(wave[:, :-1], starts[:-1], starts[1:], mu)
+    prefix = np.vstack([np.zeros((1, n)), np.cumsum(whole, axis=0)])
+    y0 = np.concatenate([state0.zeta, state0.w])
+    for steps, _ in _schedule(config):
+        t = steps * dt
+        i = np.searchsorted(signal._seams, t, side="right")
+        e, live = prefix[i], wave[0, i] != 0  # a row in a zero segment adds nothing to its prefix
+        e[live] += _integrals(wave[:, i[live]], starts[i[live]], t[live], mu)
+        forced = e.any(axis=1)
+        ys = np.tile(y0, (len(steps), 1))
+        ys[forced] += np.hstack([(b / mu) * e[forced].imag, b * e[forced].real])
+        theta = np.outer(t, mu)
         c, s = np.cos(theta), np.sin(theta)
         zeta = ys[:, :n] * c + (ys[:, n:] / mu) * s
         w = -mu * ys[:, :n] * s + ys[:, n:] * c
         if steps[0] == 0:  # R(0) is the identity, and applying it would turn -0.0 into 0.0
             zeta[0], w[0] = ys[0, :n], ys[0, n:]
         energies = zeta**2 @ eigenvalues(n) + np.einsum("ij,ij->i", w, w)
-        yield np.hstack([zeta, w]), energies, signal.at(steps * dt)
+        yield np.hstack([zeta, w]), energies, signal.at(t)
 
 
 def _rk4(state0: ModalState, b: np.ndarray, control, config: SimConfig):
@@ -563,26 +560,18 @@ def simulate_closed(state0: ModalState, h, config: SimConfig) -> TimeSeries:
 
 
 def simulate_open(state0: ModalState, h, signal: InputSignal, config: SimConfig) -> TimeSeries:
-    """Integrate the driven open loop with the input sampled at step midpoints.
+    """Integrate the driven open loop, exact to rounding at every sample.
 
-    One splitting step is z_{n+1} = R(dt) z_n + dt u(t_mid) R(dt/2) B, the
-    midpoint-forced composition of exact rotations. It is evaluated in
-    rotating coordinates y_n = R(-t_n) z_n, where it reads
-
-        y_{n+1} = y_n + dt u(t_mid) R(-t_mid) B,
-
-    so free flight accumulates no roundoff: each recorded state rotates the
-    accumulator once by the exact total angle mu t_n, and with a zero signal
-    the energy norm is conserved to a couple of ulps over any horizon. The
-    impulses of each sample interval are summed with one product of the
-    midpoint inputs against a table of phases, turned to the interval's
-    start by angle addition. Each step's u(t_mid) comes from the segment
-    holding its midpoint in step units; a seam within a few ulps of a
-    midpoint lies on it, and the step takes the later segment. Norms are
-    recomputed from the state at every sample.
+    In rotating coordinates y(t) = R(-t) z(t) = y0 + [(b/mu) Im E(t); b Re E(t)]
+    with E(t) = int_0^t u(s) e^{-i mu s} ds. Every segment is A cos(omega s +
+    phase) (a constant has omega = phase = 0, a zero segment A = 0), whose
+    integral has a closed form. A sample adds the whole segments before its
+    own, the one :meth:`InputSignal.at` picks, to its own up to its time, so
+    ``dt`` only sets the sample grid. With a zero signal y stays y0 and the
+    energy norm is conserved to a couple of ulps over any horizon.
     """
     coupling = _checked_coupling(state0, h, config)
     signal.validate(config.t_final)
     if config.integrator == "rk4-crosscheck":
         return _sampled(config, _rk4(state0, coupling.b, lambda t, w: signal(t), config))
-    return _sampled(config, _open_splitting(state0, coupling.b, signal, config))
+    return _sampled(config, _open_exact(state0, coupling.b, signal, config))

@@ -160,6 +160,9 @@ def separation_certificate(
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
+    for name, value in (("grid_step", grid_step), ("resolution", resolution)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     hi_s = frequency(kmax) + 1.0
     # extend the mode set until its frequencies pass the scan boundary
     kext = kmax

@@ -1,9 +1,9 @@
-"""Reference steps of the splitting integrators, for the tests only.
+"""References for the integrators, for the tests only.
 
-The package advances both loops a block of samples per call; these are the
-exact per-step flows it must reproduce, written out one mode at a time: the
-closed-loop substeps, the one-step matrix built by driving them with unit
-basis states, and the open loop stepped one midpoint impulse at a time.
+The package advances both loops a block of samples per call; these are
+what it must reproduce, written out apart from it: the exact closed-loop
+substeps, the one-step matrix built by driving them with unit basis states,
+and the open loop's Duhamel integral by quadrature.
 """
 
 import bisect
@@ -66,31 +66,33 @@ def strang_step_matrix(coupling, n_modes: int, dt: float) -> np.ndarray:
     return m
 
 
-def open_splitting_states(state0: ModalState, b: np.ndarray, signal, config) -> np.ndarray:
-    """States [zeta; w] of the open splitting at each sample step, one row per
-    sample, advanced one midpoint-forced step at a time in the rotating frame.
-    Step k takes its input from the segment of its midpoint k - 1/2 in step
-    units, a seam within 4 ulps of that midpoint counting as on it."""
-    dt = config.dt
+def open_loop_states(state0: ModalState, b: np.ndarray, signal, config) -> np.ndarray:
+    """States [zeta; w] of the driven open loop at each sample step, one row
+    per sample, from the Duhamel integral in the rotating frame,
+
+        y(t) = y0 + int_0^t u(s) [-(b/mu) sin(mu s); b cos(mu s)] ds,
+
+    by 16-point Gauss-Legendre quadrature on panels of at most 0.5 time
+    units, cut at every seam and sample time. Each panel takes its input from
+    the segment holding its midpoint."""
     mu = frequencies(config.n_modes)
-    seams = []
-    for seg in signal.segments[1:]:
-        sigma = seg.t_start / dt
-        mid = math.floor(sigma) + 0.5
-        seams.append(mid if abs(sigma - mid) <= 4 * math.ulp(mid) else sigma)
-    b_over_mu = b / mu
+    times = config.sample_steps() * config.dt
+    seams = [seg.t_start for seg in signal.segments[1:]]
+    nodes, weights = np.polynomial.legendre.leggauss(16)
     y_zeta, y_w = state0.zeta, state0.w
     rows = []
-    done = 0
-    for step in config.sample_steps().tolist():
-        for k in range(done + 1, step + 1):
-            t_mid = (k - 0.5) * dt
-            u_mid = float(signal.segments[bisect.bisect_right(seams, k - 0.5)](t_mid))
-            if u_mid != 0.0:
-                theta = mu * t_mid
-                y_zeta = y_zeta - (dt * u_mid) * b_over_mu * np.sin(theta)
-                y_w = y_w + (dt * u_mid) * b * np.cos(theta)
-        done = step
-        c, s = np.cos(mu * (step * dt)), np.sin(mu * (step * dt))
+    lo = 0.0
+    for t in times.tolist():
+        cuts = [lo, *(seam for seam in seams if lo < seam < t), t]
+        for start, end in zip(cuts, cuts[1:]):
+            edges = np.linspace(start, end, math.ceil((end - start) / 0.5) + 1)
+            for p, q in zip(edges, edges[1:]):
+                seg = signal.segments[bisect.bisect_right(seams, (p + q) / 2)]
+                at = (p + q) / 2 + (q - p) / 2 * nodes
+                wu = (q - p) / 2 * weights * seg(at)
+                y_zeta = y_zeta - (b / mu) * (wu @ np.sin(np.outer(at, mu)))
+                y_w = y_w + b * (wu @ np.cos(np.outer(at, mu)))
+        lo = t
+        c, s = np.cos(mu * t), np.sin(mu * t)
         rows.append(np.concatenate([y_zeta * c + (y_w / mu) * s, -mu * y_zeta * s + y_w * c]))
     return np.array(rows)

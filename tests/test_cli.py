@@ -145,6 +145,24 @@ def test_simulate_rejects_empty_out_csv(capsys):
     assert err == "error: out-csv must name a file\n"
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+def test_simulate_rejects_input_in_closed_loop(tmp_path, capsys, via_config):
+    # the closed loop has no input to drive: a signal path, even one that does
+    # not exist, is an error rather than ignored, from a flag or from a config
+    csv_path = tmp_path / "x.csv"
+    signal = ["--input", str(tmp_path / "missing.json")]
+    if via_config:
+        (tmp_path / "config.json").write_text(json.dumps({"input": str(tmp_path / "missing.json")}))
+        signal = ["--config", str(tmp_path / "config.json")]
+    code, out, err = run_cli(
+        capsys, "simulate", "--n-modes", "4", "--t-final", "1", *signal, "--out-csv", str(csv_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: input drives the open loop only; it needs feedback none\n"
+    assert not csv_path.exists()
+
+
 def test_simulate_rejects_overlapping_input(tmp_path, capsys):
     sig_path = tmp_path / "sig.json"
     sig_path.write_text(json.dumps([

@@ -20,7 +20,7 @@ from wavetank.simulate import (
 )
 from wavetank.spectral import eigenvalues, frequency
 
-from substeps import damping_substep, open_splitting_states, rotation_substep
+from substeps import damping_substep, open_loop_states, rotation_substep
 
 MU1 = 0.8726936208978296
 DOMNORM_MODE1 = 1.1582831322011637  # sqrt(lambda_1 + lambda_1^2)
@@ -228,22 +228,25 @@ def test_open_loop_zero_input_conserves_norm(h1, n, n_steps, dt, sample_every, s
 
 
 def test_open_loop_resonance_matches_oscillator(h1):
-    # u = cos(mu_1 t) drives mode 1 resonantly:
-    # zeta_1(t) = b_1 t sin(mu t)/(2 mu), w_1(t) = b_1 (t cos(mu t)/2 + sin(mu t)/(2 mu))
+    # u = cos(omega t) from rest, sigma = omega + mu, delta = omega - mu,
+    # S = sin(delta t/2)/(delta t/2), by product-to-sum on the Duhamel solution:
+    # zeta_1(t) = b_1 t sin(sigma t/2) S/sigma, w_1(t) = b_1 (mu t cos(sigma t/2) S + sin(omega t))/sigma;
+    # at delta = 0, zeta_1 = b_1 t sin(mu t)/(2 mu) and w_1 = b_1 (t cos(mu t)/2 + sin(mu t)/(2 mu))
     mu = frequency(1)
     T = 50.0
     cfg = SimConfig(n_modes=4, t_final=T, dt=1e-3, sample_every=50000)
-    ts = simulate_open(
-        ModalState.zero(4), h1, InputSignal.sinusoid(1.0, mu, T), cfg
-    )
     b1 = coupling_vector(h1, 4).b[0]
-    zeta_exact = b1 * T * math.sin(mu * T) / (2 * mu)
-    w_exact = b1 * (T * math.cos(mu * T) / 2 + math.sin(mu * T) / (2 * mu))
-    assert ts.final_state.zeta[0] == pytest.approx(zeta_exact, abs=1e-8)
-    assert ts.final_state.w[0] == pytest.approx(w_exact, abs=1e-8)
-    # amplitude grows ~ |b_1| t / 2
-    amp = math.sqrt(eigenvalues(4)[0] * ts.final_state.zeta[0] ** 2 + ts.final_state.w[0] ** 2)
-    assert amp == pytest.approx(abs(b1) * T / 2, rel=0.05)
+    for omega in (mu, mu * (1.0 + 1e-9)):  # resonant and near-resonant
+        ts = simulate_open(ModalState.zero(4), h1, InputSignal.sinusoid(1.0, omega, T), cfg)
+        sigma, delta = omega + mu, omega - mu
+        S = float(np.sinc(delta * T / (2 * math.pi)))
+        zeta_exact = b1 * T * math.sin(sigma * T / 2) * S / sigma
+        w_exact = b1 * (mu * T * math.cos(sigma * T / 2) * S + math.sin(omega * T)) / sigma
+        assert ts.final_state.zeta[0] == pytest.approx(zeta_exact, abs=1e-12)
+        assert ts.final_state.w[0] == pytest.approx(w_exact, abs=1e-12)
+        # amplitude grows ~ |b_1| t / 2
+        amp = math.sqrt(eigenvalues(4)[0] * ts.final_state.zeta[0] ** 2 + ts.final_state.w[0] ** 2)
+        assert amp == pytest.approx(abs(b1) * T / 2, rel=0.05)
 
 
 def test_open_loop_rk4_crosscheck(h1, rng):
@@ -363,13 +366,17 @@ def open_loop_runs(draw):
 @given(open_loop_runs())
 @example((ModalState.zero(48), InputSignal([Segment(0.0, 2.0, "sinusoid", amplitude=1.5, omega=2.0, phase=0.3),
                                             Segment(2.0, 4.0, "zero"), Segment(4.0, 5.5, "constant", value=-1.0)]),
-          5.5, 1e-3, 3001))  # a forcing table of 2**18 // 96 = 2730 steps, so gaps of two spans
+          5.5, 1e-3, 3001))  # each sample interval crosses a seam; the sample at 3.001 lies in the zero segment
+@example((ModalState.zero(3), InputSignal([Segment(-1.0, -0.5, "constant", value=1.0),
+                                           Segment(-0.5, 0.3, "sinusoid", amplitude=1.0, omega=2.0),
+                                           Segment(0.3, 1.0, "constant", value=-0.5)]),
+          1.0, 1e-2, 7))  # segments before t = 0 drive nothing
 def test_open_loop_matches_per_step_reference(h1, run):
     state, signal, t_final, dt, sample_every = run
     n = state.n_modes
     cfg = SimConfig(n_modes=n, t_final=t_final, dt=dt, sample_every=sample_every, record_modes=True)
     ts = simulate_open(state, h1, signal, cfg)
-    ref = open_splitting_states(state, coupling_vector(h1, n).b, signal, cfg)
+    ref = open_loop_states(state, coupling_vector(h1, n).b, signal, cfg)
     lam = eigenvalues(n)
 
     def norms(z):
@@ -380,6 +387,28 @@ def test_open_loop_matches_per_step_reference(h1, run):
     assert np.array_equal(ts.t, cfg.sample_steps() * dt)
     assert np.array_equal(ts.u, [signal(t) for t in ts.t])
     assert np.allclose(ts.x_norm, norms(ref), rtol=1e-12, atol=1e-12 * np.max(norms(ref)))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(open_loop_runs(), st.integers(2, 4))
+def test_open_loop_samples_do_not_depend_on_step(h1, run, k):
+    # the samples are exact, so a step k times finer with sample_every k times
+    # larger gives the same states at the same times
+    state, signal, t_final, dt, sample_every = run
+    n = state.n_modes
+    lam = eigenvalues(n)
+
+    def states(step, every):
+        cfg = SimConfig(n_modes=n, t_final=t_final, dt=step, sample_every=every, record_modes=True)
+        ts = simulate_open(state, h1, signal, cfg)
+        return ts.t, ts.zeta, ts.w
+
+    t, zeta, w = states(dt, sample_every)
+    t_fine, zeta_fine, w_fine = states(dt / k, sample_every * k)
+    assert np.allclose(t_fine, t, rtol=1e-13, atol=0.0)
+    norms = np.sqrt(zeta**2 @ lam + np.sum(w**2, axis=1))
+    err = np.sqrt((zeta_fine - zeta) ** 2 @ lam + np.sum((w_fine - w) ** 2, axis=1))
+    assert np.max(err) <= 1e-12 * np.max(norms)
 
 
 @st.composite
@@ -420,7 +449,7 @@ def concatenation_defect(h1, n, dt, tau, t, u, v):
 @settings(max_examples=40, deadline=None, database=None)
 @given(concat_runs())
 @example((8, 1e-3, 1.0, 0.5, InputSignal.sinusoid(0.7, 1.3, 1.0, phase=0.2), InputSignal.constant(0.5, 0.5)))
-# a seam on the midpoint of step 26; shifted by 3 steps, it rounded to the other side
+# a seam halfway between steps 26 and 27, whose time rounds differently once shifted by 3 steps
 @example((4, 5e-3, 3 * 5e-3, 53 * 5e-3, InputSignal.zero(3 * 5e-3), step_at_half(53 * 5e-3)))
 def test_open_loop_concatenation_identity(h1, case):
     # roundoff only: 400 draws gave at most 1.5e-15
@@ -428,8 +457,9 @@ def test_open_loop_concatenation_identity(h1, case):
 
 
 def test_open_loop_seam_on_midpoint_takes_later_segment(h1):
-    # a seam at t/2 with an odd step count lies on a step midpoint: every shift
-    # of it must give the step the later segment, as the unshifted run does
+    # a seam at t/2 with an odd step count lies halfway between two steps, and
+    # each shift rounds its time either way: every shift must give the state
+    # of the unshifted run
     dt, k_t = 5e-3, 53
     v = step_at_half(k_t * dt)
     defects = [concatenation_defect(h1, 4, dt, k * dt, k_t * dt, InputSignal.zero(k * dt), v) for k in range(1, 400)]

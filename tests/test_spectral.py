@@ -157,3 +157,10 @@ def test_separation_certificate_is_tight():
     delta_needed = (frequency(60) - frequency(59)) / 2 * (abs(mid) + 1.0)
     assert eps0 <= delta_needed + 1e-3
 
+
+@pytest.mark.parametrize("field", ["grid_step", "resolution"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_separation_certificate_rejects_bad_steps(field, bad):
+    # an empty scan grid would certify eps = 1, and a zero resolution never ends
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        separation_certificate(5, **{field: bad})
