@@ -26,6 +26,7 @@ import numpy as np
 from ._hyper import cosh_over_cosh, cosh_ratio_side, exp_left_over_sinh, sinh_ratio_side
 from ._record import Record
 from ._table import write_table
+from .spectral import _check_count
 
 __all__ = [
     "FieldGrid",
@@ -242,8 +243,7 @@ def side_projection(h, n_modes: int = DEFAULT_SIDE_MODES) -> np.ndarray:
     coefficients come from one :meth:`~wavetank.profiles.WavemakerProfile.integrals`
     product on its quadrature rule, the rule behind its strategic integrals.
     """
-    if n_modes < 1:
-        raise ValueError(f"side-mode count must be >= 1, got {n_modes}")
+    _check_count(n_modes, "side-mode count")
     return math.sqrt(2.0) * h.integrals(_psi_factor, np.arange(1, n_modes + 1))
 
 

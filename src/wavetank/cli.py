@@ -188,7 +188,6 @@ def cmd_simulate(args) -> int:
         n_modes=args.n_modes,
         t_final=args.t_final,
         dt=args.dt,
-        integrator=args.integrator,
         sample_every=args.sample_every,
         record_modes=args.record_modes,
     )
@@ -208,7 +207,6 @@ def cmd_simulate(args) -> int:
             "dt": config.dt,
             "t_final": config.t_final,
             "feedback": args.feedback,
-            "integrator": config.integrator,
             "sample_every": config.sample_every,
             "profile": args.profile,
             "init": args.init,
@@ -295,7 +293,6 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--dt", type=float, help="step (default min(1e-2, 0.1/mu_N))")
     p.add_argument("--t-final", type=float, default=10.0)
     p.add_argument("--feedback", choices=["collocated", "none"], default="collocated")
-    p.add_argument("--integrator", choices=["splitting", "rk4-crosscheck"], default="splitting")
     p.add_argument("--sample-every", type=int, default=1)
     p.add_argument("--record-modes", action="store_true")
     p.add_argument("--init", default="spread", help="zero | spread | mode:K | smooth:P | state CSV path")

@@ -32,6 +32,7 @@ from ._gauss import panel_rule
 from ._hyper import cosh_over_cosh
 from ._record import Frozen
 from ._table import read_table
+from .spectral import _check_count
 
 __all__ = [
     "WavemakerProfile",
@@ -260,8 +261,7 @@ def strategic_integral_scaled(h: WavemakerProfile, k: int) -> float:
     The integrand h(y) cosh[k(y+1)] / cosh(k) is O(1), so the value stays
     representable for every k; all criteria below consume this form.
     """
-    if k < 1:
-        raise ValueError(f"mode index must be >= 1, got {k}")
+    _check_count(k, "mode index")
     return float(h._strategic(k, k)[0])
 
 
@@ -284,8 +284,9 @@ def strategic_check(h: WavemakerProfile, kmax: int, atol: float = STRATEGIC_ATOL
     This is a finite-range certificate only; the strategic condition
     quantifies over all positive integers.
     """
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    _check_count(kmax, "kmax")
+    if not (atol >= 0 and math.isfinite(atol)):
+        raise ValueError(f"atol must be non-negative and finite, got {atol}")
     scaled = h._strategic(kmax)
     fails = tuple((np.flatnonzero(np.abs(scaled) <= atol) + 1).tolist())
     return StrategicVerdict(strategic=not fails, fails_at=fails, kmax=kmax, atol=atol)
@@ -307,8 +308,7 @@ class UssdMargins(NamedTuple):
 
 def ussd_margin(h: WavemakerProfile, kmax: int) -> UssdMargins:
     """All margins m_k for k <= kmax, their minimum, and the tail value m_kmax."""
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    _check_count(kmax, "kmax")
     k = np.arange(1, kmax + 1)
     margins = k * np.abs(h._strategic(kmax))
     imin = int(np.argmin(margins))
@@ -376,8 +376,7 @@ class CouplingVector(Frozen):
 def coupling_vector(h, n_modes: int) -> CouplingVector:
     """Coupling coefficients b_k = -sqrt(2/pi) I_k / cosh(k) for k <= n_modes
     of a profile ``h``, or the first n_modes of a :class:`CouplingVector` ``h``."""
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    _check_count(n_modes, "n_modes")
     if isinstance(h, CouplingVector):
         if h.n_modes < n_modes:
             raise ValueError("coupling vector shorter than the requested truncation")

@@ -19,19 +19,17 @@ its energy column is the initial energy less a running sum of the exact
 per-step dissipations, so the recorded norm sequence is non-increasing by
 construction. The open loop needs no step: every segment of its input is
 integrated against the rotation in closed form, so each sample is exact to
-rounding and ``dt`` only sets the sample grid. A classical Runge-Kutta
-integrator, one sample at a time, is included as an independent cross-check.
+rounding and ``dt`` only sets the sample grid.
 """
 
 import math
-from bisect import bisect_right
 
 import numpy as np
 
 from ._record import Frozen, Record
 from ._table import read_table, write_table
 from .profiles import KERNEL_BLOCK, CouplingVector, coupling_vector
-from .spectral import eigenvalues, frequencies
+from .spectral import _check_count, eigenvalues, frequencies
 
 __all__ = [
     "ModalState",
@@ -100,43 +98,32 @@ class SimConfig(Frozen):
     """Simulation parameters; ``dt=None`` resolves to min(1e-2, 0.1/mu_N).
 
     The default step keeps at least ~60 steps per period of the fastest
-    retained mode. The explicit Runge-Kutta cross-check additionally
-    requires dt * mu_N <= 0.5.
+    retained mode. The step count t_final / dt must stay below 2^63.
     """
 
-    __slots__ = ("n_modes", "t_final", "dt", "integrator", "sample_every", "record_modes")
+    __slots__ = ("n_modes", "t_final", "dt", "sample_every", "record_modes")
 
     def __init__(
         self,
         n_modes: int,
         t_final: float,
         dt: float | None = None,
-        integrator: str = "splitting",
         sample_every: int = 1,
         record_modes: bool = False,
     ):
-        if n_modes < 1:
-            raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-        mu_max = float(frequencies(n_modes)[-1])
+        _check_count(n_modes, "n_modes")
         if dt is None:
-            dt = min(1e-2, 0.1 / mu_max)
-        self._freeze(n_modes, t_final, dt, integrator, sample_every, record_modes)
+            dt = min(1e-2, 0.1 / float(frequencies(n_modes)[-1]))
+        self._freeze(n_modes, t_final, dt, sample_every, record_modes)
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not math.isfinite(self.t_final):
             raise ValueError(f"t_final must be finite, got {self.t_final}")
         if self.t_final < self.dt:
             raise ValueError(f"t_final must be >= dt, got {self.t_final} < {self.dt}")
-        if self.integrator not in ("splitting", "rk4-crosscheck"):
-            raise ValueError(
-                f"integrator must be 'splitting' or 'rk4-crosscheck', got {self.integrator!r}"
-            )
-        if self.sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
-        if self.integrator == "rk4-crosscheck" and self.dt * mu_max > 0.5:
-            raise ValueError(
-                f"rk4-crosscheck needs dt * mu_N <= 0.5, got {self.dt * mu_max:.3g}"
-            )
+        if not self.t_final / self.dt < 2.0**63:
+            raise ValueError(f"t_final / dt must be below 2**63, got {self.t_final / self.dt:.3g}")
+        _check_count(self.sample_every, "sample_every")
 
     @property
     def n_steps(self) -> int:
@@ -144,7 +131,7 @@ class SimConfig(Frozen):
 
     def sample_steps(self) -> np.ndarray:
         """The recorded steps: every ``sample_every``-th from 0, and always the last."""
-        return np.r_[np.arange(0, self.n_steps, self.sample_every), self.n_steps]
+        return np.r_[np.arange(0, self.n_steps, min(self.sample_every, self.n_steps)), self.n_steps]
 
 
 class Segment(Frozen):
@@ -244,8 +231,8 @@ class InputSignal(Frozen):
         return out
 
     def __call__(self, t: float) -> float:
-        """Value at the time ``t``, from the segment :meth:`at` would use."""
-        return float(self.segments[bisect_right(self._seams, t)](t))
+        """Value at the time ``t``: :meth:`at` of one time."""
+        return float(self.at(t))
 
     def concat(self, tau: float, other: "InputSignal") -> "InputSignal":
         """Concatenation: this signal on [0, tau), then ``other`` delayed by tau."""
@@ -476,32 +463,6 @@ def _open_exact(state0: ModalState, b: np.ndarray, signal: InputSignal, config: 
         yield np.hstack([zeta, w]), energies, signal.at(t)
 
 
-def _rk4(state0: ModalState, b: np.ndarray, control, config: SimConfig):
-    """One-row blocks (states, energies, inputs) at each sample step of
-    classical RK4 on the full right-hand side, with the input
-    u = control(t, w); independent cross-check."""
-    neg_lam = -eigenvalues(config.n_modes)
-    dt = config.dt
-
-    def rhs(t, zeta, w):
-        return w, neg_lam * zeta + control(t, w) * b
-
-    zeta, w = state0.zeta, state0.w
-    done = 0
-    for step in config.sample_steps().tolist():
-        for k in range(done, step):
-            t = k * dt
-            k1z, k1w = rhs(t, zeta, w)
-            k2z, k2w = rhs(t + dt / 2, zeta + dt / 2 * k1z, w + dt / 2 * k1w)
-            k3z, k3w = rhs(t + dt / 2, zeta + dt / 2 * k2z, w + dt / 2 * k2w)
-            k4z, k4w = rhs(t + dt, zeta + dt * k3z, w + dt * k3w)
-            zeta = zeta + dt / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
-            w = w + dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-        done = step
-        energy = x_norm_sq(ModalState(zeta, w))
-        yield np.concatenate([zeta, w])[None], np.array([energy]), np.array([control(step * dt, w)])
-
-
 def _sampled(config: SimConfig, blocks) -> TimeSeries:
     """The series of a run whose ``blocks`` give (states, energies, inputs) rows,
     states z = [zeta; w], at consecutive steps of ``config.sample_steps()``;
@@ -548,14 +509,9 @@ def simulate_closed(state0: ModalState, h, config: SimConfig) -> TimeSeries:
 
     whose decrement is a product of non-negative factors. The energy column
     is E0 less the running sum of these decrements, clamped at 0, so the
-    energy and norm columns are non-increasing by construction. The rk4-crosscheck
-    integrator recomputes norms from the state instead and carries no
-    monotonicity guarantee.
+    energy and norm columns are non-increasing by construction.
     """
     coupling = _checked_coupling(state0, h, config)
-    if config.integrator == "rk4-crosscheck":
-        b = coupling.b
-        return _sampled(config, _rk4(state0, b, lambda t, w: -float(np.dot(b, w)), config))
     return _sampled(config, _Propagator(coupling, config).run(state0, config))
 
 
@@ -572,6 +528,4 @@ def simulate_open(state0: ModalState, h, signal: InputSignal, config: SimConfig)
     """
     coupling = _checked_coupling(state0, h, config)
     signal.validate(config.t_final)
-    if config.integrator == "rk4-crosscheck":
-        return _sampled(config, _rk4(state0, coupling.b, lambda t, w: signal(t), config))
     return _sampled(config, _open_exact(state0, coupling.b, signal, config))

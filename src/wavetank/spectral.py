@@ -56,13 +56,20 @@ class WavePackageResult(NamedTuple):
     member: int | None
 
 
+def _check_count(value, name: str) -> None:
+    """Raise ValueError unless ``value`` is an integer >= 1; a bool or a float is not."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def eigenvalue(k: int) -> float:
     """Eigenvalue k*tanh(k) of the Dirichlet-to-Neumann operator.
 
     Strictly increasing in k and exponentially close to k for large k.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"mode index must be a positive integer, got {k!r}")
+    _check_count(k, "mode index")
     return k * math.tanh(k)
 
 
@@ -75,8 +82,7 @@ def frequency(k: int) -> float:
 
 def eigenvalues(n: int) -> np.ndarray:
     """Vector (lambda_1, ..., lambda_n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_count(n, "n")
     k = np.arange(1, n + 1, dtype=float)
     return k * np.tanh(k)
 
@@ -114,8 +120,10 @@ def wave_package(s: float, eps: float) -> WavePackageResult:
     Raises :class:`GapViolationError` when two or more qualify, certifying
     that the requested ``eps`` exceeds the spectral-gap threshold at s.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     delta = eps / (abs(s) + 1.0)
     cand = _candidate_indices(abs(s), delta)
     mu = np.sqrt(cand * np.tanh(cand))
@@ -158,8 +166,7 @@ def separation_certificate(
     surrogate for the existential gap constant; it claims nothing beyond the
     scanned interval.
     """
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    _check_count(kmax, "kmax")
     for name, value in (("grid_step", grid_step), ("resolution", resolution)):
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value}")

@@ -3,7 +3,8 @@
 The package advances both loops a block of samples per call; these are
 what it must reproduce, written out apart from it: the exact closed-loop
 substeps, the one-step matrix built by driving them with unit basis states,
-and the open loop's Duhamel integral by quadrature.
+the open loop's Duhamel integral by quadrature, and classical RK4 on the
+full right-hand side of either loop.
 """
 
 import bisect
@@ -12,7 +13,7 @@ import math
 import numpy as np
 
 from wavetank.simulate import ModalState
-from wavetank.spectral import frequencies
+from wavetank.spectral import eigenvalues, frequencies
 
 
 def rotation_substep(state: ModalState, tau: float) -> ModalState:
@@ -95,4 +96,30 @@ def open_loop_states(state0: ModalState, b: np.ndarray, signal, config) -> np.nd
         lo = t
         c, s = np.cos(mu * t), np.sin(mu * t)
         rows.append(np.concatenate([y_zeta * c + (y_w / mu) * s, -mu * y_zeta * s + y_w * c]))
+    return np.array(rows)
+
+
+def rk4_states(state0: ModalState, b: np.ndarray, control, dt: float, steps) -> np.ndarray:
+    """States [zeta; w] at each of the increasing ``steps``, one row per step,
+    by classical RK4 in steps of ``dt`` on zeta' = w, w' = -lambda zeta + u b
+    with the input u = control(t, w)."""
+    neg_lam = -eigenvalues(state0.n_modes)
+
+    def rhs(t, zeta, w):
+        return w, neg_lam * zeta + control(t, w) * b
+
+    zeta, w = state0.zeta, state0.w
+    rows = []
+    done = 0
+    for step in steps:
+        for k in range(done, step):
+            t = k * dt
+            k1z, k1w = rhs(t, zeta, w)
+            k2z, k2w = rhs(t + dt / 2, zeta + dt / 2 * k1z, w + dt / 2 * k1w)
+            k3z, k3w = rhs(t + dt / 2, zeta + dt / 2 * k2z, w + dt / 2 * k2w)
+            k4z, k4w = rhs(t + dt, zeta + dt * k3z, w + dt * k3w)
+            zeta = zeta + dt / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
+            w = w + dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
+        done = step
+        rows.append(np.concatenate([zeta, w]))
     return np.array(rows)

@@ -191,6 +191,26 @@ def test_simulate_rejects_non_finite_horizon(tmp_path, capsys, t_final):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n-modes", "4", "--t-final", "1e300", "--dt", "1e-300"],
+        ["simulate", "--feedback", "none", "--n-modes", "4", "--t-final", "1e30", "--dt", "1e-3",
+         "--sample-every", str(10**32)],
+        ["rate-study", "--ns", "4,8", "--t-final", "1e300", "--dt", "1e-300"],
+    ],
+    ids=["simulate-overflow", "simulate-past-int64", "rate-study-overflow"],
+)
+def test_step_count_past_int64_single_error_line(tmp_path, capsys, argv):
+    out_flag = ["--out-csv", str(tmp_path / "x.csv")] if argv[0] == "simulate" else []
+    code, out, err = run_cli(capsys, *argv, *out_flag)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: t_final / dt must be below 2**63, got ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_names_a_nan_decay_power(tmp_path, capsys):
     code, out, err = run_cli(
         capsys,
@@ -632,7 +652,6 @@ def fuzz_flags(d):
         "simulate": {"--config": config, "--profile": profile, "--n-modes": ints(-2, 16),
                      "--dt": among(0.01, 0.05, 0.5, 0, -0.1, "nan", "inf", "x"), "--t-final": times,
                      "--feedback": among("collocated", "none", "open"),
-                     "--integrator": among("splitting", "rk4-crosscheck", "euler"),
                      "--sample-every": ints(-1, 60), "--record-modes": None,
                      "--init": among("zero", "spread", "mode:1", "mode:0", "mode:99", "mode:x", "smooth:3",
                                      "smooth:1", "smooth:inf", "smooth:nan")

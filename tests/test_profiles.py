@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavetank._hyper import cosh_over_cosh
-from wavetank.boundary import _psi_factor
+from wavetank.boundary import _psi_factor, side_projection
 from wavetank.cli import main
 from wavetank.profiles import (
     KERNEL_BLOCK,
@@ -18,6 +18,8 @@ from wavetank.profiles import (
     strategic_integral_scaled,
     ussd_margin,
 )
+from wavetank.simulate import SimConfig
+from wavetank.spectral import eigenvalues, separation_certificate
 
 # closed-form oracle for the linear profile:
 #   I_k = sinh(k)/(2k) - (cosh(k) - 1)/k^2
@@ -84,6 +86,37 @@ def test_strategic_check_zero_profile_fails_everywhere():
     zero = WavemakerProfile.from_samples([-1.0, 0.0], [0.0, 0.0])
     verdict = strategic_check(zero, 10)
     assert verdict.fails_at == tuple(range(1, 11))
+
+
+@pytest.mark.parametrize("atol", [math.nan, math.inf, -math.inf, -1.0])
+def test_strategic_check_rejects_bad_atol(h_ns, atol):
+    # a NaN or negative tolerance flags no k, so it would certify a profile built to fail at k = 1
+    with pytest.raises(ValueError, match="^atol must be non-negative and finite, got "):
+        strategic_check(h_ns, 5, atol=atol)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda h: coupling_vector(h, 2.5), "n_modes must be an integer, got 2.5"),
+        (lambda h: coupling_vector(h, True), "n_modes must be an integer, got True"),
+        (lambda h: strategic_check(h, 5.5), "kmax must be an integer, got 5.5"),
+        (lambda h: ussd_margin(h, 5.0), "kmax must be an integer, got 5.0"),
+        (lambda h: strategic_integral_scaled(h, 2.0), "mode index must be an integer, got 2.0"),
+        (lambda h: side_projection(h, True), "side-mode count must be an integer, got True"),
+        (lambda h: eigenvalues(2.5), "n must be an integer, got 2.5"),
+        (lambda h: separation_certificate(True), "kmax must be an integer, got True"),
+        (lambda h: SimConfig(n_modes=4.5, t_final=1.0), "n_modes must be an integer, got 4.5"),
+        (lambda h: SimConfig(n_modes=4, t_final=1.0, sample_every=2.0), "sample_every must be an integer, got 2.0"),
+    ],
+    ids=["coupling-float", "coupling-bool", "strategic", "ussd", "scaled", "side",
+         "eigenvalues", "separation", "config-modes", "config-sample-every"],
+)
+def test_counts_must_be_integers(h1, call, message):
+    # a float count would be rounded up by arange, and True taken as 1
+    with pytest.raises(ValueError) as err:
+        call(h1)
+    assert str(err.value) == message
 
 
 def test_strategic_verdict_scale_invariant(h1):

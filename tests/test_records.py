@@ -17,18 +17,16 @@ from wavetank.stability import DecayFit, EnvelopeReport, RateStudyEntry
 
 def test_sim_config_keywords_and_defaults():
     cfg = SimConfig(n_modes=4, t_final=2.0)
-    assert (cfg.dt, cfg.integrator, cfg.sample_every, cfg.record_modes) == (
-        min(1e-2, 0.1 / math.sqrt(4 * math.tanh(4))), "splitting", 1, False
+    assert (cfg.dt, cfg.sample_every, cfg.record_modes) == (
+        min(1e-2, 0.1 / math.sqrt(4 * math.tanh(4))), 1, False
     )
-    cfg = SimConfig(t_final=2.0, n_modes=4, dt=0.1, integrator="rk4-crosscheck", sample_every=3, record_modes=True)
-    assert (cfg.n_modes, cfg.t_final, cfg.dt, cfg.integrator, cfg.sample_every, cfg.record_modes) == (
-        4, 2.0, 0.1, "rk4-crosscheck", 3, True
-    )
-    assert cfg == SimConfig(4, 2.0, 0.1, "rk4-crosscheck", 3, True)
-    assert hash(cfg) == hash(SimConfig(4, 2.0, 0.1, "rk4-crosscheck", 3, True))
-    assert cfg != SimConfig(4, 2.0, 0.1, "rk4-crosscheck", 3, False)
+    cfg = SimConfig(t_final=2.0, n_modes=4, dt=0.1, sample_every=3, record_modes=True)
+    assert (cfg.n_modes, cfg.t_final, cfg.dt, cfg.sample_every, cfg.record_modes) == (4, 2.0, 0.1, 3, True)
+    assert cfg == SimConfig(4, 2.0, 0.1, 3, True)
+    assert hash(cfg) == hash(SimConfig(4, 2.0, 0.1, 3, True))
+    assert cfg != SimConfig(4, 2.0, 0.1, 3, False)
     assert repr(SimConfig(n_modes=1, t_final=1.0, dt=0.5)) == (
-        "SimConfig(n_modes=1, t_final=1.0, dt=0.5, integrator='splitting', sample_every=1, record_modes=False)"
+        "SimConfig(n_modes=1, t_final=1.0, dt=0.5, sample_every=1, record_modes=False)"
     )
 
 
@@ -39,10 +37,12 @@ def test_sim_config_keywords_and_defaults():
         (dict(n_modes=2, t_final=1.0, dt=-0.1), "dt must be positive and finite, got -0.1"),
         (dict(n_modes=2, t_final=math.inf), "t_final must be finite, got inf"),
         (dict(n_modes=2, t_final=0.01, dt=0.1), "t_final must be >= dt, got 0.01 < 0.1"),
-        (dict(n_modes=2, t_final=1.0, integrator="euler"),
-         "integrator must be 'splitting' or 'rk4-crosscheck', got 'euler'"),
+        (dict(n_modes=2, t_final=1e300, dt=1e-300), "t_final / dt must be below 2**63, got inf"),
         (dict(n_modes=2, t_final=1.0, sample_every=0), "sample_every must be >= 1, got 0"),
-        (dict(n_modes=2, t_final=1.0, dt=0.5, integrator="rk4-crosscheck"), "rk4-crosscheck needs dt * mu_N <= 0.5"),
+        (dict(n_modes=2, t_final=1e30, dt=1e-3, sample_every=10**32), "t_final / dt must be below 2**63, got 1e+33"),
+        (dict(n_modes=2, t_final=2.0**63, dt=1.0), "t_final / dt must be below 2**63, got 9.22e+18"),
+        (dict(n_modes=4.5, t_final=1.0), "n_modes must be an integer, got 4.5"),
+        (dict(n_modes=2, t_final=1.0, sample_every=True), "sample_every must be an integer, got True"),
     ],
 )
 def test_sim_config_validation_messages(kwargs, message):

@@ -123,6 +123,23 @@ def test_wave_package_rejects_nonpositive_eps():
         wave_package(1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "s, eps, message",
+    [
+        (math.inf, 0.1, "s must be finite, got inf"),
+        (-math.inf, 0.1, "s must be finite, got -inf"),
+        (math.nan, 0.1, "s must be finite, got nan"),
+        (1.0, math.inf, "eps must be positive and finite, got inf"),
+        (1.0, math.nan, "eps must be positive and finite, got nan"),
+    ],
+)
+def test_wave_package_rejects_non_finite(s, eps, message):
+    # the candidate bracket takes int() of (s +- delta) squared, which fails on inf and NaN
+    with pytest.raises(ValueError) as err:
+        wave_package(s, eps)
+    assert str(err.value) == message
+
+
 def test_wave_package_wide_width_counts_both_branches():
     # delta = 50/3.9 ~ 12.8 swallows many frequencies of both signs; the
     # enumeration must see all of them, not just a window near the center

@@ -121,6 +121,9 @@ def test_envelope_rejects_bad_norm():
     series = synthetic_series(lambda t: np.exp(-t / 30))
     with pytest.raises(ValueError):
         envelope_check(series, 0.0)
+    for bad in (math.inf, -math.inf, math.nan):  # an infinite norm would report M_min = 0
+        with pytest.raises(ValueError, match="^domain_norm0 must be positive and finite, got "):
+            envelope_check(series, bad)
 
 
 def test_envelope_lower_bound():
