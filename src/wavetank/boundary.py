@@ -55,10 +55,10 @@ class FieldGrid(Record):
     __slots__ = ("nx", "ny", "values")
 
     def __init__(self, nx: int, ny: int, values: np.ndarray):
+        _check_count(nx, "nx")
+        _check_count(ny, "ny")
         self.nx, self.ny = nx, ny
         self.values = np.asarray(values, dtype=float)
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("grid needs nx >= 1 and ny >= 1")
         if self.values.shape != (self.nx + 1, self.ny + 1):
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid "
@@ -85,6 +85,13 @@ class FieldGrid(Record):
         """
         columns = [np.repeat(self.x, self.ny + 1), np.tile(self.y, self.nx + 1), self.values.ravel()]
         write_table(path, ["x", "y", "value"], columns)
+
+
+def _grid_axes(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissae x_i = i pi/nx and depths y_j = -1 + j/ny, after checking both counts."""
+    _check_count(nx, "nx")
+    _check_count(ny, "ny")
+    return np.linspace(0.0, np.pi, nx + 1), np.linspace(-1.0, 0.0, ny + 1)
 
 
 def _as_coefficients(c) -> np.ndarray:
@@ -119,8 +126,7 @@ def dirichlet_field(eta, nx: int, ny: int) -> FieldGrid:
     because every mode ratio equals one at y = 0.
     """
     eta = _as_coefficients(eta)
-    x = np.linspace(0.0, np.pi, nx + 1)
-    y = np.linspace(-1.0, 0.0, ny + 1)
+    x, y = _grid_axes(nx, ny)
     k = _modes(eta)
     weighted = (eta * math.sqrt(2.0 / math.pi))[:, None] * np.cos(k * x)
     return FieldGrid(nx=nx, ny=ny, values=weighted.T @ cosh_over_cosh(k, y))
@@ -146,8 +152,7 @@ def neumann_field(v, nx: int, ny: int) -> FieldGrid:
     for large a_k; the y-factor vanishes identically on the top boundary.
     """
     v = _as_coefficients(v)
-    x = np.linspace(0.0, np.pi, nx + 1)
-    y = np.linspace(-1.0, 0.0, ny + 1)
+    x, y = _grid_axes(nx, ny)
     k = _modes(v)
     a = _wall_rate(k)
     g = 2.0 * math.sqrt(2.0) * v[:, None] / ((2 * k - 1) * np.pi)

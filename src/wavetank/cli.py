@@ -5,6 +5,10 @@ Every command exits 0 on success and 2 with a single-line ``error: ...``
 message on invalid input. Numeric CSV output carries 17 significant digits
 so round-trips are lossless for 64-bit floats; JSON summaries embed the
 fully resolved configuration for provenance.
+
+Unlike the package, which loads a subsystem on first use, this module
+imports every subsystem when it is imported, so each command finds them
+already loaded.
 """
 
 import argparse
@@ -14,6 +18,10 @@ import time
 
 import numpy as np
 
+# Eager on purpose: the benchmark's tracer (perfbench/spans.py) patches only
+# the modules loaded by ``import wavetank; import wavetank.cli``, so a
+# subsystem that a command imported later would go untraced and its layers
+# would read 0.
 from . import boundary, profiles, simulate, spectral, stability
 from ._table import read_table, write_table
 

@@ -105,11 +105,13 @@ def gap_products(kmax: int) -> np.ndarray:
 
 
 def _candidate_indices(m: float, delta: float) -> np.ndarray:
-    # mu_k^2 = k tanh k lies in [k tanh(1), k], so |mu_k - m| < delta (or, on
-    # the mirrored branch, mu_k < delta - m) forces k into the bracket below.
+    # mu_k^2 = k tanh k lies in (k - 2k e^(-2k), k] and 2k e^(-2k) <= 2/e^2 < 1
+    # for k >= 1, so |mu_k - m| < delta (or, on the mirrored branch,
+    # mu_k < delta - m) forces (m - delta)^2 <= k < (m + delta)^2 + 1: a
+    # bracket of about 4 m delta + 5 indices, padded by 2 on each side.
     lo = max(1, int(math.floor(max(m - delta, 0.0) ** 2)) - 2)
-    hi = int(math.ceil((m + delta) ** 2 / math.tanh(1.0))) + 2
-    return np.arange(lo, hi + 1)
+    hi = int(math.ceil((m + delta) ** 2)) + 2
+    return lo + np.arange(hi - lo + 1, dtype=float)
 
 
 def wave_package(s: float, eps: float) -> WavePackageResult:
@@ -119,6 +121,8 @@ def wave_package(s: float, eps: float) -> WavePackageResult:
     (k ranging over all nonzero integers) lies strictly within the width.
     Raises :class:`GapViolationError` when two or more qualify, certifying
     that the requested ``eps`` exceeds the spectral-gap threshold at s.
+    Raises ValueError where |s| is so large (from about 5e7 on) that doubles
+    no longer separate neighbouring frequencies.
     """
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
@@ -127,6 +131,8 @@ def wave_package(s: float, eps: float) -> WavePackageResult:
     delta = eps / (abs(s) + 1.0)
     cand = _candidate_indices(abs(s), delta)
     mu = np.sqrt(cand * np.tanh(cand))
+    if np.any(np.diff(mu) <= 0.0):
+        raise ValueError(f"|s| = {abs(s):.6g} is too large: doubles do not separate the frequencies near it")
     members = []
     for sign in (1, -1):
         hits = np.nonzero(np.abs(sign * mu - s) < delta)[0]

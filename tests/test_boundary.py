@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -289,6 +290,24 @@ def test_field_grid_csv_exact_text(tmp_path):
         "3.1415926535897931,-1,4.9406564584124654e-324\n"
         "3.1415926535897931,0,1.7976931348623157e+308\n"
     )
+
+
+@pytest.mark.parametrize(
+    ("nx", "ny", "message"),
+    [
+        (True, 4, "nx must be an integer, got True"),
+        (4.5, 4, "nx must be an integer, got 4.5"),
+        (4, 4.0, "ny must be an integer, got 4.0"),
+        (4, -2, "ny must be >= 1, got -2"),
+    ],
+)
+def test_grid_sizes_must_be_integers(h1, nx, ny, message):
+    # a bool is not taken as 1, and a float reaches no numpy call
+    for build in (lambda: reconstruct_field(np.zeros(3), 0.0, h1, nx, ny),
+                  lambda: dirichlet_field(np.ones(2), nx, ny),
+                  lambda: neumann_field(np.ones(2), nx, ny)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_field_grid_shape_validation():

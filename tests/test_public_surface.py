@@ -2,9 +2,13 @@
 sketch runs, and the benchmark's tracer, which wraps the public functions by
 name, installs and uninstalls."""
 
-import ast
+import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,16 +26,99 @@ def test_all_names_resolve(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
+# the 39 names the package exported when it imported every subsystem eagerly
+EXPORTS = {
+    "FieldGrid", "dirichlet_field", "harmonicity_residual", "hilbert_bound_ratio", "neumann_field",
+    "neumann_to_neumann", "neumann_wall_residual", "reconstruct_field", "side_projection", "wall_trace",
+    "CouplingVector", "WavemakerProfile", "coupling_vector", "sc_check", "strategic_check", "ussd_margin",
+    "InputSignal", "ModalState", "Segment", "SimConfig", "TimeSeries", "domain_norm", "simulate_closed",
+    "simulate_open", "x_norm",
+    "GapViolationError", "WavePackageResult", "eigenvalue", "frequency", "gap_products",
+    "separation_certificate", "wave_package",
+    "DecayFit", "EnvelopeReport", "decay_fit", "envelope_check", "rate_vs_n_study", "smooth_initial_state",
+    "spectral_abscissa",
+}
+
+
 def test_package_exports_are_public_names():
-    # every name wavetank/__init__.py imports is listed in its module's __all__
-    tree = ast.parse(Path(wavetank.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert imports
-    for node in imports:
-        module = getattr(wavetank, node.module)
-        for alias in node.names:
-            assert alias.name in module.__all__, f"{node.module}.{alias.name}"
-            assert getattr(wavetank, alias.name) is getattr(module, alias.name)
+    # the lazy table holds exactly those names, each listed in its module's
+    # __all__ and resolved to the module's own object
+    assert len(EXPORTS) == 39 and set(wavetank._OWNERS) == EXPORTS
+    for name, owner in wavetank._OWNERS.items():
+        module = importlib.import_module(f"wavetank.{owner}")
+        assert name in module.__all__, f"{owner}.{name}"
+        assert getattr(wavetank, name) is getattr(module, name)
+
+
+def test_package_namespace_lists_the_exports():
+    assert sorted(wavetank.__all__) == sorted(EXPORTS) and dir(wavetank) == sorted(EXPORTS)
+    star = {}
+    exec("from wavetank import *", star)
+    assert star.keys() - {"__builtins__"} == EXPORTS
+    assert vars(wavetank)["__version__"] == "0.1.0"
+    with pytest.raises(AttributeError, match="^module 'wavetank' has no attribute 'nope'$"):
+        wavetank.nope  # noqa: B018
+
+
+def _fresh(probe, *paths):
+    """What ``probe`` prints as JSON, run by a fresh interpreter with ``src`` (and ``paths``) on its path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *map(str, paths)])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+LAZY_PROBE = """
+import json, sys
+import wavetank
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "wavetank") and m != "wavetank")
+steps = [loaded()]
+wavetank.eigenvalue(1)
+steps.append(loaded())
+steps.append(wavetank.stability is sys.modules["wavetank.stability"])
+print(json.dumps(steps))
+"""
+
+
+def test_import_loads_nothing_until_used():
+    bare, after_eigenvalue, subsystem = _fresh(LAZY_PROBE)
+    assert bare == []
+    assert "wavetank.spectral" in after_eigenvalue and "numpy" in after_eigenvalue
+    assert not {"wavetank.simulate", "wavetank.boundary", "wavetank.cli"} & set(after_eigenvalue)
+    assert subsystem is True
+
+
+TRACER_PROBE = """
+import json, sys
+import wavetank
+import wavetank.cli
+import spans
+tracer = spans.Tracer(wavetank)  # first, as the benchmark makes it: it snapshots the loaded modules
+targets = spans.targets(wavetank)
+raw = [owner.__dict__[name] if isinstance(owner, type) else getattr(owner, name) for _, owner, name, _ in targets]
+def held():
+    # each function as its defining module (or, for a method, its class) holds it now
+    return [owner.__dict__[name] if isinstance(owner, type) else vars(sys.modules[fn.__module__])[fn.__name__]
+            for (_, owner, name, _), fn in zip(targets, raw)]
+tracer.install()
+missed = [name for (_, _, name, _), fn, now in zip(targets, raw, held()) if now is fn]
+fetched = [getattr(wavetank, name) for name in wavetank.__all__]  # first access, while installed
+tracer.uninstall()
+kept = [name for (_, _, name, _), fn, now in zip(targets, raw, held()) if now is not fn]
+kept += [name for name in wavetank.__all__
+         if getattr(wavetank, name) is not getattr(sys.modules["wavetank." + wavetank._OWNERS[name]], name)]
+print(json.dumps([len(targets), missed, kept]))
+"""
+
+
+def test_tracer_patches_every_target_in_a_fresh_interpreter():
+    # the benchmark's tracer patches the modules that import wavetank.cli has
+    # loaded, so a subsystem the CLI stopped importing eagerly is missed; and
+    # a name first fetched while it is installed must not stay wrapped after
+    count, missed, kept = _fresh(TRACER_PROBE, SPANS.parent)
+    assert count > 20
+    assert missed == []
+    assert kept == []
 
 
 def _namespaces():

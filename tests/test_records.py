@@ -170,7 +170,9 @@ def test_time_series_keywords_defaults_and_messages():
 def test_field_grid_keywords_and_messages():
     grid = FieldGrid(values=[[1, 2], [3, 4]], ny=1, nx=1)
     assert grid.values.dtype == float and grid.top.tolist() == [2.0, 4.0]
-    with pytest.raises(ValueError, match="^grid needs nx >= 1 and ny >= 1$"):
+    with pytest.raises(ValueError, match="^nx must be >= 1, got 0$"):
         FieldGrid(nx=0, ny=1, values=np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="^ny must be an integer, got True$"):
+        FieldGrid(nx=1, ny=True, values=np.zeros((2, 2)))
     with pytest.raises(ValueError, match=r"^values shape \(2, 2\) does not match grid \(3, 2\)$"):
         FieldGrid(nx=2, ny=1, values=np.zeros((2, 2)))

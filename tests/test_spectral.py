@@ -5,6 +5,7 @@ import pytest
 
 from wavetank.spectral import (
     GapViolationError,
+    _candidate_indices,
     eigenvalue,
     eigenvalues,
     frequencies,
@@ -152,6 +153,45 @@ def test_wave_package_wide_width_counts_both_branches():
 def test_wave_package_large_center():
     mu800 = frequency(800)
     assert wave_package(mu800, 0.05).member == 800
+
+
+def _brute_force_members(s, delta, kmax):
+    # every signed index up to kmax, with the frequencies computed as wave_package computes them
+    k = np.arange(1, kmax + 1, dtype=float)
+    mu = np.sqrt(k * np.tanh(k))
+    return sorted([int(i) for i in k[np.abs(mu - s) < delta]] + [-int(i) for i in k[np.abs(-mu - s) < delta]],
+                  key=abs)
+
+
+def test_wave_package_matches_brute_force():
+    rng = np.random.default_rng(7)
+    centers = np.concatenate([rng.uniform(-12.0, 12.0, 300), [frequency(k) for k in range(1, 40)],
+                              [-frequency(k) + 1e-3 for k in range(1, 40)], [0.0]])
+    for s in centers:
+        for eps in (0.05, 0.5, 3.0):
+            delta = eps / (abs(s) + 1.0)
+            members = _brute_force_members(s, delta, int((abs(s) + delta) ** 2) * 4 + 50)
+            if len(members) > 1:
+                with pytest.raises(GapViolationError) as exc:
+                    wave_package(float(s), eps)
+                assert list(exc.value.indices) == members
+            else:
+                assert wave_package(float(s), eps).member == (members[0] if members else None)
+
+
+@pytest.mark.parametrize("s", [1e4, 1e5])
+def test_wave_package_bracket_holds_a_handful(s):
+    # the bracket grows with eps, not with s^2 (it held ~0.31 s^2 indices)
+    for eps in (0.1, 1.0):
+        assert len(_candidate_indices(s, eps / (s + 1.0))) <= 16
+    assert wave_package(s, 0.1).member == round(s * s)
+    assert wave_package(-frequency(round(s * s) + 1), 0.1).member == -(round(s * s) + 1)
+
+
+def test_wave_package_rejects_centers_beyond_double_resolution():
+    # at |s| = 1e9 neighbouring frequencies are 5e-10 apart, below the spacing of doubles
+    with pytest.raises(ValueError, match="too large: doubles do not separate"):
+        wave_package(1e9, 0.1)
 
 
 def test_separation_certificate_positive_and_consistent():
