@@ -3,12 +3,13 @@ water waves in the rectangular tank (0, pi) x (-1, 0).
 
 Subsystems:
 
-- :mod:`wavetank.spectral`: dispersion data and spectral-gap certificates
+- :mod:`wavetank.spectral`: dispersion data, spectral-gap certificates and the
+  closed-loop spectrum
 - :mod:`wavetank.boundary`: explicit harmonic-extension and trace operators
 - :mod:`wavetank.profiles`: wavemaker profiles and stabilizability criteria;
   every integral of a profile against a modal kernel goes through
   ``WavemakerProfile.integrals``
-- :mod:`wavetank.simulate`: structure-preserving open/closed loop integration
+- :mod:`wavetank.simulate`: open and closed loop, exact at every sample
 - :mod:`wavetank.stability`: decay fits, envelope checks, rate-vs-truncation study
 - :mod:`wavetank.cli`: command-line experiment runner
 

@@ -298,7 +298,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     p = add("simulate", "run the open or closed loop and export the series")
     p.add_argument("--profile", default="h1")
     p.add_argument("--n-modes", type=int, default=32)
-    p.add_argument("--dt", type=float, help="step (default min(1e-2, 0.1/mu_N))")
+    p.add_argument("--dt", type=float, help="sample grid spacing (default min(1e-2, 0.1/mu_N))")
     p.add_argument("--t-final", type=float, default=10.0)
     p.add_argument("--feedback", choices=["collocated", "none"], default="collocated")
     p.add_argument("--sample-every", type=int, default=1)

@@ -19,8 +19,9 @@ One rule sizes the blocked loops of the package: block temporaries stay
 below 128 KiB. glibc's malloc maps a request of 128 KiB or more afresh and
 unmaps it when freed, so such a temporary made per block faults its pages
 in again on every block, while smaller ones are reused from the heap. The
-kernel sub-blocks here and the root finder's chunks in ``stability``
-follow it; a larger array is made once per call and reused.
+kernel sub-blocks here, the root finder's chunks in ``spectral`` and the
+closed loop's time functions in ``simulate`` follow it; a larger array is
+made once per call and reused.
 """
 
 import math
@@ -51,7 +52,7 @@ MEAN_TOLERANCE = 1e-10
 STRATEGIC_ATOL = 1e-11  # on I_k / cosh(k); below quadrature error, above roundoff
 # entries of one row block of a product against a state or a kernel matrix: a
 # 2 MB float64 buffer, the operand of each gemv call in ``integrals`` and the
-# bound on the sample and propagator blocks of ``simulate``
+# bound on the blocks of samples of ``simulate``
 KERNEL_BLOCK = 1 << 18
 # kernel entries evaluated at once, so that each temporary of a kernel call
 # (64 KiB) stays below glibc's 128 KiB mmap threshold and comes back from the

@@ -9,17 +9,16 @@ input signal; the closed loop applies the collocated feedback
 u = -sum_k b_k w_k, which damps the energy norm through a rank-one
 perturbation of an otherwise norm-preserving oscillation.
 
-The closed-loop splitting integrator composes exact flows: a half-step
-rotation of each mode pair (zeta_k, w_k), the exact rank-one damping, and a
-second half rotation. Both substeps are non-expansive. One call walks the
-whole sample schedule of a run and hands the samples back as arrays, in
-blocks of at most ``KERNEL_BLOCK`` state entries, which fill the columns of
-the series. The closed loop advances by closed-form powers of the step, and
-its energy column is the initial energy less a running sum of the exact
-per-step dissipations, so the recorded norm sequence is non-increasing by
-construction. The open loop needs no step: every segment of its input is
-integrated against the rotation in closed form, so each sample is exact to
-rounding and ``dt`` only sets the sample grid.
+Both loops are exact to rounding at every sample, so ``dt`` only sets the
+sample grid. One call walks the whole sample schedule of a run and hands the
+samples back as arrays, in blocks of at most ``KERNEL_BLOCK`` state entries,
+which fill the columns of the series. The closed loop is built from its
+spectrum: the roots of the secular equation (:mod:`wavetank.spectral`), one
+real quadratic factor per pair of roots, each with its real invariant plane,
+so a sample is a sum of closed-form time functions of the pairs. Its energy
+column is the running minimum of the sampled energies, non-increasing by
+construction. The open loop integrates every segment of its input against
+the rotation in closed form.
 """
 
 import math
@@ -28,8 +27,8 @@ import numpy as np
 
 from ._record import Frozen, Record
 from ._table import read_table, write_table
-from .profiles import KERNEL_BLOCK, CouplingVector, coupling_vector
-from .spectral import _check_count, eigenvalues, frequencies
+from .profiles import KERNEL_BLOCK, KERNEL_SUB_BLOCK, CouplingVector, coupling_vector
+from .spectral import _check_count, _closed_loop_pairs, _pair_ratios, _pair_roots, eigenvalues, frequencies
 
 __all__ = [
     "ModalState",
@@ -97,8 +96,11 @@ def domain_norm(state: ModalState) -> float:
 class SimConfig(Frozen):
     """Simulation parameters; ``dt=None`` resolves to min(1e-2, 0.1/mu_N).
 
-    The default step keeps at least ~60 steps per period of the fastest
-    retained mode. The step count t_final / dt must stay below 2^63.
+    ``dt`` is the spacing of the sample grid, not an integration step: both
+    loops are exact at every sample, and ``sample_every`` thins the grid. The
+    default keeps the value it had when it was a step (about 60 per period of
+    the fastest retained mode), so default runs keep their sample times. The
+    grid count t_final / dt must stay below 2^63.
     """
 
     __slots__ = ("n_modes", "t_final", "dt", "sample_every", "record_modes")
@@ -310,112 +312,105 @@ class TimeSeries(Record):
 
 
 def _schedule(config: SimConfig):
-    """The sample steps, with the gap of steps that leads to each (0 before
-    step 0), in blocks whose states hold at most KERNEL_BLOCK entries."""
+    """The sample steps in blocks whose states hold at most KERNEL_BLOCK entries."""
     steps = config.sample_steps()
-    gaps = np.diff(steps, prepend=0)
     rows = max(1, KERNEL_BLOCK // (2 * config.n_modes))
     for lo in range(0, len(steps), rows):
-        yield steps[lo : lo + rows], gaps[lo : lo + rows]
+        yield steps[lo : lo + rows]
 
 
-class _Propagator:
-    """Powers of the closed-loop splitting step S = R(dt/2) D R(dt/2), in blocks of L.
+def _pair_parts(b: np.ndarray, total: np.ndarray, rho: np.ndarray, z0: np.ndarray) -> np.ndarray:
+    """[X; Y]: row k is the part X_k of z0 in pair k's real invariant plane,
+    row N + k is Y_k = A X_k.
 
-    With e = [0; b] and kick = (e^{-q dt} - 1)/q, S = R(dt) + kick R(dt/2) e
-    e^T R(dt/2), so S^k z = R(k dt) z + F[:, L-k:] (O[:k] z) for k <= L. Row
-    j of O, e^T R(dt/2) S^(j-1) by an O(N) recurrence, observes b.w at the
-    damping of step j, which sheds (O z)_j^2 (1 - e^{-2 q dt})/q >= 0 of
-    energy; column j of F is kick R((L-j+1/2) dt) e. When L > 2N, a full
-    block is the dense A = R(L dt) + F O, with |O z| from the triangular
-    factor of O.
-
-    :meth:`run` walks the whole sample schedule and yields the samples a
-    block of rows at a time. A sample interval of one full dense block costs
-    one product with A; the energy such intervals shed is taken for the whole
-    block after its loop, from one product of the preceding states with the
-    triangular factor. Other intervals (a shorter tail, factored blocks, or
-    several blocks when the cap splits an interval) step through the blocks
-    one at a time.
+    The plane is spanned by the divided differences over the pair's roots of
+    v(s) = [r; s r] and of s v(s), r = b / (s^2 + lambda): w1 = [-b P/D; b R/D]
+    and w2 = [b R/D; lambda b P/D], R_j = lambda_j - Q, D_j = R_j^2 + lambda_j P^2.
+    They stay apart where the roots meet, and A maps w1 to w2 and w2 to
+    P w2 - Q w1. Pair k's are scaled by b_k, so that a coupling near the floor
+    of float64 neither over- nor underflows them; a deflated mode (P = 0)
+    takes w1 = e_zeta_k, w2 = -lambda_k e_w_k. A is self-adjoint in the form
+    J = diag(-Lambda, I), so the planes are J-orthogonal and X_k comes from a
+    2 x 2 solve with the Gram matrix W^T J W. The bases are formed a chunk of
+    pairs at a time, in one buffer, and never held for all pairs at once.
     """
+    n = b.size
+    lam = eigenvalues(n)
+    mu, form = np.sqrt(lam), np.r_[-lam, np.ones(n)]
+    parts, form_z0 = np.empty((2 * n, 2 * n)), form * z0
+    rows = max(1, KERNEL_SUB_BLOCK // n)
+    buffer = np.empty((min(rows, n), 2, 2 * n))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        k = np.arange(lo, hi)
+        p, dead = total[k], np.flatnonzero(total[k] == 0.0)
+        # R_j from lambda_k - Q = rho, without the cancellation of lambda_j - Q;
+        # a deflated pair's rows are set apart below
+        ratio_p, ratio_r = _pair_ratios(np.where(p == 0.0, 1.0, p)[:, None], (lam - lam[k, None]) + rho[k, None], mu)
+        outer = b[k, None] * b
+        plane = buffer[: k.size]
+        plane[:, 0, :n], plane[:, 0, n:] = -outer * ratio_p, outer * ratio_r
+        plane[:, 1, :n], plane[:, 1, n:] = outer * ratio_r, lam * (outer * ratio_p)
+        plane[dead] = 0.0
+        plane[dead, 0, k[dead]], plane[dead, 1, n + k[dead]] = 1.0, -lam[k[dead]]
+        gram = np.einsum("kaj,kbj,j->kab", plane, plane, form)
+        c = np.linalg.solve(gram, (plane @ form_z0)[:, :, None])[:, :, 0]
+        image = np.stack([-(lam[k] - rho[k]) * c[:, 1], c[:, 0] + p * c[:, 1]], axis=1)  # A X_k in the basis
+        np.einsum("ka,kaj->kj", c, plane, out=parts[lo:hi])
+        np.einsum("ka,kaj->kj", image, plane, out=parts[n + lo : n + hi])
+    return parts
 
-    def __init__(self, coupling: CouplingVector, config: SimConfig):
-        n, dt = config.n_modes, config.dt
-        b, q = coupling.b, coupling.q
-        mu = frequencies(n)
-        shed = -math.expm1(-q * dt)  # 1 - e^{-q dt} in [0, 1)
-        kick, self.loss = (-shed / q, shed * (2.0 - shed) / q) if q > 0.0 else (0.0, 0.0)
-        # O and F stay within KERNEL_BLOCK entries each
-        self.block = L = min(config.sample_every, config.n_steps, max(1, KERNEL_BLOCK // (2 * n)))
-        self.mu, self.dt, self.b = mu, dt, b
-        self.swap = np.r_[n : 2 * n, 0:n]
-        self.full = self._turn(L)
 
-        ch, sh = np.cos(mu * (dt / 2)), np.sin(mu * (dt / 2))
-        kicked = np.concatenate([b * sh / mu, b * ch])  # R(dt/2) e
-        observe = np.concatenate([-mu * b * sh, b * ch])  # e^T R(dt/2)
-        keep, cross = self._turn(1)
-        cross = cross[self.swap]  # a row turns as row R(dt) = row * keep + row[swap] * cross
-        self.obs = np.empty((L, 2 * n))
-        row = observe
-        for j in range(L):
-            self.obs[j] = row
-            row = row * keep + row[self.swap] * cross + (kick * float(row @ kicked)) * observe
-        theta = np.outer(mu, (np.arange(L, 0, -1) - 0.5) * dt)
-        self.gain = kick * np.concatenate([(b / mu)[:, None] * np.sin(theta), b[:, None] * np.cos(theta)])
-        self.dense = self.tri = None
-        if L > 2 * n:
-            keep, cross = self.full
-            eye = np.eye(2 * n)
-            self.dense = keep[:, None] * eye + cross[:, None] * eye[self.swap] + self.gain @ self.obs
-            self.tri = np.linalg.qr(self.obs, mode="r")
+def _closed_exact(state0: ModalState, b: np.ndarray, config: SimConfig):
+    """Blocks (states, energies, inputs) of the exact closed loop at the sample
+    steps, z(t) = sum_k phi0_k(t) X_k + phi1_k(t) Y_k over the pairs of roots
+    (see :func:`_pair_parts`).
 
-    def _turn(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(keep, cross) with R(k dt) z = z * keep + z[swap] * cross."""
-        mu = self.mu
-        c, s = np.cos(mu * (k * self.dt)), np.sin(mu * (k * self.dt))
-        return np.concatenate([c, c]), np.concatenate([s / mu, -mu * s])
-
-    def _seen_sq(self, first: np.ndarray, rest: np.ndarray) -> np.ndarray:
-        """|R z|^2 for z = first and each row of rest, R the triangular factor of O."""
-        head, seen = self.tri @ first, rest @ self.tri.T
-        return np.r_[head @ head, np.einsum("ij,ij->i", seen, seen)]
-
-    def run(self, state0: ModalState, config: SimConfig):
-        """Blocks (states, energies, inputs) at the sample steps of ``config``.
-
-        The energy column is E0 less the running sum of the non-negative
-        decrements loss |O z|^2, clamped at 0, so it never increases.
-        """
-        n = config.n_modes
-        z = np.concatenate([state0.zeta, state0.w])
-        energy = x_norm_sq(state0)
-        whole = self.block if self.dense is not None else None  # the gap of one dense block
-        dense = self.dense.dot if self.dense is not None else None
-        for steps, gaps in _schedule(config):
-            states, seen_sq = np.empty((len(steps), 2 * n)), np.zeros(len(steps))
-            before = z
-            for i, (row, gap) in enumerate(zip(states, gaps.tolist())):
-                if gap == whole:
-                    z = dense(z, out=row)
-                    continue
-                while gap:  # a tail block, or an interval longer than a block
-                    k = min(self.block, gap)
-                    if k == whole:
-                        seen = self.tri @ z
-                        z = dense(z)
-                    else:
-                        keep, cross = self.full if k == self.block else self._turn(k)
-                        seen = self.obs[:k] @ z
-                        z = z * keep + z[self.swap] * cross + self.gain[:, self.block - k :] @ seen
-                    seen_sq[i] += float(seen @ seen)
-                    gap -= k
-                row[:] = z
-            if dense is not None:  # |O z|^2 = |R z|^2 for the state z before each row
-                seen_sq = np.where(gaps == whole, self._seen_sq(before, states[:-1]), seen_sq)
-            energies = np.maximum(np.subtract.accumulate(np.r_[energy, self.loss * seen_sq]), 0.0)[1:]
-            energy = energies[-1]
-            yield states, energies, -(states[:, n:] @ self.b)
+    On pair k's plane e^{A t} = phi0 + phi1 A, with
+    phi1 = (e^{s+ t} - e^{s- t}) / (s+ - s-) and
+    phi0 = (e^{s+ t} + e^{s- t}) / 2 - (P/2) phi1. A complex pair takes its
+    time functions through e^{P t/2}, cos and sin; a real pair through
+    e^{s+ t} and e^{s- t}, never e^{P t/2} cosh(delta t), which would
+    overflow. The energy column is the running minimum of the sampled |z|^2:
+    the exact energy never increases, so the column stays within rounding of
+    it and never increases either.
+    """
+    n, dt = config.n_modes, config.dt
+    lam = eigenvalues(n)
+    total, rho = _closed_loop_pairs(b)
+    z0 = np.concatenate([state0.zeta, state0.w])
+    parts = _pair_parts(b, total, rho, z0)
+    roots = _pair_roots(total, rho)
+    real = roots[:n].imag == 0.0
+    m, over, omega = total / 2.0, np.flatnonzero(real), np.where(real, 1.0, roots[:n].imag)
+    slow, fast = roots[over].real, roots[n + over].real
+    # the temporaries of a sub-block's time functions stay below 128 KiB, as the
+    # block rule in the profiles docstring asks; both buffers are made once per call
+    sub = max(1, KERNEL_SUB_BLOCK // n)
+    phi = np.empty((sub, 2 * n))
+    states = np.empty((min(max(1, KERNEL_BLOCK // (2 * n)), len(config.sample_steps())), 2 * n))
+    least = math.inf
+    for steps in _schedule(config):
+        for lo in range(0, steps.size, sub):
+            t = steps[lo : lo + sub, None] * dt
+            here = phi[: t.shape[0]]
+            decay, turn = np.exp(t * m), t * omega
+            here[:, n:] = decay * np.sin(turn) / omega
+            here[:, :n] = decay * np.cos(turn) - m * here[:, n:]
+            if over.size:
+                e_slow, e_fast, width = np.exp(t * slow), np.exp(t * fast), (slow - fast) * t
+                ramp = np.where(width > 0.0, -np.expm1(-width) / np.where(width > 0.0, width, 1.0), 1.0)
+                here[:, n + over] = e_slow * t * ramp  # (e^{s+ t} - e^{s- t}) / (s+ - s-), also where they meet
+                here[:, over] = (e_slow + e_fast) / 2.0 - m[over] * here[:, n + over]
+            np.matmul(here, parts, out=states[lo : lo + t.shape[0]])
+        block = states[: steps.size]
+        if steps[0] == 0:  # the initial state as given
+            block[0] = z0
+        zeta, w = block[:, :n], block[:, n:]
+        energies = np.einsum("ij,ij,j->i", zeta, zeta, lam) + np.einsum("ij,ij->i", w, w)
+        energies = np.minimum.accumulate(np.r_[least, energies])[1:]
+        least = energies[-1]
+        yield block, energies, -(w @ b)
 
 
 def _integrals(wave, lo, hi, mu: np.ndarray) -> np.ndarray:
@@ -445,7 +440,7 @@ def _open_exact(state0: ModalState, b: np.ndarray, signal: InputSignal, config: 
     whole = _integrals(wave[:, :-1], starts[:-1], starts[1:], mu)
     prefix = np.vstack([np.zeros((1, n)), np.cumsum(whole, axis=0)])
     y0 = np.concatenate([state0.zeta, state0.w])
-    for steps, _ in _schedule(config):
+    for steps in _schedule(config):
         t = steps * dt
         i = np.searchsorted(signal._seams, t, side="right")
         e, live = prefix[i], wave[0, i] != 0  # a row in a zero segment adds nothing to its prefix
@@ -498,21 +493,21 @@ def _checked_coupling(state0: ModalState, h, config: SimConfig) -> CouplingVecto
 
 
 def simulate_closed(state0: ModalState, h, config: SimConfig) -> TimeSeries:
-    """Integrate the collocated closed loop u = -b.w from ``state0``.
+    """Sample the collocated closed loop u = -b.w from ``state0``, exact to
+    rounding at every sample.
 
     ``h`` is a profile or a :class:`CouplingVector` of at least
-    ``config.n_modes`` entries. The splitting integrator advances blocks of
-    steps between samples and propagates the recorded energy through the
-    exact dissipation identity of each damping substep,
-
-        E <- E - s^2 (1 - e^{-q dt})(2 - (1 - e^{-q dt})) / q,
-
-    whose decrement is a product of non-negative factors. The energy column
-    is E0 less the running sum of these decrements, clamped at 0, so the
-    energy and norm columns are non-increasing by construction.
+    ``config.n_modes`` entries. The state is the sum over the pairs of
+    closed-loop roots of two closed-form time functions times the part of
+    ``state0`` in the pair's real invariant plane (see :func:`_closed_exact`),
+    so ``dt`` only sets the sample grid. The energy column is the running
+    minimum of the sampled energies: the exact energy never increases, so the
+    energy and norm columns are non-increasing by construction and keep their
+    relative accuracy in the tail. Raises LinAlgError (a ValueError) where
+    the root finder does not converge.
     """
     coupling = _checked_coupling(state0, h, config)
-    return _sampled(config, _Propagator(coupling, config).run(state0, config))
+    return _sampled(config, _closed_exact(state0, coupling.b, config))
 
 
 def simulate_open(state0: ModalState, h, signal: InputSignal, config: SimConfig) -> TimeSeries:

@@ -4,9 +4,10 @@ Fits exponential or power-law decay models to sampled norm histories,
 measures the smallest constant closing the (1+t)^{-1/6} envelope over a
 run, and sweeps the truncation size to exhibit non-uniform stabilizability:
 every truncation is exponentially stable, but the fitted rates sink toward
-zero as modes are added. The closed-loop eigenvalues, found as the roots of
-the secular equation of the rank-one damping, provide the independent
-spectral-abscissa oracle for the sweep.
+zero as modes are added. The closed-loop eigenvalues, the roots of the
+secular equation of the rank-one damping, give the spectral abscissa that
+the fitted rates approach (and, through :mod:`wavetank.simulate`, the
+trajectories themselves).
 """
 
 import math
@@ -23,7 +24,7 @@ from .simulate import (
     domain_norm,
     simulate_closed,
 )
-from .spectral import eigenvalues, frequencies
+from .spectral import _closed_loop_roots, frequencies
 
 __all__ = [
     "DecayFit",
@@ -121,100 +122,10 @@ def smooth_initial_state(n_modes: int, decay_power: float) -> ModalState:
     return ModalState(zeta / scale, np.zeros(n_modes))
 
 
-_SEED_NUDGE = 2.0**-10  # relative shift of the lower seeds off conjugate symmetry
-_STALL = 1e-10  # a correction below this share of its offset that stops shrinking is rounding
-_MAX_SWEEPS = 500  # Aberth sweeps before the root finder gives up
-# entries of the rows x 2N complex temporaries of one Aberth chunk, exclusive:
-# 2^13 complex entries are 128 KiB, glibc's mmap threshold, at which each chunk's
-# temporaries go back to the system and fault in again. In a fresh process the
-# roots at N = 100, 200 and 400 took 27,204 page faults with chunks of 2^18
-# entries, 44 with these
-ROOT_CHUNK = 1 << 13
-
-
-def _closed_loop_roots(b) -> np.ndarray:
-    """All 2N eigenvalues of the closed loop with coupling ``b``.
-
-    The rank-one damping factors the characteristic polynomial as
-    prod_k (s^2 + lambda_k) f(s), with the secular function
-    f(s) = 1 + s sum_k b_k^2 / (s^2 + lambda_k). Its 2N roots are found by
-    the Aberth-Ehrlich iteration on that form, seeded at the first-order
-    values +-i mu_k - b_k^2/2; the lower seeds are nudged off conjugate
-    symmetry so that a strongly damped pair can split onto the real axis.
-    Each root is held as its home pole p = +-i mu_k plus an offset d, so its
-    real part is exactly Re d, and the home denominator is formed as
-    d (d + 2p), never as s^2 + lambda_k, whose cancellation would hide
-    couplings below eps mu_k. Modes with b_k^2 zero or below the normal
-    float64 range are deflated: their roots are exactly +-i mu_k.
-
-    Returns the roots homed at i mu_1, ..., i mu_N, then those homed at
-    -i mu_1, ..., -i mu_N. Raises LinAlgError when the iteration does not
-    converge, or when the roots miss the trace identity
-    sum Re s = -|b|^2 by more than 1e-13 |b|^2.
-    """
-    b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("coupling coefficients must be finite")
-    n = b.size
-    lam = eigenvalues(n)
-    mu = np.sqrt(lam)
-    roots = np.concatenate([1j * mu, -1j * mu])
-    eps = np.finfo(float).eps
-    rows = max(1, (ROOT_CHUNK - 1) // (2 * n))  # roots per chunk
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            b2 = b * b
-            live = np.flatnonzero(b2 >= np.finfo(float).tiny)
-            iterated = np.concatenate([live, n + live])
-            q = b2[live]
-            pole = roots[iterated]
-            lam_live, lam_home = lam[live], lam[np.concatenate([live, live])]
-            off = np.concatenate([-0.5 * q, -0.5 * (1.0 + _SEED_NUDGE) * q]).astype(complex)
-            last = np.full(off.size, np.inf)
-            todo = np.arange(off.size)
-            for _ in range(_MAX_SWEEPS):
-                if not todo.size:
-                    break
-                chunks = np.array_split(todo, -(-todo.size // rows))
-                step = np.concatenate([_aberth_step(i, pole, off, lam_live, lam_home[i], q) for i in chunks])
-                off[todo] -= step
-                size, scale = np.abs(step), np.abs(off[todo])
-                done = (size <= 4.0 * eps * scale) | ((size >= last[todo]) & (size <= _STALL * scale))
-                last[todo] = size
-                todo = todo[~done]
-    except FloatingPointError as exc:
-        raise np.linalg.LinAlgError(f"closed-loop root finder broke down: {exc}") from exc
-    if todo.size:
-        raise np.linalg.LinAlgError(
-            f"closed-loop root finder left {todo.size} roots unconverged after {_MAX_SWEEPS} sweeps"
-        )
-    gap = abs(math.fsum(off.real) + math.fsum(q))
-    if gap > 1e-13 * math.fsum(q):
-        raise np.linalg.LinAlgError(f"closed-loop roots miss the trace identity by {gap:.3g}")
-    roots[iterated] = pole + off
-    return roots
-
-
-def _aberth_step(i, pole, off, lam, lam_home, q):
-    """Aberth corrections to the offsets of rows ``i``: N / (1 - N sum_j 1/(z_i - z_j))
-    with the Newton correction N of the characteristic polynomial,
-    P'/P = sum_k 2z/(z^2 + lambda_k) + f'/f and f' = sum_k b_k^2 (lambda_k - z^2)/(z^2 + lambda_k)^2."""
-    z = pole[i] + off[i]
-    # z^2 + lambda_k = (lambda_k - lambda_home) + d (d + 2p), exact zero shift at home
-    inv = 1.0 / ((lam[None, :] - lam_home[:, None]) + (off[i] * (off[i] + 2.0 * pole[i]))[:, None])
-    terms = inv * q
-    g = terms.sum(axis=1)
-    f = 1.0 + z * g
-    df = g - 2.0 * z * z * (terms * inv).sum(axis=1)
-    gaps = (pole[i][:, None] - pole[None, :]) + (off[i][:, None] - off[None, :])
-    gaps[np.arange(i.size), i] = np.inf
-    repel = (1.0 / gaps).sum(axis=1)
-    return f / (f * (2.0 * z * inv.sum(axis=1) - repel) + df)
-
-
 def spectral_abscissa(h, n_modes: int) -> float:
     """Largest real part of the closed-loop eigenvalues, the roots of the
-    secular equation of the rank-one damping (see :func:`_closed_loop_roots`).
+    secular equation of the rank-one damping (see
+    :func:`wavetank.spectral._closed_loop_pairs`).
 
     Independent oracle for the fitted rates: the trajectory decay rate of the
     truncated loop equals minus this abscissa asymptotically.
@@ -225,13 +136,12 @@ def spectral_abscissa(h, n_modes: int) -> float:
 def rate_vs_n_study(h, n_values, t_final=40000.0, dt=1e-2, sample_every=1000) -> list[RateStudyEntry]:
     """Fitted tail decay rates of the closed loop for strictly increasing truncations.
 
-    Each run starts from the evenly spread state zeta_k = w_k = 1/sqrt(N),
-    is advanced to ``t_final`` by :func:`simulate_closed` in steps of ``dt``,
-    with the modes recorded every ``sample_every``-th step, and fits
-    the exponential model to norms recomputed from the recorded modes on the
-    last half of the samples. Long horizons are required to out-wait the
-    slowest mode, and over them the tracked energy, a running difference of
-    O(1) numbers, loses the relative accuracy the tail fit needs.
+    Each run starts from the evenly spread state zeta_k = w_k = 1/sqrt(N), is
+    sampled by :func:`simulate_closed` every ``sample_every``-th point of the
+    grid of spacing ``dt`` up to ``t_final``, and fits the exponential model
+    to the norms on the last half of the samples. Long horizons are required
+    to out-wait the slowest mode; the exact samples keep the norms' relative
+    accuracy in the tail.
 
     Every truncation is exponentially stable (positive rate); the rates
     shrink as modes are added, the finite shadow of non-uniform
@@ -248,12 +158,10 @@ def rate_vs_n_study(h, n_values, t_final=40000.0, dt=1e-2, sample_every=1000) ->
     for n in n_values:
         coupling = coupling_vector(h, n)
         gamma_floor = float(np.min(np.abs(coupling.beta) * (frequencies(n) + 1.0) ** 2))
-        cfg = SimConfig(n_modes=n, t_final=t_final, dt=dt, sample_every=sample_every, record_modes=True)
+        cfg = SimConfig(n_modes=n, t_final=t_final, dt=dt, sample_every=sample_every)
         v = np.ones(n) / math.sqrt(n)
         run = simulate_closed(ModalState(v, v.copy()), coupling, cfg)
-        x = np.sqrt(run.zeta**2 @ eigenvalues(n) + np.sum(run.w**2, axis=1))
-        series = TimeSeries(t=run.t, x_norm=x, energy=x**2, u=run.u)
-        fit = decay_fit(series, (run.t[len(run.t) // 2], run.t[-1]), "exponential")
+        fit = decay_fit(run, (run.t[len(run.t) // 2], run.t[-1]), "exponential")
         entries.append(RateStudyEntry(n, fit.fitted_value, fit.residual_rms, gamma_floor))
     return entries
 

@@ -1,10 +1,10 @@
 """References for the integrators, for the tests only.
 
-The package advances both loops a block of samples per call; these are
-what it must reproduce, written out apart from it: the exact closed-loop
-substeps, the one-step matrix built by driving them with unit basis states,
-the open loop's Duhamel integral by quadrature, and classical RK4 on the
-full right-hand side of either loop.
+The package samples both loops exactly, a block of samples per call; these
+are what it must reproduce, written out apart from it: the closed loop by
+the matrix exponential of its dense generator, the open loop's Duhamel
+integral by quadrature, and classical RK4 on the full right-hand side of
+either loop.
 """
 
 import bisect
@@ -16,55 +16,33 @@ from wavetank.simulate import ModalState
 from wavetank.spectral import eigenvalues, frequencies
 
 
-def rotation_substep(state: ModalState, tau: float) -> ModalState:
-    """Exact free oscillation of every mode for time tau.
+def expm_states(b: np.ndarray, state0: ModalState, times) -> np.ndarray:
+    """States [zeta; w] of the closed loop u = -b.w at each of ``times``, one row
+    per time, from the dense generator's exponential.
 
-    Per mode: zeta <- zeta cos(mu tau) + (w/mu) sin(mu tau),
-              w    <- -mu zeta sin(mu tau) + w cos(mu tau),
-    an isometry of the energy norm.
-    """
-    mu = frequencies(state.n_modes)
-    c = np.cos(mu * tau)
-    s = np.sin(mu * tau)
-    zeta = state.zeta * c + (state.w / mu) * s
-    w = -mu * state.zeta * s + state.w * c
-    return ModalState(zeta, w)
-
-
-def damping_substep(state: ModalState, coupling, tau: float) -> ModalState:
-    """Exact flow of the rank-one damping w' = -b (b.w) for time tau.
-
-    With s = b.w and q = |b|^2: w <- w + ((e^{-q tau} - 1)/q) s b; zeta is
-    untouched and the energy norm never increases.
-    """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    b = coupling.b
-    if b.size != state.n_modes:
-        raise ValueError("coupling length does not match the state truncation")
-    q = coupling.q
-    if q == 0.0:
-        return ModalState(state.zeta.copy(), state.w.copy())
-    s = float(np.dot(b, state.w))
-    factor = math.expm1(-q * tau) / q
-    return ModalState(state.zeta.copy(), state.w + factor * s * b)
-
-
-def strang_step_matrix(coupling, n_modes: int, dt: float) -> np.ndarray:
-    """Matrix of one splitting step, built by driving the substeps above
-    with unit basis states: the reference for the block propagator."""
-    dim = 2 * n_modes
-    m = np.empty((dim, dim))
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        state = ModalState(e[:n_modes], e[n_modes:])
-        state = rotation_substep(state, dt / 2.0)
-        state = damping_substep(state, coupling, dt)
-        state = rotation_substep(state, dt / 2.0)
-        m[:n_modes, j] = state.zeta
-        m[n_modes:, j] = state.w
-    return m
+    In energy coordinates y = [mu zeta; w] the generator [[0, M], [-M, -b b^T]],
+    M = diag(mu), is skew less a positive rank-one part, so e^{G t} is a
+    contraction and repeated squaring keeps its rounding small. e^{G t} is the
+    Taylor sum of degree 20 at G t / 2^s, |G t / 2^s|_1 <= 1/2, squared s times."""
+    n = state0.n_modes
+    mu = frequencies(n)
+    gen = np.zeros((2 * n, 2 * n))
+    gen[:n, n:], gen[n:, :n], gen[n:, n:] = np.diag(mu), -np.diag(mu), -np.outer(b, b)
+    y0 = np.concatenate([mu * state0.zeta, state0.w])
+    rows = []
+    for t in times:
+        x = gen * t
+        s = max(0, math.ceil(math.log2(max(np.abs(x).sum(axis=0).max(), 1e-300) / 0.5)))
+        x = x / 2.0**s
+        term = total = np.eye(2 * n)
+        for k in range(1, 21):
+            term = term @ x / k
+            total = total + term
+        for _ in range(s):
+            total = total @ total
+        y = total @ y0
+        rows.append(np.concatenate([y[:n] / mu, y[n:]]))
+    return np.array(rows)
 
 
 def open_loop_states(state0: ModalState, b: np.ndarray, signal, config) -> np.ndarray:

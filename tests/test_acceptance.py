@@ -258,7 +258,7 @@ def test_criterion_5_dynamics(h1):
     concat_err = math.sqrt(float(lam @ dz**2 + dw @ dw))
     checks.append((f"concatenation identity within 5e-8 (got {concat_err:.2e})", concat_err <= 5e-8))
 
-    # second-order splitting: halving dt shrinks the error ~4x against dt/8
+    # the samples are exact: the final state does not depend on the grid
     st8 = simulate.ModalState(rng.standard_normal(8), rng.standard_normal(8))
     lam8 = spectral.eigenvalues(8)
 
@@ -266,23 +266,23 @@ def test_criterion_5_dynamics(h1):
         cfg = simulate.SimConfig(n_modes=8, t_final=10.0, dt=dt, sample_every=10**9)
         return simulate.simulate_closed(st8, h1, cfg).final_state
 
-    ref = final(1e-2 / 8)
+    ref = final(1.25e-3)
 
     def err(state):
         dz, dw = state.zeta - ref.zeta, state.w - ref.w
-        return math.sqrt(float(lam8 @ dz**2 + dw @ dw))
+        return math.sqrt(float(lam8 @ dz**2 + dw @ dw)) / simulate.x_norm(ref)
 
-    ratio = err(final(1e-2)) / err(final(5e-3))
-    checks.append((f"splitting order ratio {ratio:.2f} in [3.5, 4.5]", 3.5 <= ratio <= 4.5))
+    drift = max(err(final(1e-2)), err(final(5e-3)))
+    checks.append((f"final state independent of dt to 1e-12 (got {drift:.2e})", drift <= 1e-12))
 
-    # splitting agrees with the independent Runge-Kutta cross-check
+    # the exact closed loop agrees with the independent Runge-Kutta cross-check
     cfg = simulate.SimConfig(n_modes=8, t_final=10.0, dt=1e-3, sample_every=100)
     ts_s = simulate.simulate_closed(st8, h1, cfg)
     b = profiles.coupling_vector(h1, 8).b
     rows = rk4_states(st8, b, lambda t, w: -float(np.dot(b, w)), cfg.dt, cfg.sample_steps().tolist())
     rk4 = np.array([simulate.x_norm(simulate.ModalState(row[:8], row[8:])) for row in rows])
     int_diff = np.max(np.abs(ts_s.x_norm - rk4)) / ts_s.x_norm[0]
-    checks.append((f"splitting vs rk4 within 1e-6 (got {int_diff:.2e})", int_diff <= 1e-6))
+    checks.append((f"exact closed loop vs rk4 within 1e-6 (got {int_diff:.2e})", int_diff <= 1e-6))
 
     _report(5, "dynamics", checks, time.perf_counter() - t0)
 

@@ -137,6 +137,22 @@ def test_simulate_records_last_step(tmp_path, capsys):
     assert summary["final"]["x_norm"] == pytest.approx(series.x_norm[-1], rel=1e-12)
 
 
+def test_simulate_beyond_the_root_finder_fails_loudly(tmp_path, capsys):
+    # h1 scaled by 1e4 at N = 100 leaves the closed-loop roots unconverged: one
+    # error line and exit 2, not a state computed from them
+    y = np.linspace(-1.0, 0.0, 201)
+    profile = tmp_path / "strong.csv"
+    profile.write_text("y,h\n" + "".join(f"{a!r},{1e4 * (a + 0.5)!r}\n" for a in y.tolist()))
+    csv_path = tmp_path / "x.csv"
+    code, out, err = run_cli(
+        capsys, "simulate", "--profile", str(profile), "--n-modes", "100", "--t-final", "1",
+        "--dt", "0.005", "--out-csv", str(csv_path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: closed-loop root finder left ") and err.count("\n") == 1
+    assert not csv_path.exists()
+
+
 def test_simulate_rejects_empty_out_csv(capsys):
     # an empty path would mean stdout, where the JSON summary goes
     code, out, err = run_cli(capsys, "simulate", "--n-modes", "4", "--t-final", "1", "--out-csv", "")

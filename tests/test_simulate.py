@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wavetank.profiles import coupling_vector
+from wavetank.profiles import CouplingVector, coupling_vector
 from wavetank.simulate import (
     InputSignal,
     ModalState,
@@ -20,7 +21,7 @@ from wavetank.simulate import (
 )
 from wavetank.spectral import eigenvalues, frequency
 
-from substeps import damping_substep, open_loop_states, rk4_states, rotation_substep
+from substeps import expm_states, open_loop_states, rk4_states
 
 MU1 = 0.8726936208978296
 DOMNORM_MODE1 = 1.1582831322011637  # sqrt(lambda_1 + lambda_1^2)
@@ -60,66 +61,86 @@ def test_domain_norm_dominates(rng):
         assert domain_norm(st) >= x_norm(st)
 
 
-# -- substeps ----------------------------------------------------------------
+# -- limits of the closed loop: free rotation and one damped mode ---------------
+
+
+def closed_run(state, b, t_final, dt, sample_every=1):
+    cfg = SimConfig(n_modes=state.n_modes, t_final=t_final, dt=dt, sample_every=sample_every, record_modes=True)
+    return simulate_closed(state, CouplingVector(np.asarray(b, dtype=float)), cfg)
 
 
 def test_rotation_identity_at_zero(rng):
+    # the first sample is the initial state as given, coupled or not
     st = random_state(5, rng)
-    out = rotation_substep(st, 0.0)
-    assert np.array_equal(out.zeta, st.zeta)
-    assert np.array_equal(out.w, st.w)
+    for b in (np.zeros(5), rng.standard_normal(5)):
+        ts = closed_run(st, b, 1.0, 0.1, 3)
+        assert np.array_equal(ts.zeta[0], st.zeta)
+        assert np.array_equal(ts.w[0], st.w)
 
 
 def test_rotation_full_period():
-    st = ModalState.single_mode(1, 1)
-    out = rotation_substep(st, 2 * math.pi / frequency(1))
-    assert out.zeta[0] == pytest.approx(1.0, abs=1e-12)
-    assert out.w[0] == pytest.approx(0.0, abs=1e-12)
+    # with zero coupling the loop is the free rotation, back after one period
+    period = 2 * math.pi / frequency(1)
+    ts = closed_run(ModalState.single_mode(1, 1), [0.0], period, period / 1000, 1000)
+    assert ts.final_state.zeta[0] == pytest.approx(1.0, abs=1e-12)
+    assert ts.final_state.w[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rotation_isometry(rng):
     st = random_state(12, rng)
-    out = rotation_substep(st, 0.37)
-    assert x_norm(out) == pytest.approx(x_norm(st), rel=1e-13)
+    ts = closed_run(st, np.zeros(12), 37.0, 0.37)
+    lam = eigenvalues(12)
+    energies = ts.zeta**2 @ lam + np.sum(ts.w**2, axis=1)
+    assert np.max(np.abs(energies - energies[0])) <= 1e-13 * energies[0]
 
 
-def test_damping_zero_coupling_is_identity(h1, rng):
-    from wavetank.profiles import CouplingVector
-
+def test_damping_zero_coupling_is_identity(rng):
+    # no coupling draws no feedback, and no energy leaves
     st = random_state(4, rng)
-    zero = CouplingVector(np.zeros(4))
-    out = damping_substep(st, zero, 0.5)
-    assert np.array_equal(out.w, st.w)
+    ts = closed_run(st, np.zeros(4), 5.0, 0.5)
+    assert np.all(ts.u == 0.0)
+    assert np.max(np.abs(ts.energy - ts.energy[0])) <= 1e-14 * ts.energy[0]
 
 
 def test_damping_eigenvector_decay(h1):
-    cv = coupling_vector(h1, 6)
-    st = ModalState(np.zeros(6), cv.b.copy())
-    tau = 0.8
-    out = damping_substep(st, cv, tau)
-    assert np.allclose(out.w, math.exp(-cv.q * tau) * cv.b, rtol=1e-14)
+    # one mode from (1, 0): zeta'' + q zeta' + lambda zeta = 0, with a = -q/2
+    # and omega^2 = lambda - a^2, gives zeta = e^{a t} (cos(omega t) - (a/omega) sin(omega t))
+    # and w = -(lambda/omega) e^{a t} sin(omega t)
+    q = coupling_vector(h1, 1).b[0] ** 2
+    lam = eigenvalues(1)[0]
+    a, omega = -q / 2, math.sqrt(lam - q * q / 4)
+    ts = closed_run(ModalState.single_mode(1, 1), coupling_vector(h1, 1).b, 50.0, 0.05, 10)
+    decay, c, s = np.exp(a * ts.t), np.cos(omega * ts.t), np.sin(omega * ts.t)
+    assert np.allclose(ts.zeta[:, 0], decay * (c - (a / omega) * s), rtol=0.0, atol=1e-13)
+    assert np.allclose(ts.w[:, 0], -(lam / omega) * decay * s, rtol=0.0, atol=1e-13)
 
 
-def test_damping_orthogonal_kernel(h1):
-    cv = coupling_vector(h1, 2)
-    w = np.array([cv.b[1], -cv.b[0]])  # perpendicular to b
-    st = ModalState(np.zeros(2), w)
-    out = damping_substep(st, cv, 1.3)
-    assert np.allclose(out.w, w, atol=1e-18)
+def test_damping_orthogonal_kernel():
+    # a mode the coupling does not reach rotates freely beside a damped one,
+    # and draws the other in not at all
+    mu1 = frequency(1)
+    ts = closed_run(ModalState.single_mode(1, 2), [0.0, 0.3], 20.0, 0.02, 10)
+    assert np.allclose(ts.zeta[:, 0], np.cos(mu1 * ts.t), rtol=0.0, atol=1e-13)
+    assert np.allclose(ts.w[:, 0], -mu1 * np.sin(mu1 * ts.t), rtol=0.0, atol=1e-13)
+    assert np.all(ts.zeta[:, 1] == 0.0) and np.all(ts.w[:, 1] == 0.0) and np.all(ts.u == 0.0)
 
 
 def test_damping_never_expands(h1, rng):
-    cv = coupling_vector(h1, 8)
+    # the energies of the sampled states themselves, not only their running
+    # minimum, rise by rounding at most [measured: none rose in 200 draws]
+    b = coupling_vector(h1, 8).b
+    lam = eigenvalues(8)
     for _ in range(20):
-        st = random_state(8, rng)
-        out = damping_substep(st, cv, 0.05)
-        assert x_norm_sq(out) <= x_norm_sq(st) * (1 + 1e-15)
+        ts = closed_run(random_state(8, rng), b, 5.0, 0.05)
+        energies = ts.zeta**2 @ lam + np.sum(ts.w**2, axis=1)
+        assert np.all(np.diff(energies) <= 1e-15 * energies[0])
 
 
-def test_damping_rejects_negative_tau(h1):
-    cv = coupling_vector(h1, 2)
-    with pytest.raises(ValueError):
-        damping_substep(ModalState.zero(2), cv, -0.1)
+def test_damping_rejects_negative_tau():
+    # the loop runs forward only: a negative step or horizon is refused
+    for t_final, dt in ((1.0, -0.1), (-1.0, 0.1), (-1.0, -0.1)):
+        with pytest.raises(ValueError):
+            SimConfig(n_modes=2, t_final=t_final, dt=dt)
 
 
 # -- closed loop -------------------------------------------------------------
@@ -182,7 +203,8 @@ def test_closed_loop_energy_balance(h1, rng):
     assert abs(drop - work) <= 1e-6 * ts.energy[0]
 
 
-def test_splitting_second_order(h1, rng):
+def test_closed_loop_final_state_does_not_depend_on_dt(h1, rng):
+    # dt only sets the sample grid: the same horizon on three grids
     st = random_state(8, rng)
     lam = eigenvalues(8)
 
@@ -190,14 +212,79 @@ def test_splitting_second_order(h1, rng):
         cfg = SimConfig(n_modes=8, t_final=5.0, dt=dt, sample_every=10**9)
         return simulate_closed(st, h1, cfg).final_state
 
-    ref = final_state(1e-2 / 8)
-
-    def err(state):
+    ref = final_state(1.25e-3)
+    for dt in (1e-2, 5e-3):
+        state = final_state(dt)
         dz, dw = state.zeta - ref.zeta, state.w - ref.w
-        return math.sqrt(float(lam @ dz**2 + dw @ dw))
+        assert math.sqrt(float(lam @ dz**2 + dw @ dw)) <= 1e-12 * x_norm(ref)
 
-    ratio = err(final_state(1e-2)) / err(final_state(5e-3))
-    assert 3.5 <= ratio <= 4.5
+
+def exceptional_coupling(n):
+    """A coupling whose closed loop has a double real root s0: -mu_1 at N = 1
+    (b_1^2 = 2 mu_1), else halfway between -mu_2 and -mu_1, where f(s0) = 0 and
+    f'(s0) = sum_j b_j^2 (lambda_j - s0^2) / (s0^2 + lambda_j)^2 = 0 fix b_1^2 and
+    b_2^2 given b_j = 0.3 for j > 2."""
+    lam = eigenvalues(n)
+    if n == 1:
+        return np.array([math.sqrt(2.0 * math.sqrt(lam[0]))])
+    s0 = -(math.sqrt(lam[0]) + math.sqrt(lam[1])) / 2
+    rest = np.full(n - 2, 0.3**2)
+    den = s0 * s0 + lam
+    lhs = np.array([1.0 / den[:2], (lam[:2] - s0 * s0) / den[:2] ** 2])
+    rhs = [-1.0 / s0 - np.sum(rest / den[2:]), -np.sum(rest * (lam[2:] - s0 * s0) / den[2:] ** 2)]
+    return np.sqrt(np.r_[np.linalg.solve(lhs, rhs), rest])
+
+
+def mpmath_states(b, state0, times):
+    """States [zeta; w] at ``times`` from mpmath's exponential of the generator, 30 digits."""
+    n = state0.n_modes
+    lam = eigenvalues(n)
+    with mpmath.workdps(30):
+        gen = mpmath.zeros(2 * n, 2 * n)
+        for i in range(n):
+            gen[i, n + i], gen[n + i, i] = 1, -mpmath.mpf(float(lam[i]))
+            for j in range(n):
+                gen[n + i, n + j] = -mpmath.mpf(float(b[i])) * mpmath.mpf(float(b[j]))
+        z0 = mpmath.matrix([mpmath.mpf(float(x)) for x in np.r_[state0.zeta, state0.w]])
+        return np.array([[float(x) for x in mpmath.expm(gen * mpmath.mpf(float(t))) * z0] for t in times])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_loop_at_exceptional_point(rng, n):
+    # where two roots meet, the pair's divided differences stay a basis
+    # [measured: 1.3e-15 of the state at most]
+    b = exceptional_coupling(n)
+    st = random_state(n, rng)
+    ts = closed_run(st, b, 20.0, 0.01, 500)
+    ref = mpmath_states(b, st, ts.t)
+    assert np.max(np.abs(np.hstack([ts.zeta, ts.w]) - ref)) <= 1e-12 * np.max(np.abs(ref[0]))
+    assert np.all(np.diff(ts.energy) <= 0.0)
+
+
+@pytest.mark.parametrize("scale", [100.0, 1000.0])
+def test_closed_loop_strong_coupling_matches_exponential(h1, scale):
+    # h1 x100 and x1000 at N = 100, where a splitting step of 5e-3 was 1.3e-4
+    # and 5.5e-4 off at t = 1 [measured: 4.9e-13 and 2.0e-11 of the state; the
+    # latter is mostly the reference's own squaring error, 5e-11 off mpmath at N = 20]
+    n = 100
+    b = scale * coupling_vector(h1, n).b
+    rng = np.random.default_rng(12)
+    z = rng.standard_normal(2 * n) / np.arange(1, 2 * n + 1)
+    st = ModalState(z[:n], z[n:])
+    ts = closed_run(st, b, 1.0, 5e-3, 200)
+    ref = expm_states(b, st, [1.0])[0]
+    assert x_norm(ModalState(ts.final_state.zeta - ref[:n], ts.final_state.w - ref[n:])) <= 1e-10 * x_norm(st)
+    assert np.all(np.diff(ts.energy) <= 0.0)
+
+
+@pytest.mark.parametrize("tiny", [1e-100, 1e-150])
+def test_closed_loop_tiny_coupling_rotates(tiny):
+    # b_1^2 of 1e-200 or 1e-300 is live, not deflated, though its pair's squares
+    # underflow: mode 1 rotates and keeps its energy [measured: 2.2e-16, 5.6e-16]
+    mu1 = frequency(1)
+    ts = closed_run(ModalState.single_mode(1, 2), [tiny, 0.3], 100.0, 0.01, 100)
+    assert np.allclose(ts.zeta[:, 0], np.cos(mu1 * ts.t), rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(ts.energy - ts.energy[0])) <= 1e-12 * ts.energy[0]
 
 
 def test_simulate_closed_config_mismatches(h1):

@@ -192,6 +192,10 @@ def test_wave_package_rejects_centers_beyond_double_resolution():
     # at |s| = 1e9 neighbouring frequencies are 5e-10 apart, below the spacing of doubles
     with pytest.raises(ValueError, match="too large: doubles do not separate"):
         wave_package(1e9, 0.1)
+    # and where the squares of the bracket would overflow
+    for s in (1e155, -1e155, 1e300):
+        with pytest.raises(ValueError, match="too large: doubles do not separate"):
+            wave_package(s, 0.1)
 
 
 def test_separation_certificate_positive_and_consistent():

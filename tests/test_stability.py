@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wavetank import stability
-from wavetank.profiles import KERNEL_BLOCK, CouplingVector, coupling_vector
+from wavetank import spectral
+from wavetank.profiles import KERNEL_BLOCK, CouplingVector, WavemakerProfile, coupling_vector
 from wavetank.simulate import (
     ModalState,
     SimConfig,
@@ -19,9 +19,8 @@ from wavetank.simulate import (
     x_norm,
     x_norm_sq,
 )
-from wavetank.spectral import eigenvalues
+from wavetank.spectral import _closed_loop_pairs, _closed_loop_roots, eigenvalues, frequency
 from wavetank.stability import (
-    _closed_loop_roots,
     decay_fit,
     envelope_check,
     rate_vs_n_study,
@@ -30,7 +29,7 @@ from wavetank.stability import (
     study_to_csv,
 )
 
-from substeps import strang_step_matrix
+from substeps import expm_states
 
 
 def synthetic_series(fn, t_hi=50.0, n=501):
@@ -267,12 +266,13 @@ def test_root_finder_fails_loudly(monkeypatch):
     b = np.array([0.3, 0.2, 0.1])
     with pytest.raises(ValueError, match="finite"):
         _closed_loop_roots(np.array([0.3, np.nan]))
-    monkeypatch.setattr(stability, "_MAX_SWEEPS", 1)
+    monkeypatch.setattr(spectral, "_MAX_SWEEPS", 1)
     with pytest.raises(np.linalg.LinAlgError, match="unconverged"):
         _closed_loop_roots(b)
     monkeypatch.undo()
-    # offsets left at the seeds miss the trace identity
-    monkeypatch.setattr(stability, "_aberth_step", lambda i, *args: np.zeros(i.size, dtype=complex))
+    # offsets left at the seeds, and pairs left unpolished, miss the trace identity
+    monkeypatch.setattr(spectral, "_aberth_step", lambda i, *args: np.zeros(i.size, dtype=complex))
+    monkeypatch.setattr(spectral, "_polish_step", lambda i, *args: np.zeros(i.size, dtype=complex))
     with pytest.raises(np.linalg.LinAlgError, match="trace identity"):
         _closed_loop_roots(b)
 
@@ -286,8 +286,46 @@ def test_root_chunks_are_a_tiling(monkeypatch, h1, rows):
     cases += [30.0 * coupling_vector(h1, 16).b, rng.standard_normal(37) * 3.0, np.r_[0.0, rng.standard_normal(9)]]
     want = [_closed_loop_roots(b) for b in cases]
     for b, roots in zip(cases, want):
-        monkeypatch.setattr(stability, "ROOT_CHUNK", rows * 2 * b.size + 1)
+        monkeypatch.setattr(spectral, "ROOT_CHUNK", rows * 2 * b.size + 1)
         assert _closed_loop_roots(b).tobytes() == roots.tobytes()
+
+
+def test_critical_damping_profile_abscissa():
+    # a tabulated profile scaled so that b_1^2 = 2 mu_1 to rounding: s^2 + b_1^2 s
+    # + lambda_1 has the double root -mu_1. The pair's sum is exact to rounding,
+    # and the abscissa within the sqrt(eps) a double root allows [measured:
+    # P + b_1^2 at 2.2e-16, the abscissa 1.3e-16 off 40 digits]
+    y = np.linspace(-1.0, 0.0, 201)
+    unit = coupling_vector(WavemakerProfile.from_samples(y, y + 0.5), 1).b[0]
+    mu1 = frequency(1)
+    profile = WavemakerProfile.from_samples(y, math.sqrt(2.0 * mu1) / abs(unit) * (y + 0.5))
+    b1 = coupling_vector(profile, 1).b[0]
+    assert b1**2 == pytest.approx(2.0 * mu1, rel=1e-15)
+    total, rho = _closed_loop_pairs(np.array([b1]))
+    assert abs(total[0] + b1**2) <= 4 * np.finfo(float).eps * b1**2
+    assert abs(rho[0]) <= 4 * np.finfo(float).eps * b1**2  # Q = lambda_1: the pair is alone [measured: 1.6e-35]
+    with mpmath.workdps(40):
+        q, lam = mpmath.mpf(float(b1)) ** 2, mpmath.mpf(float(eigenvalues(1)[0]))
+        ref = float(max(mpmath.re(r) for r in mpmath.polyroots([1, q, lam])))
+    assert spectral_abscissa(profile, 1) == pytest.approx(ref, rel=1e-7)
+
+
+@pytest.mark.parametrize("off", [1e-8, -1e-8])
+def test_critical_damping_bare_couplings(off):
+    # b_1^2 = 2 mu_1 (1 + off): two real roots 2.5e-4 apart, or a complex pair.
+    # Every root against 40 digits, within the conditioning of delta^2 = m^2 - Q
+    # [measured: 5.7e-13 relative]
+    b = np.array([math.sqrt(2.0 * frequency(1) * (1.0 + off))])
+    roots = _closed_loop_roots(b)
+    q = b[0] ** 2
+    assert abs(math.fsum(roots.real) + q) <= 1e-13 * q
+    with mpmath.workdps(40):
+        q_mp, lam_mp = mpmath.mpf(float(b[0])) ** 2, mpmath.mpf(float(eigenvalues(1)[0]))
+        refs = [complex(r) for r in mpmath.polyroots([1, q_mp, lam_mp])]
+    for s in roots:
+        ref = min(refs, key=lambda r: abs(r - s))
+        assert abs(s - ref) <= 1e-11 * abs(ref)
+    assert (roots.imag == 0.0).all() == (off > 0)
 
 
 @st.composite
@@ -320,7 +358,7 @@ def strong_couplings(draw):
 def test_abscissa_strong_coupling_property(b):
     # warnings are errors under the test configuration, so none may be raised;
     # at most 400 sweeps [measured: 305 at most in 3,000 draws and a flat scan]
-    with mock.patch.object(stability, "_MAX_SWEEPS", 400):
+    with mock.patch.object(spectral, "_MAX_SWEEPS", 400):
         a = spectral_abscissa(CouplingVector(b), len(b))
     dense = dense_roots(b)
     assert a <= 0.0
@@ -345,38 +383,38 @@ def test_closed_loop_matrix_structure(h1):
 
 
 def test_step_matrix_matches_simulator(h1):
+    # the final state against the dense generator's exponential [measured: 4.4e-15]
     n, dt = 4, 0.02
     cv = coupling_vector(h1, n)
-    step = strang_step_matrix(cv, n, dt)
     rng = np.random.default_rng(9)
     z = rng.standard_normal(2 * n)
     cfg = SimConfig(n_modes=n, t_final=200 * dt, dt=dt, sample_every=200)
     ts = simulate_closed(ModalState(z[:n], z[n:]), h1, cfg)
-    advanced = np.linalg.matrix_power(step, 200) @ z
-    assert np.allclose(advanced[:n], ts.final_state.zeta, atol=1e-11)
-    assert np.allclose(advanced[n:], ts.final_state.w, atol=1e-11)
+    advanced = expm_states(cv.b, ModalState(z[:n], z[n:]), [ts.t[-1]])[0]
+    assert np.allclose(advanced[:n], ts.final_state.zeta, atol=1e-13, rtol=0.0)
+    assert np.allclose(advanced[n:], ts.final_state.w, atol=1e-13, rtol=0.0)
 
 
 def test_block_cap_splits_sample_intervals(h1):
-    # N = 150 caps blocks at 2**18 // 300 = 873 steps, so each 1000-step
-    # sample interval is a dense full block plus a factored 127-step tail
+    # N = 150 caps a block of samples at 2**18 // 300 = 873 rows, so 2,001
+    # samples take three blocks; the rows on both sides of each seam, and the
+    # last, against the dense exponential [measured: 1.6e-13 max abs]
     n, dt = 150, 5e-3
     cv = coupling_vector(h1, n)
     rng = np.random.default_rng(5)
     z = rng.standard_normal(2 * n) / np.arange(1, 2 * n + 1)
-    cfg = SimConfig(n_modes=n, t_final=2000 * dt, dt=dt, sample_every=1000)
+    cfg = SimConfig(n_modes=n, t_final=2000 * dt, dt=dt, sample_every=1, record_modes=True)
     ts = simulate_closed(ModalState(z[:n], z[n:]), cv, cfg)
-    advanced = np.linalg.matrix_power(strang_step_matrix(cv, n, dt), 2000) @ z
-    assert np.allclose(advanced[:n], ts.final_state.zeta, atol=1e-11)
-    assert np.allclose(advanced[n:], ts.final_state.w, atol=1e-11)
+    rows = [872, 873, 1745, 1746, 2000]
+    advanced = expm_states(cv.b, ModalState(z[:n], z[n:]), ts.t[rows])
+    assert np.allclose(np.hstack([ts.zeta, ts.w])[rows], advanced, atol=2e-12, rtol=0.0)
     assert abs(ts.energy[-1] - x_norm_sq(ts.final_state)) <= 1e-11 * ts.energy[0]
 
 
 @pytest.mark.parametrize("sample_every, n_steps", [(130, 2_600_000), (100, 1_999_937)])
 def test_closed_loop_blocks(h1, sample_every, n_steps):
     # N = 64 fills a block with 2**18 // 128 = 2048 samples, so 20,001 samples
-    # take ten blocks: every interval one dense block (130 > 2N), or factored
-    # blocks of 100 steps and a 37-step tail
+    # take ten blocks, the last sample off the regular grid in the second case
     n, dt = 64, 1e-3
     cv = coupling_vector(h1, n)
     rng = np.random.default_rng(11)
@@ -401,16 +439,13 @@ def test_closed_loop_blocks(h1, sample_every, n_steps):
     assert np.all(np.diff(lean.energy) <= 0.0)
     e0 = lean.energy[0]
     assert abs(lean.energy[-1] - x_norm_sq(lean.final_state)) <= 1e-11 * e0
-    # the last sample of the first block and the first of the second, as in
-    # test_propagator_properties; over the whole run, rounding of at most an
-    # ulp per step on both sides [measured: 0.27 of that]
-    step = strang_step_matrix(cv, n, dt)
-    for i in (2047, 2048):
-        ref = np.linalg.matrix_power(step, i * sample_every) @ z
-        assert x_norm_sq(ModalState(full.zeta[i] - ref[:n], full.w[i] - ref[n:])) <= 1e-20 * e0
-    ref = np.linalg.matrix_power(step, n_steps) @ z
-    err = ModalState(lean.final_state.zeta - ref[:n], lean.final_state.w - ref[n:])
-    assert x_norm_sq(err) <= (np.finfo(float).eps * n_steps) ** 2 * e0
+    # the last sample of the first block, the first of the second and the last,
+    # against the dense exponential, whose own error grows with its squarings
+    # [measured: 2.3e-23 e0 at most, at t = 2600]
+    rows = [2047, 2048, 20_000]
+    ref = expm_states(cv.b, state, full.t[rows])
+    for i, want in zip(rows, ref):
+        assert x_norm_sq(ModalState(full.zeta[i] - want[:n], full.w[i] - want[n:])) <= 1e-21 * e0
 
 
 @st.composite
@@ -445,8 +480,7 @@ def test_propagator_properties(run):
     assert len(ts.t) == -(-cfg.n_steps // sample_every) + 1
     e0 = ts.energy[0]
     assert abs(ts.energy[-1] - x_norm_sq(ts.final_state)) <= 1e-11 * e0
-    z0 = np.concatenate([state.zeta, state.w])
-    ref = np.linalg.matrix_power(strang_step_matrix(coupling, n, dt), cfg.n_steps) @ z0
+    ref = expm_states(coupling.b, state, [ts.t[-1]])[0]
     err = ModalState(ts.final_state.zeta - ref[:n], ts.final_state.w - ref[n:])
     assert x_norm_sq(err) <= 1e-20 * e0
 
