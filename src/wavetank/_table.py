@@ -28,6 +28,8 @@ from functools import cache
 
 import numpy as np
 
+from . import _blocks  # noqa: F401  (its heap thresholds keep the blocks' temporaries)
+
 # cells formatted at once: bounds every temporary of a block (about 250 bytes
 # a cell), whatever the width of the table. Twice as many made glibc's malloc
 # hand each block's arrays back to the system and fault them in again: writing

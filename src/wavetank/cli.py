@@ -12,6 +12,8 @@ already loaded.
 """
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 import time
@@ -26,6 +28,11 @@ from . import boundary, profiles, simulate, spectral, stability
 from ._table import read_table, write_table
 
 __all__ = ["main"]
+
+# Frozen at exit, the ~21,700 objects numpy and the package leave tracked skip
+# the interpreter's last cyclic-GC sweeps (6-9 ms). Nothing is lost: every file
+# is closed by a ``with`` block, and stdout and stderr are flushed regardless.
+atexit.register(gc.freeze)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -14,14 +14,6 @@ input drives each surface mode.
 All verdicts are finite-range certificates: they check k up to a caller
 chosen kmax and report the tail behaviour, claiming nothing about the
 infinitely many remaining indices.
-
-One rule sizes the blocked loops of the package: block temporaries stay
-below 128 KiB. glibc's malloc maps a request of 128 KiB or more afresh and
-unmaps it when freed, so such a temporary made per block faults its pages
-in again on every block, while smaller ones are reused from the heap. The
-kernel sub-blocks here, the root finder's chunks in ``spectral`` and the
-closed loop's time functions in ``simulate`` follow it; a larger array is
-made once per call and reused.
 """
 
 import math
@@ -29,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._blocks import blocks
 from ._gauss import panel_rule
 from ._hyper import cosh_over_cosh
 from ._record import Frozen
@@ -50,15 +43,6 @@ __all__ = [
 
 MEAN_TOLERANCE = 1e-10
 STRATEGIC_ATOL = 1e-11  # on I_k / cosh(k); below quadrature error, above roundoff
-# entries of one row block of a product against a state or a kernel matrix: a
-# 2 MB float64 buffer, the operand of each gemv call in ``integrals`` and the
-# bound on the blocks of samples of ``simulate``
-KERNEL_BLOCK = 1 << 18
-# kernel entries evaluated at once, so that each temporary of a kernel call
-# (64 KiB) stays below glibc's 128 KiB mmap threshold and comes back from the
-# heap. A fresh process's first tabulated kernel at kmax 1000 (1,600 nodes)
-# took 7,460 page faults with whole 2^18-entry blocks, 544 with these
-KERNEL_SUB_BLOCK = 1 << 13
 
 # sufficient-condition constant tanh(1) / (1 - 2/e)
 SC_CONSTANT = math.tanh(1.0) / (1.0 - 2.0 / math.e)
@@ -214,24 +198,15 @@ class WavemakerProfile:
     def integrals(self, kernel, ks) -> np.ndarray:
         """Integrals of h(y) kernel(k, y) dy over [-1, 0], one for every k in ``ks``.
 
-        ``kernel`` broadcasts a column of k against a row of depths y. One
-        product of the kernel matrix on the profile's nodes with w * h(y),
-        in row blocks of at most ``KERNEL_BLOCK`` entries. Each block is
-        filled in sub-blocks of ``KERNEL_SUB_BLOCK`` entries (one row when a
-        row is longer) into one buffer that every block reuses, so the
-        kernel's temporaries stay below 128 KiB for any number of k.
+        ``kernel`` broadcasts a column of k against a row of depths y. The
+        kernel matrix on the profile's nodes is formed a block of k at a time
+        (:mod:`wavetank._blocks`), so its temporaries stay below 128 KiB for
+        any number of k, and each block is one product with w * h(y).
         """
         ks = np.asarray(ks, dtype=float)
         out = np.empty(ks.size)
-        rows = max(1, KERNEL_BLOCK // self._y.size)
-        part = max(1, KERNEL_SUB_BLOCK // self._y.size)
-        buffer = np.empty((min(rows, ks.size), self._y.size))
-        for start in range(0, ks.size, rows):
-            block_ks = ks[start : start + rows, None]
-            block = buffer[: len(block_ks)]
-            for lo in range(0, len(block), part):
-                block[lo : lo + part] = kernel(block_ks[lo : lo + part], self._y)
-            out[start : start + rows] = block @ self._wh
+        for rows in blocks(ks.size, self._y.size):
+            out[rows] = kernel(ks[rows, None], self._y) @ self._wh
         return out
 
     def _strategic(self, last: int, first: int = 1) -> np.ndarray:

@@ -11,7 +11,7 @@ perturbation of an otherwise norm-preserving oscillation.
 
 Both loops are exact to rounding at every sample, so ``dt`` only sets the
 sample grid. One call walks the whole sample schedule of a run and hands the
-samples back as arrays, in blocks of at most ``KERNEL_BLOCK`` state entries,
+samples back as arrays, a block of samples at a time (:mod:`wavetank._blocks`),
 which fill the columns of the series. The closed loop is built from its
 spectrum: the roots of the secular equation (:mod:`wavetank.spectral`), one
 real quadratic factor per pair of roots, each with its real invariant plane,
@@ -25,9 +25,10 @@ import math
 
 import numpy as np
 
+from ._blocks import blocks
 from ._record import Frozen, Record
 from ._table import read_table, write_table
-from .profiles import KERNEL_BLOCK, KERNEL_SUB_BLOCK, CouplingVector, coupling_vector
+from .profiles import CouplingVector, coupling_vector
 from .spectral import _check_count, _closed_loop_pairs, _pair_ratios, _pair_roots, eigenvalues, frequencies
 
 __all__ = [
@@ -75,10 +76,16 @@ class ModalState(Record):
         return state
 
 
+def _energies(zeta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Energy functional sum_k lambda_k zeta_k^2 + sum_k w_k^2 of every row of
+    ``zeta`` and ``w`` (of a single state, when they are 1-D)."""
+    lam = eigenvalues(zeta.shape[-1])
+    return np.einsum("...j,...j,j->...", zeta, zeta, lam) + np.einsum("...j,...j->...", w, w)
+
+
 def x_norm_sq(state: ModalState) -> float:
     """Energy functional sum_k lambda_k zeta_k^2 + sum_k w_k^2."""
-    lam = eigenvalues(state.n_modes)
-    return float(np.dot(lam, state.zeta**2) + np.dot(state.w, state.w))
+    return float(_energies(state.zeta, state.w))
 
 
 def x_norm(state: ModalState) -> float:
@@ -311,14 +318,6 @@ class TimeSeries(Record):
         return series
 
 
-def _schedule(config: SimConfig):
-    """The sample steps in blocks whose states hold at most KERNEL_BLOCK entries."""
-    steps = config.sample_steps()
-    rows = max(1, KERNEL_BLOCK // (2 * config.n_modes))
-    for lo in range(0, len(steps), rows):
-        yield steps[lo : lo + rows]
-
-
 def _pair_parts(b: np.ndarray, total: np.ndarray, rho: np.ndarray, z0: np.ndarray) -> np.ndarray:
     """[X; Y]: row k is the part X_k of z0 in pair k's real invariant plane,
     row N + k is Y_k = A X_k.
@@ -331,24 +330,21 @@ def _pair_parts(b: np.ndarray, total: np.ndarray, rho: np.ndarray, z0: np.ndarra
     of float64 neither over- nor underflows them; a deflated mode (P = 0)
     takes w1 = e_zeta_k, w2 = -lambda_k e_w_k. A is self-adjoint in the form
     J = diag(-Lambda, I), so the planes are J-orthogonal and X_k comes from a
-    2 x 2 solve with the Gram matrix W^T J W. The bases are formed a chunk of
-    pairs at a time, in one buffer, and never held for all pairs at once.
+    2 x 2 solve with the Gram matrix W^T J W. The bases are formed a block of
+    pairs at a time and never held for all pairs at once.
     """
     n = b.size
     lam = eigenvalues(n)
     mu, form = np.sqrt(lam), np.r_[-lam, np.ones(n)]
     parts, form_z0 = np.empty((2 * n, 2 * n)), form * z0
-    rows = max(1, KERNEL_SUB_BLOCK // n)
-    buffer = np.empty((min(rows, n), 2, 2 * n))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        k = np.arange(lo, hi)
+    for rows in blocks(n, 2 * n):  # a pair's plane is two rows of 2N
+        k = np.arange(rows.start, rows.stop)
         p, dead = total[k], np.flatnonzero(total[k] == 0.0)
         # R_j from lambda_k - Q = rho, without the cancellation of lambda_j - Q;
         # a deflated pair's rows are set apart below
         ratio_p, ratio_r = _pair_ratios(np.where(p == 0.0, 1.0, p)[:, None], (lam - lam[k, None]) + rho[k, None], mu)
         outer = b[k, None] * b
-        plane = buffer[: k.size]
+        plane = np.empty((k.size, 2, 2 * n))
         plane[:, 0, :n], plane[:, 0, n:] = -outer * ratio_p, outer * ratio_r
         plane[:, 1, :n], plane[:, 1, n:] = outer * ratio_r, lam * (outer * ratio_p)
         plane[dead] = 0.0
@@ -356,8 +352,8 @@ def _pair_parts(b: np.ndarray, total: np.ndarray, rho: np.ndarray, z0: np.ndarra
         gram = np.einsum("kaj,kbj,j->kab", plane, plane, form)
         c = np.linalg.solve(gram, (plane @ form_z0)[:, :, None])[:, :, 0]
         image = np.stack([-(lam[k] - rho[k]) * c[:, 1], c[:, 0] + p * c[:, 1]], axis=1)  # A X_k in the basis
-        np.einsum("ka,kaj->kj", c, plane, out=parts[lo:hi])
-        np.einsum("ka,kaj->kj", image, plane, out=parts[n + lo : n + hi])
+        np.einsum("ka,kaj->kj", c, plane, out=parts[rows])
+        np.einsum("ka,kaj->kj", image, plane, out=parts[n:][rows])
     return parts
 
 
@@ -371,12 +367,13 @@ def _closed_exact(state0: ModalState, b: np.ndarray, config: SimConfig):
     phi0 = (e^{s+ t} + e^{s- t}) / 2 - (P/2) phi1. A complex pair takes its
     time functions through e^{P t/2}, cos and sin; a real pair through
     e^{s+ t} and e^{s- t}, never e^{P t/2} cosh(delta t), which would
-    overflow. The energy column is the running minimum of the sampled |z|^2:
+    overflow. A block of samples (:mod:`wavetank._blocks`, sized by the N-wide
+    time functions) forms its time functions, states, energies and inputs
+    together. The energy column is the running minimum of the sampled |z|^2:
     the exact energy never increases, so the column stays within rounding of
     it and never increases either.
     """
     n, dt = config.n_modes, config.dt
-    lam = eigenvalues(n)
     total, rho = _closed_loop_pairs(b)
     z0 = np.concatenate([state0.zeta, state0.w])
     parts = _pair_parts(b, total, rho, z0)
@@ -384,33 +381,25 @@ def _closed_exact(state0: ModalState, b: np.ndarray, config: SimConfig):
     real = roots[:n].imag == 0.0
     m, over, omega = total / 2.0, np.flatnonzero(real), np.where(real, 1.0, roots[:n].imag)
     slow, fast = roots[over].real, roots[n + over].real
-    # the temporaries of a sub-block's time functions stay below 128 KiB, as the
-    # block rule in the profiles docstring asks; both buffers are made once per call
-    sub = max(1, KERNEL_SUB_BLOCK // n)
-    phi = np.empty((sub, 2 * n))
-    states = np.empty((min(max(1, KERNEL_BLOCK // (2 * n)), len(config.sample_steps())), 2 * n))
-    least = math.inf
-    for steps in _schedule(config):
-        for lo in range(0, steps.size, sub):
-            t = steps[lo : lo + sub, None] * dt
-            here = phi[: t.shape[0]]
-            decay, turn = np.exp(t * m), t * omega
-            here[:, n:] = decay * np.sin(turn) / omega
-            here[:, :n] = decay * np.cos(turn) - m * here[:, n:]
-            if over.size:
-                e_slow, e_fast, width = np.exp(t * slow), np.exp(t * fast), (slow - fast) * t
-                ramp = np.where(width > 0.0, -np.expm1(-width) / np.where(width > 0.0, width, 1.0), 1.0)
-                here[:, n + over] = e_slow * t * ramp  # (e^{s+ t} - e^{s- t}) / (s+ - s-), also where they meet
-                here[:, over] = (e_slow + e_fast) / 2.0 - m[over] * here[:, n + over]
-            np.matmul(here, parts, out=states[lo : lo + t.shape[0]])
-        block = states[: steps.size]
-        if steps[0] == 0:  # the initial state as given
-            block[0] = z0
-        zeta, w = block[:, :n], block[:, n:]
-        energies = np.einsum("ij,ij,j->i", zeta, zeta, lam) + np.einsum("ij,ij->i", w, w)
-        energies = np.minimum.accumulate(np.r_[least, energies])[1:]
+    steps, least = config.sample_steps(), math.inf
+    for rows in blocks(steps.size, n):  # N-wide time functions; phi and the states are 2N wide
+        t = steps[rows, None] * dt
+        phi = np.empty((t.shape[0], 2 * n))
+        decay, turn = np.exp(t * m), t * omega
+        phi[:, n:] = decay * np.sin(turn) / omega
+        phi[:, :n] = decay * np.cos(turn) - m * phi[:, n:]
+        if over.size:
+            e_slow, e_fast, width = np.exp(t * slow), np.exp(t * fast), (slow - fast) * t
+            ramp = np.where(width > 0.0, -np.expm1(-width) / np.where(width > 0.0, width, 1.0), 1.0)
+            phi[:, n + over] = e_slow * t * ramp  # (e^{s+ t} - e^{s- t}) / (s+ - s-), also where they meet
+            phi[:, over] = (e_slow + e_fast) / 2.0 - m[over] * phi[:, n + over]
+        states = phi @ parts
+        if rows.start == 0:  # the initial state as given
+            states[0] = z0
+        zeta, w = states[:, :n], states[:, n:]
+        energies = np.minimum.accumulate(np.r_[least, _energies(zeta, w)])[1:]
         least = energies[-1]
-        yield block, energies, -(w @ b)
+        yield states, energies, -(w @ b)
 
 
 def _integrals(wave, lo, hi, mu: np.ndarray) -> np.ndarray:
@@ -440,28 +429,29 @@ def _open_exact(state0: ModalState, b: np.ndarray, signal: InputSignal, config: 
     whole = _integrals(wave[:, :-1], starts[:-1], starts[1:], mu)
     prefix = np.vstack([np.zeros((1, n)), np.cumsum(whole, axis=0)])
     y0 = np.concatenate([state0.zeta, state0.w])
-    for steps in _schedule(config):
-        t = steps * dt
+    steps = config.sample_steps()
+    for rows in blocks(steps.size, n):  # N-wide complex integrals; the states are 2N wide
+        t = steps[rows] * dt
         i = np.searchsorted(signal._seams, t, side="right")
         e, live = prefix[i], wave[0, i] != 0  # a row in a zero segment adds nothing to its prefix
         e[live] += _integrals(wave[:, i[live]], starts[i[live]], t[live], mu)
         forced = e.any(axis=1)
-        ys = np.tile(y0, (len(steps), 1))
+        ys = np.tile(y0, (t.size, 1))
         ys[forced] += np.hstack([(b / mu) * e[forced].imag, b * e[forced].real])
         theta = np.outer(t, mu)
         c, s = np.cos(theta), np.sin(theta)
         zeta = ys[:, :n] * c + (ys[:, n:] / mu) * s
         w = -mu * ys[:, :n] * s + ys[:, n:] * c
-        if steps[0] == 0:  # R(0) is the identity, and applying it would turn -0.0 into 0.0
+        if rows.start == 0:  # R(0) is the identity, and applying it would turn -0.0 into 0.0
             zeta[0], w[0] = ys[0, :n], ys[0, n:]
-        energies = zeta**2 @ eigenvalues(n) + np.einsum("ij,ij->i", w, w)
-        yield np.hstack([zeta, w]), energies, signal.at(t)
+        yield np.hstack([zeta, w]), _energies(zeta, w), signal.at(t)
 
 
-def _sampled(config: SimConfig, blocks) -> TimeSeries:
-    """The series of a run whose ``blocks`` give (states, energies, inputs) rows,
-    states z = [zeta; w], at consecutive steps of ``config.sample_steps()``;
-    the last state is the final one. Only the recorded modes are kept."""
+def _sampled(config: SimConfig, samples) -> TimeSeries:
+    """The series of a run whose ``samples`` give blocks of (states, energies,
+    inputs) rows, states z = [zeta; w], at consecutive steps of
+    ``config.sample_steps()``; the last state is the final one. Only the
+    recorded modes are kept."""
     steps = config.sample_steps()
     n = config.n_modes
     energy, u = np.empty(len(steps)), np.empty(len(steps))
@@ -469,7 +459,7 @@ def _sampled(config: SimConfig, blocks) -> TimeSeries:
     if config.record_modes:
         zeta, w = np.empty((len(steps), n)), np.empty((len(steps), n))
     done = 0
-    for states, energies, inputs in blocks:
+    for states, energies, inputs in samples:
         rows = slice(done, done + len(states))
         energy[rows], u[rows] = energies, inputs
         if zeta is not None:

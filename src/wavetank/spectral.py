@@ -24,6 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._blocks import blocks
+
 __all__ = [
     "WavePackageResult",
     "GapViolationError",
@@ -163,12 +165,6 @@ _SEED_NUDGE = 2.0**-10  # relative shift of the lower seeds off conjugate symmet
 # an iteration gets: rounding for a simple root, about sqrt(eps) for a double one
 _STALL = 1e-6
 _MAX_SWEEPS = 500  # sweeps of either iteration before the root finder gives up
-# entries of the rows x 2N complex temporaries of one chunk of the finder, exclusive:
-# 2^13 complex entries are 128 KiB, glibc's mmap threshold, at which each chunk's
-# temporaries go back to the system and fault in again. In a fresh process the
-# roots at N = 100, 200 and 400 took 27,204 page faults with chunks of 2^18
-# entries, 44 with these
-ROOT_CHUNK = 1 << 13
 
 
 def _closed_loop_pairs(b) -> tuple[np.ndarray, np.ndarray]:
@@ -228,16 +224,15 @@ def _closed_loop_pairs(b) -> tuple[np.ndarray, np.ndarray]:
 
 def _converge(x, correction, what: str) -> None:
     """Subtract ``correction(i)`` from the rows i of ``x`` in place, sweep after
-    sweep in chunks of rows, until each row's correction falls below 4 eps of
+    sweep in blocks of rows, until each row's correction falls below 4 eps of
     its value, or stops shrinking below ``_STALL`` of it."""
     eps = np.finfo(float).eps
-    rows = max(1, (ROOT_CHUNK - 1) // x.size)  # rows per chunk
     last = np.full(x.size, np.inf)
     todo = np.arange(x.size)
     for _ in range(_MAX_SWEEPS):
         if not todo.size:
             return
-        step = np.concatenate([correction(i) for i in np.array_split(todo, -(-todo.size // rows))])
+        step = np.concatenate([correction(todo[rows]) for rows in blocks(todo.size, x.size)])
         x[todo] -= step
         size, scale = np.abs(step), np.abs(x[todo])
         done = (size <= 4.0 * eps * scale) | ((size >= last[todo]) & (size <= _STALL * scale))
@@ -271,13 +266,11 @@ def _pair_start(pole, off, mu) -> np.ndarray:
     at +i mu_k and second at -i mu_k."""
     m = mu.size
     roots = pole + off
-    rows = max(1, (ROOT_CHUNK - 1) // roots.size)
-    nearest = []
-    for i in np.array_split(np.arange(2 * m), -(-2 * m // rows)):
-        gaps = np.abs(roots[i].conj()[:, None] - roots[None, :])
-        gaps[np.arange(i.size), i] = np.inf
-        nearest.append(gaps.argmin(axis=1))
-    nearest = np.concatenate(nearest)
+    nearest = np.empty(2 * m, dtype=int)
+    for rows in blocks(2 * m, 2 * m):
+        gaps = np.abs(roots[rows].conj()[:, None] - roots[None, :])
+        np.fill_diagonal(gaps[:, rows], np.inf)  # not the root itself
+        nearest[rows] = gaps.argmin(axis=1)
     up, down = off[:m].copy(), off[m:].copy()
     loose = np.flatnonzero((nearest[:m] != np.arange(m, 2 * m)) | (nearest[m:] != np.arange(m)))
     if loose.size:

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import wavetank
 from wavetank import boundary, simulate, stability
+from wavetank._table import read_table
 from wavetank.cli import main
 
 
@@ -274,6 +275,49 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_nothing_is_lost_at_exit(tmp_path):
+    # the CLI skips the interpreter's last collections at exit (gc.freeze), which
+    # is safe only while every file is closed by its command and the standard
+    # streams are flushed: each command that writes runs in a fresh interpreter
+    # with unclosed files made errors, and its output must parse completely
+    src = str(Path(wavetank.__file__).resolve().parents[1])
+    d = tmp_path
+    y = np.linspace(-1.0, 0.0, 11)
+    (d / "profile.csv").write_text("y,h\n" + "".join(f"{a!r},{a + 0.5!r}\n" for a in y.tolist()))
+    (d / "state.csv").write_text("k,zeta,w\n1,0.5,0\n2,0,0.25\n3,0.125,0\n")
+    (d / "signal.json").write_text(json.dumps([
+        {"t_start": 0.0, "t_end": 1.0, "form": "sinusoid", "amplitude": 1.0, "omega": 0.87},
+        {"t_start": 1.0, "t_end": 2.0, "form": "constant", "value": 0.5},
+    ]))
+
+    def run(*argv):
+        out = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "wavetank.cli", *map(str, argv)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert (out.returncode, out.stderr) == (0, ""), argv[0]
+        return out.stdout
+
+    lines = run("spectrum", "--kmax", "1000").splitlines()
+    assert len(lines) == 1001 and lines[-1].startswith("1000,") and all(line.count(",") == 3 for line in lines)
+    run("check-profile", "--profile", d / "profile.csv", "--kmax", "50", "--output", d / "check.json")
+    assert json.loads((d / "check.json").read_text())["kind"] == "tabulated"
+    sim = ["simulate", "--n-modes", "3", "--t-final", "2", "--dt", "0.01"]
+    run(*sim, "--record-modes", "--out-csv", d / "closed.csv", "--out-json", d / "closed.json")
+    run(*sim, "--feedback", "none", "--input", d / "signal.json",
+        "--out-csv", d / "open.csv", "--out-json", d / "open.json")
+    for name in ("closed", "open"):
+        series = simulate.TimeSeries.from_csv(d / f"{name}.csv")
+        assert len(series.t) == json.loads((d / f"{name}.json").read_text())["samples"] == 201
+    assert simulate.TimeSeries.from_csv(d / "closed.csv").zeta.shape == (201, 3)
+    run("decay", "--series", d / "closed.csv", "--output", d / "decay.json")
+    assert math.isfinite(json.loads((d / "decay.json").read_text())["fitted_value"])
+    run("field", "--state", d / "state.csv", "--nx", "8", "--ny", "4", "--output", d / "field.csv")
+    assert read_table(d / "field.csv", "field", ("x", "y", "value"))[1].shape == (45, 3)
+    run("rate-study", "--ns", "2,4", "--t-final", "100", "--sample-every", "100", "--output", d / "rates.csv")
+    assert read_table(d / "rates.csv", "study", ("N", "rate", "residual_rms"))[1].shape == (2, 3)
 
 
 def test_simulate_with_sinusoid_input(tmp_path, capsys):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavetank._blocks import blocks
 from wavetank._hyper import cosh_over_cosh
 from wavetank.boundary import _psi_factor, side_projection
 from wavetank.cli import main
 from wavetank.profiles import (
-    KERNEL_BLOCK,
     SC_CONSTANT,
     WavemakerProfile,
     coupling_vector,
@@ -319,14 +319,15 @@ def jittered_profile(panels=200, seed=1):
     [("h1", cosh_over_cosh, 5000), ("tabulated", cosh_over_cosh, 1000), ("h2", _psi_factor, 3000)],
 )
 def test_integrals_match_whole_block_kernel(h1, h2, profile, kernel, kmax):
-    # the kernel of each gemv row block formed at once, as one array: filling the
-    # block in sub-blocks must leave every bit of every integral as it was
+    # the kernel of all k formed at once, as one array, and one product: forming
+    # it a block at a time moves each integral by rounding only, within
+    # eps * sum |w h(y)| [measured: 0.42 of it at most]
     h = {"h1": h1, "h2": h2, "tabulated": WavemakerProfile.from_samples(*jittered_profile())}[profile]
     ks = np.arange(1, kmax + 1, dtype=float)
-    rows = KERNEL_BLOCK // h._y.size
-    assert kmax > rows  # several blocks and a shorter last one
-    want = np.concatenate([kernel(ks[lo : lo + rows, None], h._y) @ h._wh for lo in range(0, kmax, rows)])
-    assert h.integrals(kernel, ks).tobytes() == want.tobytes()
+    assert len(blocks(kmax, h._y.size)) > 1  # several blocks
+    want = kernel(ks[:, None], h._y) @ h._wh
+    bound = np.finfo(float).eps * np.sum(np.abs(h._wh))
+    assert np.max(np.abs(h.integrals(kernel, ks) - want)) <= bound
 
 
 @settings(max_examples=200, deadline=None, database=None)

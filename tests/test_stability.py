@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wavetank import spectral
-from wavetank.profiles import KERNEL_BLOCK, CouplingVector, WavemakerProfile, coupling_vector
+from wavetank import _blocks, spectral
+from wavetank._blocks import blocks
+from wavetank.profiles import CouplingVector, WavemakerProfile, coupling_vector
 from wavetank.simulate import (
     ModalState,
     SimConfig,
@@ -286,7 +287,7 @@ def test_root_chunks_are_a_tiling(monkeypatch, h1, rows):
     cases += [30.0 * coupling_vector(h1, 16).b, rng.standard_normal(37) * 3.0, np.r_[0.0, rng.standard_normal(9)]]
     want = [_closed_loop_roots(b) for b in cases]
     for b, roots in zip(cases, want):
-        monkeypatch.setattr(spectral, "ROOT_CHUNK", rows * 2 * b.size + 1)
+        monkeypatch.setattr(_blocks, "BLOCK", rows * 2 * b.size + 1)
         assert _closed_loop_roots(b).tobytes() == roots.tobytes()
 
 
@@ -396,16 +397,18 @@ def test_step_matrix_matches_simulator(h1):
 
 
 def test_block_cap_splits_sample_intervals(h1):
-    # N = 150 caps a block of samples at 2**18 // 300 = 873 rows, so 2,001
-    # samples take three blocks; the rows on both sides of each seam, and the
-    # last, against the dense exponential [measured: 1.6e-13 max abs]
+    # N = 150 caps a block of samples at (2**13 - 1) // 150 = 54 rows, so 2,001
+    # samples take 38 blocks; the rows on both sides of the first and the last
+    # seam, and the last row, against the dense exponential [measured: 5.1e-14 max abs]
     n, dt = 150, 5e-3
     cv = coupling_vector(h1, n)
     rng = np.random.default_rng(5)
     z = rng.standard_normal(2 * n) / np.arange(1, 2 * n + 1)
     cfg = SimConfig(n_modes=n, t_final=2000 * dt, dt=dt, sample_every=1, record_modes=True)
     ts = simulate_closed(ModalState(z[:n], z[n:]), cv, cfg)
-    rows = [872, 873, 1745, 1746, 2000]
+    cuts = blocks(len(ts.t), n)
+    assert len(cuts) >= 3  # several blocks
+    rows = [cuts[0].stop - 1, cuts[0].stop, cuts[-1].start - 1, cuts[-1].start, 2000]
     advanced = expm_states(cv.b, ModalState(z[:n], z[n:]), ts.t[rows])
     assert np.allclose(np.hstack([ts.zeta, ts.w])[rows], advanced, atol=2e-12, rtol=0.0)
     assert abs(ts.energy[-1] - x_norm_sq(ts.final_state)) <= 1e-11 * ts.energy[0]
@@ -413,8 +416,8 @@ def test_block_cap_splits_sample_intervals(h1):
 
 @pytest.mark.parametrize("sample_every, n_steps", [(130, 2_600_000), (100, 1_999_937)])
 def test_closed_loop_blocks(h1, sample_every, n_steps):
-    # N = 64 fills a block with 2**18 // 128 = 2048 samples, so 20,001 samples
-    # take ten blocks, the last sample off the regular grid in the second case
+    # N = 64 fills a block with (2**13 - 1) // 64 = 127 samples, so 20,001
+    # samples take 158 blocks, the last sample off the regular grid in the second case
     n, dt = 64, 1e-3
     cv = coupling_vector(h1, n)
     rng = np.random.default_rng(11)
@@ -431,7 +434,8 @@ def test_closed_loop_blocks(h1, sample_every, n_steps):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     history = full.zeta.nbytes + full.w.nbytes
-    assert len(full.t) == 20_001 and history > 9 * KERNEL_BLOCK * 8
+    cut = blocks(len(full.t), n)[0].stop
+    assert len(full.t) == 20_001 and len(blocks(len(full.t), n)) > 9  # several blocks
     assert lean.zeta is None and peak < history / 2  # no array of every sample's state
     for name in ("t", "energy", "u", "x_norm"):
         assert np.array_equal(getattr(full, name).view(np.int64), getattr(lean, name).view(np.int64)), name
@@ -441,8 +445,8 @@ def test_closed_loop_blocks(h1, sample_every, n_steps):
     assert abs(lean.energy[-1] - x_norm_sq(lean.final_state)) <= 1e-11 * e0
     # the last sample of the first block, the first of the second and the last,
     # against the dense exponential, whose own error grows with its squarings
-    # [measured: 2.3e-23 e0 at most, at t = 2600]
-    rows = [2047, 2048, 20_000]
+    # [measured: 2.2e-23 e0 at most, at t = 2600]
+    rows = [cut - 1, cut, 20_000]
     ref = expm_states(cv.b, state, full.t[rows])
     for i, want in zip(rows, ref):
         assert x_norm_sq(ModalState(full.zeta[i] - want[:n], full.w[i] - want[n:])) <= 1e-21 * e0

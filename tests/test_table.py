@@ -1,9 +1,17 @@
 """The CSV writer's text is byte for byte C's ``%.17g``, NaN written empty,
 against one ``%`` formatting per row."""
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import wavetank
 from wavetank import _table
 from wavetank._table import write_table
 
@@ -111,6 +119,40 @@ def test_block_seams(tmp_path, monkeypatch):
         block[::4, 0] = np.nan
         block[1::5, -1] = np.inf
         assert written(tmp_path, block) == reference([f"c{i}" for i in range(width)], block)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts page faults of glibc's malloc")
+@pytest.mark.parametrize(
+    "warm, work",
+    [
+        ("write_table(os.devnull, header, [block[:20]])", "write_table(os.devnull, header, [block])"),
+        ("spectral_abscissa(h, 8)", "[spectral_abscissa(h, n) for n in (100, 200, 400)]"),
+    ],
+    ids=["writer", "root-finder"],
+)
+def test_blocks_take_their_memory_from_the_heap(warm, work):
+    # block temporaries, the writer's above 128 KiB and the root finder's below,
+    # come back from the heap once wavetank._blocks has raised glibc's thresholds:
+    # in a fresh interpreter, after a small warm-up, writing the 808k cells of a
+    # record-field series, or the abscissae at N = 100, 200, 400, fault in no
+    # block's memory again [measured: 3 and 111 page faults; 74,948 and 7,314
+    # where nothing raised the thresholds first]
+    probe = (
+        "import os, resource, numpy as np\n"
+        "from wavetank._table import write_table\n"
+        "from wavetank.profiles import WavemakerProfile\n"
+        "from wavetank.stability import spectral_abscissa\n"
+        "header, block = ['c'] * 404, np.random.default_rng(3).standard_normal((2001, 404))\n"
+        "h = WavemakerProfile.linear()\n"
+        f"{warm}\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        f"{work}\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = str(Path(wavetank.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert int(out.stdout) < 1000
 
 
 def test_several_columns_and_stdout(capsys):
