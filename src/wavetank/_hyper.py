@@ -11,21 +11,16 @@ kernel row per mode.
 import numpy as np
 
 
-# below this exponent e^x < 2^-54, so 1 + e^x rounds to 1 and the exp is skipped
-_NEGLIGIBLE_EXPONENT = -40.0
-
-
 def cosh_over_cosh(k, y) -> np.ndarray:
     """cosh[k(y+1)] / cosh(k) for y in [-1, 0], positive k.
 
     Shifted form: e^{ky} (1 + e^{-2k(y+1)}) / (1 + e^{-2k}); equals 1
-    exactly at y = 0. The reflected term is evaluated only where its
-    exponent is at least -40; elsewhere it cannot change the sum.
+    exactly at y = 0. Every exponent is at most 0; a reflected term below
+    2^-54 underflows harmlessly or rounds away in the sum with 1.
     """
     k = np.asarray(k, dtype=float)
     y = np.asarray(y, dtype=float)
-    reflected = -2.0 * k * (y + 1.0)
-    out = np.exp(reflected, out=np.zeros(reflected.shape), where=reflected >= _NEGLIGIBLE_EXPONENT)
+    out = np.exp(-2.0 * k * (y + 1.0))
     out += 1.0
     out *= np.exp(k * y)
     out /= 1.0 + np.exp(-2.0 * k)

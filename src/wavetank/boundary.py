@@ -264,8 +264,11 @@ def reconstruct_field(
 
     ``zeta`` holds the surface coefficients against phi_k; ``h`` is the
     wavemaker profile, projected onto ``n_side_modes`` wall modes before
-    extension (projected, and the count checked, whatever ``u_now`` is).
+    extension (projected, and the count checked, also where ``u_now`` is 0).
+    Raises ValueError unless ``u_now`` is finite.
     """
+    if not math.isfinite(u_now):
+        raise ValueError(f"u_now must be finite, got {u_now}")
     wall = side_projection(h, n_side_modes)
     values = -dirichlet_field(zeta, nx, ny).values
     if u_now != 0.0:

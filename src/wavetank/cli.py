@@ -97,8 +97,6 @@ def _write_or_print(text: str, path) -> None:
 
 def cmd_spectrum(args) -> int:
     kmax = args.kmax
-    if kmax < 2:
-        raise ValueError(f"kmax must be >= 2, got {kmax}")
     gaps = np.append(spectral.gap_products(kmax), np.nan)  # NaN is written as an empty cell
     columns = [np.arange(1, kmax + 1), spectral.eigenvalues(kmax), spectral.frequencies(kmax), gaps]
     write_table(args.output, ["k", "lambda", "mu", "gap_product"], columns)
@@ -259,8 +257,6 @@ def cmd_decay(args) -> int:
 
 
 def cmd_field(args) -> int:
-    if not np.isfinite(args.u_now):
-        raise ValueError(f"u-now must be finite, got {args.u_now}")
     state = _read_state_csv(args.state)
     h = _load_profile(args.profile)
     grid = boundary.reconstruct_field(

@@ -83,7 +83,7 @@ class WavemakerProfile:
         """Built-in linear profile h(y) = y + 1/2."""
         return cls(
             kind="builtin-linear",
-            fn=lambda y: y + 0.5,
+            fn=lambda y: np.asarray(y, dtype=float) + 0.5,
             panels=[(-1.0, 0.0)],
             nodes_per_panel=128,
             derivative_sup=1.0,
@@ -113,21 +113,16 @@ class WavemakerProfile:
         h1 = cls.linear()
         h2 = cls.cosine()
         r = strategic_integral_scaled(h2, 1) / strategic_integral_scaled(h1, 1)
-
-        def fn(y):
-            y = np.asarray(y, dtype=float)
-            return np.cos(0.5 * np.pi * (y + 1.5)) - r * (y + 0.5)
-
-        # |h'| = |-(pi/2) sin((pi/2)(y+3/2)) - r| scanned on a fine grid
-        yy = np.linspace(-1.0, 0.0, 4097)
-        dsup = float(np.max(np.abs(-0.5 * np.pi * np.sin(0.5 * np.pi * (yy + 1.5)) - r)))
+        # h' = -(pi/2) sin(theta) - r, theta = (pi/2)(y + 3/2), and sin(theta)
+        # spans [sqrt(1/2), 1]; |h'| is convex in sin(theta), so its sup is at an end
+        dsup = max(abs(0.5 * math.pi * s + r) for s in (math.sqrt(0.5), 1.0))
         return cls(
             kind="builtin-nonstrategic",
-            fn=fn,
+            fn=lambda y: h2(y) - r * h1(y),
             panels=[(-1.0, 0.0)],
             nodes_per_panel=128,
             derivative_sup=dsup,
-            value_at_zero=math.cos(0.75 * math.pi) - r * 0.5,
+            value_at_zero=h2.value_at_zero - r * h1.value_at_zero,
         )
 
     @classmethod

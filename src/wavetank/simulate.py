@@ -193,7 +193,7 @@ class InputSignal(Frozen):
     serves every later time.
     """
 
-    __slots__ = ("segments", "_seams")
+    __slots__ = ("segments", "_seams", "_wave")
 
     def __init__(self, segments):
         segs = tuple(sorted(segments, key=lambda s: s.t_start))
@@ -209,7 +209,11 @@ class InputSignal(Frozen):
                 )
             if cur.t_start > prev.t_end + 1e-12:
                 raise ValueError(f"gap in input coverage between t={prev.t_end} and t={cur.t_start}")
-        self._freeze(segs, tuple(seg.t_start for seg in segs[1:]))
+        # the waveform table: segment i is A cos(omega t + phase) with column i of
+        # (A, omega, phase); a constant has omega = phase = 0, a zero segment A = 0
+        wave = np.array([(seg.amplitude, seg.omega, seg.phase) if seg.form == "sinusoid" else
+                         (seg.value if seg.form == "constant" else 0.0, 0.0, 0.0) for seg in segs]).T
+        self._freeze(segs, np.array([seg.t_start for seg in segs[1:]]), wave)
 
     @classmethod
     def zero(cls, t_final: float) -> "InputSignal":
@@ -231,13 +235,8 @@ class InputSignal(Frozen):
     def at(self, t) -> np.ndarray:
         """Values at the times ``t`` (any shape), each from the segment serving it."""
         t = np.asarray(t, dtype=float)
-        which = np.searchsorted(self._seams, t, side="right")
-        first, last = int(which.min(initial=len(self.segments))), int(which.max(initial=0))
-        out = np.empty(t.shape)
-        for i in range(first, last + 1):
-            hit = which == i
-            out[hit] = self.segments[i](t[hit])
-        return out
+        amp, omega, phase = self._wave[:, np.searchsorted(self._seams, t, side="right")]
+        return amp * np.cos(omega * t + phase)  # cos(0) = 1: a constant's value exactly
 
     def __call__(self, t: float) -> float:
         """Value at the time ``t``: :meth:`at` of one time."""
@@ -423,8 +422,7 @@ def _open_exact(state0: ModalState, b: np.ndarray, signal: InputSignal, config: 
     to t; a row with E = 0 keeps y0 as it is."""
     n, dt = config.n_modes, config.dt
     mu = frequencies(n)
-    wave = np.array([(g.amplitude, g.omega, g.phase) if g.form == "sinusoid" else
-                     (g.value if g.form == "constant" else 0.0, 0.0, 0.0) for g in signal.segments]).T
+    wave = signal._wave
     starts = np.maximum(np.r_[0.0, signal._seams], 0.0)  # where the integral enters each segment
     whole = _integrals(wave[:, :-1], starts[:-1], starts[1:], mu)
     prefix = np.vstack([np.zeros((1, n)), np.cumsum(whole, axis=0)])

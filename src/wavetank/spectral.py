@@ -78,7 +78,8 @@ def eigenvalue(k: int) -> float:
     Strictly increasing in k and exponentially close to k for large k.
     """
     _check_count(k, "mode index")
-    return k * math.tanh(k)
+    k = float(k)
+    return float(k * np.tanh(k))  # numpy's tanh, as in eigenvalues(): the two agree bit for bit
 
 
 def frequency(k: int) -> float:
@@ -345,53 +346,28 @@ def _pair_roots(total: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.concatenate([up, down])
 
 
-def _scan_passes(eps: float, s_grid: np.ndarray, mu_ext: np.ndarray) -> bool:
-    # A violation at s needs the two nearest frequencies both within
-    # delta(s) = eps/(|s|+1); equivalently eps > d2(s) * (|s|+1) with d2 the
-    # second-smallest distance from s to the extended frequency set.
-    idx = np.searchsorted(mu_ext, s_grid)
-    idx = np.clip(idx, 2, len(mu_ext) - 2)
-    # distances to the four neighbours around the insertion point
-    d = np.abs(mu_ext[idx[:, None] + np.array([-2, -1, 0, 1])] - s_grid[:, None])
-    d.sort(axis=1)
-    return bool(np.all(eps <= d[:, 1] * (np.abs(s_grid) + 1.0)))
+def separation_certificate(kmax: int, grid_step: float = 1e-3) -> float:
+    """Largest eps such that no wave package centred on the scan grid holds two modes.
 
-
-def separation_certificate(
-    kmax: int,
-    grid_step: float = 1e-3,
-    resolution: float = 1e-6,
-) -> float:
-    """Largest certified eps such that no wave package on the scan grid holds two modes.
-
-    Scans s over a grid of [-mu_kmax - 1, mu_kmax + 1] with the given step and
-    binary-searches eps to the given resolution. The candidate frequency set is
-    extended beyond kmax until it covers the scan interval, so packages near the
-    upper end of the range see their true neighbours. This is a finite-range
-    surrogate for the existential gap constant; it claims nothing beyond the
-    scanned interval.
+    A package of center s and width eps/(|s|+1) holds two modes exactly when
+    eps > d2(s) (|s|+1), with d2(s) the second-smallest distance from s to the
+    signed frequencies, so the certificate is the exact minimum of
+    d2(s) (|s|+1) over a grid of [-mu_kmax - 1, mu_kmax + 1] with the given
+    step. The frequencies are taken far enough beyond kmax to cover the scan
+    interval, so packages near its ends see their true neighbours. This is a
+    finite-range surrogate for the existential gap constant; it claims
+    nothing between the grid points or beyond the scanned interval.
     """
     _check_count(kmax, "kmax")
-    for name, value in (("grid_step", grid_step), ("resolution", resolution)):
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not (grid_step > 0 and math.isfinite(grid_step)):
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
     hi_s = frequency(kmax) + 1.0
-    # extend the mode set until its frequencies pass the scan boundary
-    kext = kmax
-    while frequency(kext) < hi_s + 1.0:
-        kext = max(kext + 8, int(1.1 * kext))
-    mu_pos = frequencies(kext)
+    # mu_k^2 > k - 2/e^2 (see _candidate_indices), so the frequencies run past hi_s + 1
+    mu_pos = frequencies(math.ceil((hi_s + 1.0) ** 2) + 1)
     mu_ext = np.concatenate([-mu_pos[::-1], mu_pos])
     s_grid = np.arange(-hi_s, hi_s + grid_step, grid_step)
-
-    lo, hi = 0.0, 1.0
-    if not _scan_passes(hi, s_grid, mu_ext):
-        while hi - lo > resolution:
-            mid = 0.5 * (lo + hi)
-            if _scan_passes(mid, s_grid, mu_ext):
-                lo = mid
-            else:
-                hi = mid
-    else:  # pragma: no cover - eps=1 never passes: delta(0)=1 > mu_1
-        lo = hi
-    return lo
+    # the two nearest frequencies are among the four around the insertion point
+    idx = np.clip(np.searchsorted(mu_ext, s_grid), 2, len(mu_ext) - 2)
+    d = np.abs(mu_ext[idx[:, None] + np.array([-2, -1, 0, 1])] - s_grid[:, None])
+    d.sort(axis=1)
+    return float(np.min(d[:, 1] * (np.abs(s_grid) + 1.0)))

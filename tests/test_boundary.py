@@ -250,6 +250,13 @@ def test_side_projection_rejects_no_modes(h1, n_modes):
             reconstruct_field(E1, u_now, h1, 4, 4, n_side_modes=n_modes)
 
 
+@pytest.mark.parametrize("u_now", [math.nan, math.inf, -math.inf])
+def test_reconstruct_field_rejects_non_finite_input(h1, u_now):
+    # a NaN input would fill every cell with NaN, and without a warning
+    with pytest.raises(ValueError, match="u_now must be finite"):
+        reconstruct_field(E1, u_now, h1, 4, 4)
+
+
 def test_reconstruct_field_identities(h1):
     rng = np.random.default_rng(3)
     zeta = rng.standard_normal(6)

@@ -497,7 +497,7 @@ def test_field_rejects_non_finite_input(tmp_path, capsys, u_now):
         "--output", str(tmp_path / "f.csv"),
     )
     assert code == 2
-    assert err.startswith("error: u-now must be finite")
+    assert err.startswith("error: u_now must be finite")
     assert len(err.strip().splitlines()) == 1
 
 

@@ -554,6 +554,20 @@ def test_open_loop_seam_on_midpoint_takes_later_segment(h1):
     assert max(defects) <= 1e-12
 
 
+def test_signal_table_matches_each_segment_bit_for_bit():
+    # 1,000 segments of every form, each evaluated on its own span and by the table
+    rng = np.random.default_rng(5)
+    edges = np.r_[0.0, np.cumsum(rng.uniform(0.01, 0.2, 1000))]
+    forms = rng.choice(["zero", "constant", "sinusoid"], edges.size - 1)
+    values = rng.uniform(-2.0, 2.0, (edges.size - 1, 4))
+    segments = [Segment(lo, hi, str(form), value=v, amplitude=a, omega=5.0 * abs(w), phase=p)
+                for lo, hi, form, (v, a, w, p) in zip(edges, edges[1:], forms, values)]
+    signal = InputSignal(segments)
+    t = np.concatenate([rng.uniform(lo, hi, 8) for lo, hi in zip(edges, edges[1:])])
+    want = np.concatenate([seg(part) for seg, part in zip(segments, np.split(t, 8 * np.arange(1, len(segments))))])
+    assert np.array_equal(signal.at(t).view(np.int64), want.view(np.int64))
+
+
 def test_signal_unsorted_segments_sorted_at_construction():
     sig = InputSignal([Segment(1, 2, "constant", value=2.0), Segment(0, 1, "constant", value=1.0)])
     sig.validate(2.0)

@@ -219,9 +219,42 @@ def test_separation_certificate_is_tight():
     assert eps0 <= delta_needed + 1e-3
 
 
-@pytest.mark.parametrize("field", ["grid_step", "resolution"])
+@pytest.mark.parametrize("field", ["grid_step"])
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_separation_certificate_rejects_bad_steps(field, bad):
-    # an empty scan grid would certify eps = 1, and a zero resolution never ends
+    # an empty scan grid would certify any eps
     with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
         separation_certificate(5, **{field: bad})
+
+
+def _brute_force_products(kmax, grid_step=1e-3):
+    """The scan grid and d2(s) (|s| + 1) on it, d2 the second-smallest distance
+    from s to every signed frequency up to well past the grid."""
+    hi = frequency(kmax) + 1.0
+    s = np.arange(-hi, hi + grid_step, grid_step)
+    k = np.arange(1, int((hi + 3.0) ** 2) + 10, dtype=float)
+    mu = np.sqrt(k * np.tanh(k))
+    mu = np.concatenate([-mu, mu])
+    d2 = np.concatenate([np.partition(np.abs(mu - part[:, None]), 1, axis=1)[:, 1]
+                         for part in np.array_split(s, max(1, s.size // 500))])
+    return s, d2 * (np.abs(s) + 1.0)
+
+
+@pytest.mark.parametrize("kmax", [1, 7, 60])
+def test_separation_certificate_is_the_exact_minimum(kmax):
+    s, products = _brute_force_products(kmax)
+    eps0 = separation_certificate(kmax)
+    assert eps0 == products.min()
+    # at the minimizing grid point the package holds one mode at eps0 and two just above it
+    at = float(s[np.argmin(products)])
+    wave_package(at, eps0)
+    with pytest.raises(GapViolationError):
+        wave_package(at, float(np.nextafter(eps0, 1.0)))
+
+
+def test_eigenvalue_matches_the_vector_form():
+    # math.tanh and numpy's tanh differ by an ulp at k = 9 and 19
+    n = 20_000
+    lam, mu = eigenvalues(n), frequencies(n)
+    assert all(eigenvalue(k) == lam[k - 1] for k in range(1, n + 1))
+    assert all(frequency(k) == mu[k - 1] and frequency(-k) == -mu[k - 1] for k in range(1, n + 1))
