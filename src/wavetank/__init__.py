@@ -7,8 +7,9 @@ Subsystems:
   closed-loop spectrum
 - :mod:`wavetank.boundary`: explicit harmonic-extension and trace operators
 - :mod:`wavetank.profiles`: wavemaker profiles and stabilizability criteria;
-  every integral of a profile against a modal kernel goes through
-  ``WavemakerProfile.integrals``
+  a profile is a piecewise-linear interpolant plus a multiple of
+  cos(pi y/2 + 3 pi/4), and its integrals against both modal kernels are
+  closed forms of those pieces
 - :mod:`wavetank.simulate`: open and closed loop, exact at every sample
 - :mod:`wavetank.stability`: decay fits, envelope checks, rate-vs-truncation study
 - :mod:`wavetank.cli`: command-line experiment runner

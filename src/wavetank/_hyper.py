@@ -27,6 +27,17 @@ def cosh_over_cosh(k, y) -> np.ndarray:
     return out
 
 
+def sinh_over_cosh(k, y) -> np.ndarray:
+    """sinh[k(y+1)] / cosh(k) for y in [-1, 0], positive k.
+
+    Shifted form: -expm1(-2k(y+1)) e^{ky} / (1 + e^{-2k}); 0 at y = -1 and
+    tanh(k) at y = 0.
+    """
+    k = np.asarray(k, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return -np.expm1(-2.0 * k * (y + 1.0)) * np.exp(k * y) / (1.0 + np.exp(-2.0 * k))
+
+
 def cosh_ratio_side(a, x) -> np.ndarray:
     """cosh[a(x - pi)] / sinh(a pi) for x in [0, pi], positive a.
 

@@ -244,12 +244,13 @@ def side_projection(h, n_modes: int = DEFAULT_SIDE_MODES) -> np.ndarray:
     """Coefficients integral h(y) psi_k(y) dy of the profile h against the
     wall basis, k = 1..n_modes (n_modes >= 1).
 
-    ``h`` is a :class:`~wavetank.profiles.WavemakerProfile`; all the
-    coefficients come from one :meth:`~wavetank.profiles.WavemakerProfile.integrals`
-    product on its quadrature rule, the rule behind its strategic integrals.
+    ``h`` is a :class:`~wavetank.profiles.WavemakerProfile`; each coefficient
+    is sqrt(2) (-1)^k times its closed-form moment integral h(y) sin(a_k y) dy,
+    exact to rounding for any number of modes.
     """
     _check_count(n_modes, "side-mode count")
-    return math.sqrt(2.0) * h.integrals(_psi_factor, np.arange(1, n_modes + 1))
+    k = np.arange(1, n_modes + 1)
+    return math.sqrt(2.0) * (-1.0) ** k * h._wall(_wall_rate(k))
 
 
 def reconstruct_field(

@@ -1,15 +1,20 @@
 """Wavemaker acceleration profiles and the stabilizability criteria they induce.
 
 A profile h on [-1, 0] shapes the horizontal acceleration imposed at the
-left wall; it must have zero mean so the water volume is conserved. The
-module evaluates the strategic integrals
+left wall; it must have zero mean so the water volume is conserved. Every
+profile the module builds is the piecewise-linear interpolant of knots
+(y_j, h_j) plus c cos(pi y/2 + 3 pi/4), and every integral of it against a
+modal kernel is taken in closed form, piece by piece: the strategic
+integrals
 
     I_k = integral_{-1}^{0} h(y) cosh[k(y+1)] dy,
 
-decides the three controllability criteria (strategic: I_k never vanishes;
-uniform margin inf_k (k/cosh k)|I_k| > 0; and the sufficient derivative
-bound on h), and emits the coupling coefficients through which the scalar
-input drives each surface mode.
+kept as I_k / cosh k, and the wall moments integral h(y) sin(a y) dy behind
+:func:`wavetank.boundary.side_projection`. The module decides the three
+controllability criteria (strategic: I_k never vanishes; uniform margin
+inf_k (k/cosh k)|I_k| > 0; and the sufficient derivative bound on h), and
+emits the coupling coefficients through which the scalar input drives each
+surface mode.
 
 All verdicts are finite-range certificates: they check k up to a caller
 chosen kmax and report the tail behaviour, claiming nothing about the
@@ -22,8 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._blocks import blocks
-from ._gauss import panel_rule
-from ._hyper import cosh_over_cosh
+from ._hyper import cosh_over_cosh, sinh_over_cosh
 from ._record import Frozen
 from ._table import read_table
 from .spectral import _check_count
@@ -42,14 +46,27 @@ __all__ = [
 ]
 
 MEAN_TOLERANCE = 1e-10
-STRATEGIC_ATOL = 1e-11  # on I_k / cosh(k); below quadrature error, above roundoff
+# on I_k / cosh(k); a bound on rounding, far above the closed forms' error
+# [<= 8.8e-17 for the built-in profiles at k <= 5,000, against mpmath]
+STRATEGIC_ATOL = 1e-11
 
 # sufficient-condition constant tanh(1) / (1 - 2/e)
 SC_CONSTANT = math.tanh(1.0) / (1.0 - 2.0 / math.e)
 
+# the cosine piece cos(OMEGA y + PHASE) of a profile, h2 itself
+OMEGA, PHASE = 0.5 * math.pi, 0.75 * math.pi
+
+
+def _sin_integral(p, q: float, lo: float, hi: float) -> np.ndarray:
+    """integral_lo^hi sin(p y + q) dy = w sin(p m + q) sinc(p w/2), for the
+    midpoint m and width w; finite at p = 0 with no branch (sinc(0) = 1)."""
+    m, w = 0.5 * (lo + hi), hi - lo
+    return w * np.sin(p * m + q) * np.sinc(p * (0.5 * w / np.pi))
+
 
 class WavemakerProfile:
-    """Control profile h on [-1, 0] with quadrature access.
+    """Control profile h on [-1, 0]: the piecewise-linear interpolant of
+    knots (y_j, h_j) plus c cos(pi y/2 + 3 pi/4), integrated in closed form.
 
     Use the constructors :meth:`linear`, :meth:`cosine`, :meth:`nonstrategic`,
     :meth:`from_samples` or :meth:`from_csv` rather than ``__init__``.
@@ -66,41 +83,26 @@ class WavemakerProfile:
         h(0), the profile value at the still-water line.
     """
 
-    def __init__(self, kind, fn, panels, nodes_per_panel, derivative_sup, value_at_zero):
+    def __init__(self, kind, knots, values, c, derivative_sup):
         self.kind = kind
-        self._fn = fn
+        self._knots = np.asarray(knots, dtype=float)
+        self._values = np.asarray(values, dtype=float)
+        self._slopes = np.diff(self._values) / np.diff(self._knots)
+        self._c = float(c)
         self.derivative_sup = derivative_sup
-        self.value_at_zero = float(value_at_zero)
-        # the one rule and the weighted samples w * h(y) every profile integral uses
-        self._y, w = panel_rule(panels, nodes_per_panel)
-        self._wh = w * fn(self._y)
-        self._strategic_memo = None  # ((first, last), read-only I_k / cosh k for those k)
+        self.value_at_zero = float(self._values[-1] + self._c * math.cos(PHASE))
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def linear(cls) -> "WavemakerProfile":
         """Built-in linear profile h(y) = y + 1/2."""
-        return cls(
-            kind="builtin-linear",
-            fn=lambda y: np.asarray(y, dtype=float) + 0.5,
-            panels=[(-1.0, 0.0)],
-            nodes_per_panel=128,
-            derivative_sup=1.0,
-            value_at_zero=0.5,
-        )
+        return cls("builtin-linear", (-1.0, 0.0), (-0.5, 0.5), 0.0, derivative_sup=1.0)
 
     @classmethod
     def cosine(cls) -> "WavemakerProfile":
         """Built-in trigonometric profile h(y) = cos[(pi/2)(y + 3/2)]."""
-        return cls(
-            kind="builtin-cosine",
-            fn=lambda y: np.cos(0.5 * np.pi * (np.asarray(y, dtype=float) + 1.5)),
-            panels=[(-1.0, 0.0)],
-            nodes_per_panel=128,
-            derivative_sup=0.5 * math.pi,
-            value_at_zero=math.cos(0.75 * math.pi),
-        )
+        return cls("builtin-cosine", (-1.0, 0.0), (0.0, 0.0), 1.0, derivative_sup=0.5 * math.pi)
 
     @classmethod
     def nonstrategic(cls) -> "WavemakerProfile":
@@ -111,29 +113,21 @@ class WavemakerProfile:
         mean, which decouples the first surface mode from the input.
         """
         h1 = cls.linear()
-        h2 = cls.cosine()
-        r = strategic_integral_scaled(h2, 1) / strategic_integral_scaled(h1, 1)
+        r = strategic_integral_scaled(cls.cosine(), 1) / strategic_integral_scaled(h1, 1)
         # h' = -(pi/2) sin(theta) - r, theta = (pi/2)(y + 3/2), and sin(theta)
         # spans [sqrt(1/2), 1]; |h'| is convex in sin(theta), so its sup is at an end
         dsup = max(abs(0.5 * math.pi * s + r) for s in (math.sqrt(0.5), 1.0))
-        return cls(
-            kind="builtin-nonstrategic",
-            fn=lambda y: h2(y) - r * h1(y),
-            panels=[(-1.0, 0.0)],
-            nodes_per_panel=128,
-            derivative_sup=dsup,
-            value_at_zero=h2.value_at_zero - r * h1.value_at_zero,
-        )
+        return cls("builtin-nonstrategic", h1._knots, -r * h1._values, 1.0, derivative_sup=dsup)
 
     @classmethod
     def from_samples(cls, y, h, require_zero_mean: bool = True) -> "WavemakerProfile":
         """Tabulated profile, interpolated piecewise-linearly between samples.
 
-        The grid must be strictly ascending and span exactly [-1, 0].
-        Quadrature is composite Gauss-Legendre on the sample panels, so the
-        interpolant is integrated essentially exactly; the derivative bound
-        is the largest forward difference and is only approximate for the
-        purposes of the sufficient condition.
+        The grid must be strictly ascending and span [-1, 0] to within 1e-12
+        at each end; the interpolant is integrated exactly over the grid's
+        own span. The derivative bound is the largest slope of the
+        interpolant, so for the sufficient condition it speaks for the
+        samples only as far as the interpolant represents them.
         """
         y = np.asarray(y, dtype=float)
         h = np.asarray(h, dtype=float)
@@ -145,18 +139,8 @@ class WavemakerProfile:
             raise ValueError("tabulated profile grid must be strictly ascending")
         if abs(y[0] + 1.0) > 1e-12 or abs(y[-1]) > 1e-12:
             raise ValueError("tabulated profile must span exactly [-1, 0]")
-        slopes = np.diff(h) / np.diff(y)
-        # per-panel node counts scale with width so a coarse grid keeps the
-        # builtin-rule accuracy for the hyperbolic integrands
-        counts = [max(8, math.ceil(128.0 * (b - a))) for a, b in zip(y[:-1], y[1:])]
-        profile = cls(
-            kind="tabulated",
-            fn=lambda t: np.interp(np.asarray(t, dtype=float), y, h),
-            panels=list(zip(y[:-1], y[1:])),
-            nodes_per_panel=counts,
-            derivative_sup=float(np.max(np.abs(slopes))),
-            value_at_zero=float(h[-1]),
-        )
+        dsup = float(np.max(np.abs(np.diff(h) / np.diff(y))))
+        profile = cls("tabulated", y, h, 0.0, derivative_sup=dsup)
         if require_zero_mean:
             resid = profile.mean_residual()
             if abs(resid) > MEAN_TOLERANCE:
@@ -181,39 +165,70 @@ class WavemakerProfile:
             )
         return BUILTIN_PROFILES[name]()
 
-    # -- evaluation and quadrature ----------------------------------------
+    # -- evaluation and the closed-form integrals -------------------------
 
     def __call__(self, y):
-        return self._fn(y)
+        y = np.asarray(y, dtype=float)
+        return np.interp(y, self._knots, self._values) + self._c * np.cos(OMEGA * y + PHASE)
 
     def mean_residual(self) -> float:
-        """Quadrature of the mean integral of h; zero for a volume-conserving profile."""
-        return float(np.sum(self._wh))
+        """Integral of h, zero for a volume-conserving profile: the trapezoid
+        sum of the interpolant (the cosine piece integrates to 0 over [-1, 0])."""
+        return float(np.sum(0.5 * (self._values[1:] + self._values[:-1]) * np.diff(self._knots)))
 
-    def integrals(self, kernel, ks) -> np.ndarray:
-        """Integrals of h(y) kernel(k, y) dy over [-1, 0], one for every k in ``ks``.
-
-        ``kernel`` broadcasts a column of k against a row of depths y. The
-        kernel matrix on the profile's nodes is formed a block of k at a time
-        (:mod:`wavetank._blocks`), so its temporaries stay below 128 KiB for
-        any number of k, and each block is one product with w * h(y).
-        """
-        ks = np.asarray(ks, dtype=float)
-        out = np.empty(ks.size)
-        for rows in blocks(ks.size, self._y.size):
-            out[rows] = kernel(ks[rows, None], self._y) @ self._wh
+    def _rows(self, row, params: np.ndarray) -> np.ndarray:
+        """``row`` of each parameter, formed for a column of parameters a block
+        at a time (:mod:`wavetank._blocks`) against a row of knots. Every row
+        is summed along the knots on its own, element-wise, so a parameter's
+        value does not depend on the block, or the range, it is formed in."""
+        out = np.empty(params.size)
+        for rows in blocks(params.size, self._knots.size):
+            out[rows] = row(params[rows, None])[:, 0]
         return out
 
     def _strategic(self, last: int, first: int = 1) -> np.ndarray:
-        """I_k / cosh(k) for k = first..last, read-only. The values of the
-        last range asked are kept, so the criteria of one range share one
-        kernel evaluation (a k's last bits depend on the row block it is
-        formed in, so a range is served only by the same range)."""
-        if self._strategic_memo is None or self._strategic_memo[0] != (first, last):
-            scaled = self.integrals(cosh_over_cosh, np.arange(first, last + 1))
-            scaled.flags.writeable = False
-            self._strategic_memo = ((first, last), scaled)
-        return self._strategic_memo[1]
+        """I_k / cosh(k) for k = first..last.
+
+        With S = sinh[k(y+1)]/cosh k and C = cosh[k(y+1)]/cosh k, a panel of
+        slope s integrates to [h S/k] - s [C]/k^2; the first bracket
+        telescopes to the two ends. The cosine piece, theta = OMEGA y + PHASE,
+        has the antiderivative (k cos(theta) S + OMEGA sin(theta) C) / (k^2 +
+        OMEGA^2), the exponential antiderivative of cos(theta) e^{+-k(y+1)}
+        written in shifted exponentials.
+        """
+        ends, h_ends = self._knots[[0, -1]], self._values[[0, -1]]
+        cos_t, sin_t = np.cos(OMEGA * ends + PHASE), np.sin(OMEGA * ends + PHASE)
+
+        def row(k):
+            c = cosh_over_cosh(k, self._knots)
+            s = sinh_over_cosh(k, ends)
+            cosine = (k * cos_t * s + OMEGA * sin_t * c[:, [0, -1]]) / (k * k + OMEGA**2)
+            prim = h_ends * s / k + self._c * cosine
+            panels = np.sum(self._slopes * np.diff(c, axis=1), axis=1, keepdims=True)
+            return prim[:, 1:] - prim[:, :1] - panels / (k * k)
+
+        return self._rows(row, np.arange(first, last + 1, dtype=float))
+
+    def _wall(self, rates) -> np.ndarray:
+        """integral h(y) sin(a y) dy for every positive rate a in ``rates``.
+
+        A panel of slope s integrates to [-h cos(a y)/a] + s [sin(a y)]/a^2;
+        the first bracket telescopes to the two ends. The cosine piece is,
+        by product to sum, half the integrals of sin((a + OMEGA) y + PHASE)
+        and sin((a - OMEGA) y - PHASE). The second frequency is 0 where a is
+        OMEGA, the first wall mode's rate pi/2; its integral is then the
+        width times sin(-PHASE), formed with no 0/0.
+        """
+        ends, h_ends = self._knots[[0, -1]], self._values[[0, -1]]
+        lo, hi = ends
+
+        def row(a):
+            prim = -h_ends * np.cos(a * ends) / a
+            panels = np.sum(self._slopes * np.diff(np.sin(a * self._knots), axis=1), axis=1, keepdims=True)
+            cosine = _sin_integral(a + OMEGA, PHASE, lo, hi) + _sin_integral(a - OMEGA, -PHASE, lo, hi)
+            return prim[:, 1:] - prim[:, :1] + panels / (a * a) + 0.5 * self._c * cosine
+
+        return self._rows(row, np.asarray(rates, dtype=float))
 
 
 # short name -> constructor of each built-in profile
@@ -337,11 +352,6 @@ class CouplingVector(Frozen):
     @property
     def beta(self) -> np.ndarray:
         return self.b / math.sqrt(2.0)
-
-    @property
-    def q(self) -> float:
-        """Squared norm of b, the gain of the collocated rank-one damping."""
-        return float(np.dot(self.b, self.b))
 
 
 def coupling_vector(h, n_modes: int) -> CouplingVector:

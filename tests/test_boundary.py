@@ -18,6 +18,8 @@ from wavetank.boundary import (
 )
 from wavetank.profiles import WavemakerProfile
 
+from moments import jittered_profile, side_quadrature
+
 # frozen from the mpmath oracle
 D_E1_CORNER = 0.5170724995187291  # sqrt(2/pi)/cosh(1)
 SQRT_2_OVER_PI = 0.7978845608028654
@@ -118,9 +120,8 @@ def test_adjoint_identity_per_side_mode():
     # <B1 psi_j, phi_k> = -<psi_j, C0 phi_k>; both reduce to the closed form
     # (-1)^j (2/sqrt(pi)) a_j/(a_j^2 + k^2). The right side is evaluated by
     # quadrature of the smooth wall trace, validating it independently.
-    from wavetank._gauss import panel_rule
-
-    y, w = panel_rule([(-1.0, 0.0)], 96)
+    x, w = np.polynomial.legendre.leggauss(96)
+    y, w = 0.5 * (x - 1.0), 0.5 * w
     for j in (1, 2, 5):
         a = (2 * j - 1) * np.pi / 2
         psi_j = math.sqrt(2.0) * np.cos(a * (y + 1.0))
@@ -218,19 +219,33 @@ def test_linearity_of_evaluators():
 
 
 def test_side_projection_orthonormality():
-    # projecting psi_3 onto the basis returns the unit vector
-    psi3 = WavemakerProfile(
-        kind="psi_3",
-        fn=lambda y: math.sqrt(2.0) * np.cos(5 * 0.5 * np.pi * (np.asarray(y) + 1.0)),
-        panels=[(-1.0, 0.0)],
-        nodes_per_panel=128,
-        derivative_sup=None,
-        value_at_zero=0.0,
-    )
-    v = side_projection(psi3, 6)
-    expect = np.zeros(6)
-    expect[2] = 1.0
-    assert np.allclose(v, expect, atol=1e-12)
+    # the wall basis is orthonormal and complete, so the coefficients keep all of
+    # ||h||^2 (Parseval). For a hat profile with h(-1) = -2, h(0) = 0 the end terms
+    # vanish, |v_k| <= 17 / a_k^2, and the modes past 20,000 hold 6e-14 of the 2/3
+    hat = WavemakerProfile.from_samples([-1.0, -0.5, 0.0], [-2.0, 1.0, 0.0])
+    v = side_projection(hat, 20000)
+    assert np.sum(v * v) == pytest.approx(2.0 / 3.0, rel=0, abs=1e-12)
+    assert np.sum(v * v) <= 2.0 / 3.0 + 1e-15  # and no more (Bessel)
+
+
+TABULATED = jittered_profile(panels=40, seed=2)
+PIECES = {  # knots, values and the amplitude of cos(pi y/2 + 3 pi/4)
+    "h1": ([-1.0, 0.0], [-0.5, 0.5], 0.0),
+    "h2": ([-1.0, 0.0], [0.0, 0.0], 1.0),
+    "tabulated": (*TABULATED, 0.0),
+}
+
+
+@pytest.mark.parametrize("n_modes, modes", [(200, [1, 2, 3, 128, 129, 200]), (1000, [1, 2, 999, 1000])],
+                         ids=["200", "1000"])
+@pytest.mark.parametrize("name", list(PIECES))
+def test_side_projection_matches_mpmath_quadrature(name, n_modes, modes):
+    # against 50-digit Gauss-Legendre on every panel [measured: 5.4e-17 (h1),
+    # 5.6e-17 (h2) and 4.0e-15 (tabulated, whose values reach 12)]; a 128-node
+    # Gauss rule aliases past 128 modes and is 4.4e-2 off for h1 at 200
+    h = WavemakerProfile.from_samples(*TABULATED) if name == "tabulated" else WavemakerProfile.builtin(name)
+    got = side_projection(h, n_modes)[np.array(modes) - 1]
+    assert np.max(np.abs(got - side_quadrature(*PIECES[name], modes))) <= 1e-14
 
 
 def test_side_projection_matches_closed_form(h1):

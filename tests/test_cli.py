@@ -14,7 +14,10 @@ from hypothesis import given, settings, strategies as st
 import wavetank
 from wavetank import boundary, simulate, stability
 from wavetank._table import read_table
+from wavetank.boundary import dirichlet_field, neumann_field
 from wavetank.cli import main
+
+from moments import side_linear
 
 
 def run_cli(capsys, *argv):
@@ -470,6 +473,23 @@ def test_field_matches_boundary_oracle(tmp_path, capsys, h1):
     expected = boundary.reconstruct_field(np.array([1.0]), 1.0, h1, 8, 8)
     data = np.loadtxt(out_path, delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 2].reshape(9, 9), expected.values)
+
+
+def test_field_with_200_side_modes_matches_reference(tmp_path, capsys):
+    # past 128 wall modes a 128-node Gauss rule aliases, and puts the field 9.0e-4
+    # off with exit 0; the reference is built from 50-digit wall coefficients
+    state = tmp_path / "state.csv"
+    state.write_text("k,zeta,w\n1,1.0,0\n2,-0.5,0\n")
+    out_path = tmp_path / "field.csv"
+    code, _, _ = run_cli(
+        capsys,
+        "field", "--state", str(state), "--u-now", "1.0", "--profile", "h1",
+        "--nx", "16", "--ny", "16", "--n-side-modes", "200", "--output", str(out_path),
+    )
+    assert code == 0
+    want = neumann_field(side_linear(200), 16, 16).values - dirichlet_field([1.0, -0.5], 16, 16).values
+    data = np.loadtxt(out_path, delimiter=",", skiprows=1)
+    assert np.max(np.abs(data[:, 2].reshape(17, 17) - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("n_side_modes", ["0", "-3"])

@@ -1,13 +1,12 @@
+import json
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavetank._blocks import blocks
 from wavetank._hyper import cosh_over_cosh
-from wavetank.boundary import _psi_factor, side_projection
+from wavetank.boundary import _wall_rate, side_projection
 from wavetank.cli import main
 from wavetank.profiles import (
     SC_CONSTANT,
@@ -20,6 +19,8 @@ from wavetank.profiles import (
 )
 from wavetank.simulate import SimConfig
 from wavetank.spectral import eigenvalues, separation_certificate
+
+from moments import jittered_profile, strategic_builtins, strategic_quadrature
 
 # closed-form oracle for the linear profile:
 #   I_k = sinh(k)/(2k) - (cosh(k) - 1)/k^2
@@ -173,14 +174,7 @@ def test_sc_check_fails_when_surface_value_vanishes():
 
 
 def test_sc_check_unknown_without_derivative_bound():
-    h = WavemakerProfile(
-        kind="tabulated",
-        fn=lambda y: y + 0.5,
-        panels=[(-1.0, 0.0)],
-        nodes_per_panel=64,
-        derivative_sup=None,
-        value_at_zero=0.5,
-    )
+    h = WavemakerProfile("tabulated", [-1.0, 0.0], [-0.5, 0.5], 0.0, derivative_sup=None)
     assert sc_check(h, 0.1).verdict == "unknown"
 
 
@@ -207,14 +201,12 @@ def test_coupling_vector_values(h1):
     assert cv.beta[0] == pytest.approx(BETA1_H1, abs=1e-13)
     assert np.allclose(cv.beta, cv.b / math.sqrt(2.0), rtol=1e-15)
     assert cv.n_modes == 4
-    assert cv.q == pytest.approx(float(cv.b @ cv.b), rel=1e-15)
 
 
 def test_coupling_vector_zero_profile():
     zero = WavemakerProfile.from_samples([-1.0, 0.0], [0.0, 0.0])
     cv = coupling_vector(zero, 6)
     assert np.all(cv.b == 0.0)
-    assert cv.q == 0.0
 
 
 def test_coupling_vector_homogeneous(h1):
@@ -299,35 +291,87 @@ def test_bad_mode_indices(h1):
         coupling_vector(h1, 0)
 
 
-# -- the kernel matrix and its memo -------------------------------------------------
+# -- the closed forms against independent references -------------------------
 
 
-def jittered_profile(panels=200, seed=1):
-    """Increasing zero-mean piecewise-linear profile on a jittered grid (about
-    1,600 quadrature nodes for 200 panels)."""
-    rng = np.random.default_rng(seed)
-    cuts = np.cumsum(0.5 + rng.random(panels))
-    y = np.concatenate([[-1.0], -1.0 + cuts / cuts[-1]])
-    y[-1] = 0.0
-    h = np.concatenate([[0.0], np.cumsum(0.1 + rng.random(panels))])
-    h -= np.sum(0.5 * (h[1:] + h[:-1]) * np.diff(y))
+@pytest.fixture(scope="module")
+def builtin_reference(h1, h2):
+    # the non-strategic profile is h2 - r h1 with this r
+    return strategic_builtins(5000, strategic_integral_scaled(h2, 1) / strategic_integral_scaled(h1, 1))
+
+
+@pytest.mark.parametrize("name", ["h1", "h2", "nonstrategic"])
+def test_strategic_integrals_match_mpmath_to_5000(builtin_reference, name):
+    # every k <= 5,000 against 50-digit antiderivatives [measured: 2.4e-15,
+    # 4.4e-16 and 1.8e-13 relative]; a 128-node Gauss rule is 2.4e-5 off at
+    # k = 5,000
+    got = WavemakerProfile.builtin(name)._strategic(5000)
+    want = builtin_reference[name]
+    if name != "nonstrategic":
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        return
+    # h2 - r h1: I_1 vanishes by construction, and at k = 2 and 3 the pieces are
+    # 1,000 and 300 times I_k, so there a few ulps of the pieces bound the error
+    # (rounding pi/2 and 3 pi/4 alone moves I_2 by 4e-13) [measured: 1.3e-13
+    # and 1.8e-13 relative, 5.5e-17 and 1.9e-16 of the pieces]
+    assert abs(got[0]) <= 1e-16
+    bound = np.maximum(1e-13 * np.abs(want), 1e-15 * builtin_reference["pieces"])
+    assert np.all(np.abs(got - want)[1:] <= bound[1:])
+
+
+@pytest.mark.parametrize("name", ["h1", "h2"])
+def test_check_profile_margins_at_kmax_5000(tmp_path, builtin_reference, name):
+    # the report's minimum and tail of m_k = k |I_k / cosh k|; from a 128-node
+    # Gauss rule the tail for h1 reads 0.49978826, where it is 0.4998
+    out = tmp_path / "report.json"
+    assert main(["check-profile", "--profile", name, "--kmax", "5000", "--output", str(out)]) == 0
+    ussd = json.loads(out.read_text())["ussd"]
+    margins = np.arange(1, 5001) * np.abs(builtin_reference[name])
+    assert ussd["argmin_k"] == np.argmin(margins) + 1
+    assert ussd["min_margin"] == pytest.approx(margins.min(), rel=1e-13, abs=0)
+    assert ussd["tail_margin"] == pytest.approx(margins[-1], rel=1e-13, abs=0)
+
+
+def ends_inside():
+    """A zero-mean tabulated profile whose grid ends sit 5e-13 inside [-1, 0]."""
+    y, h = jittered_profile(panels=6, seed=4)
+    y[0], y[-1] = -1.0 + 5e-13, -5e-13
     return y, h
+
+
+@pytest.mark.parametrize("samples", [lambda: jittered_profile(panels=40, seed=2), ends_inside],
+                         ids=["jittered-40", "ends-inside"])
+def test_tabulated_integrals_match_panel_quadrature(samples):
+    # against 50-digit Gauss-Legendre on every panel, over the grid's own span
+    # [measured: 8.8e-15 and 4.4e-15 relative]; taking the ends as -1 and 0
+    # would be 4.3e-12 off at k = 1 and 2.5e-9 at k = 5,000
+    y, h = samples()
+    ks = np.r_[1:51, 500, 2800, 5000]
+    got = WavemakerProfile.from_samples(y, h)._strategic(5000)[ks - 1]
+    np.testing.assert_allclose(got, strategic_quadrature(y, h, 0.0, ks), rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize(
     "profile, kernel, kmax",
-    [("h1", cosh_over_cosh, 5000), ("tabulated", cosh_over_cosh, 1000), ("h2", _psi_factor, 3000)],
+    [("h1", "cosh_over_cosh", 5000), ("tabulated", "cosh_over_cosh", 1000), ("h2", "_psi_factor", 3000)],
 )
 def test_integrals_match_whole_block_kernel(h1, h2, profile, kernel, kmax):
-    # the kernel of all k formed at once, as one array, and one product: forming
-    # it a block at a time moves each integral by rounding only, within
-    # eps * sum |w h(y)| [measured: 0.42 of it at most]
+    # each value, to the bit, whether it is asked alone, in a sub-range or in the
+    # whole range 1..kmax, formed there a block at a time: every row is summed
+    # along the knots on its own (a product with the knots, gemv, changed the
+    # last bits of 364 of the 1,000 tabulated sums with the block)
     h = {"h1": h1, "h2": h2, "tabulated": WavemakerProfile.from_samples(*jittered_profile())}[profile]
-    ks = np.arange(1, kmax + 1, dtype=float)
-    assert len(blocks(kmax, h._y.size)) > 1  # several blocks
-    want = kernel(ks[:, None], h._y) @ h._wh
-    bound = np.finfo(float).eps * np.sum(np.abs(h._wh))
-    assert np.max(np.abs(h.integrals(kernel, ks) - want)) <= bound
+    if kernel == "cosh_over_cosh":  # I_k / cosh k
+        of = lambda first, last: h._strategic(last, first)
+    else:  # the wall moments behind psi_k
+        rates = _wall_rate(np.arange(1, kmax + 1))
+        of = lambda first, last: h._wall(rates[first - 1 : last])
+    whole = of(1, kmax)
+    alone = np.concatenate([of(k, k) for k in range(1, kmax + 1)])
+    assert alone.tobytes() == whole.tobytes()
+    rng = np.random.default_rng(kmax)
+    for first, last in np.sort(rng.integers(1, kmax + 1, size=(8, 2)), axis=1):
+        assert of(first, last).tobytes() == whole[first - 1 : last].tobytes()
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -342,46 +386,15 @@ def test_cosh_over_cosh_skip_is_exact(k, y):
     assert cosh_over_cosh(k, y).tobytes() == two_exp.tobytes()
 
 
-@pytest.fixture(scope="module")
-def profile_csv(tmp_path_factory):
-    path = tmp_path_factory.mktemp("profile") / "profile.csv"
-    y, h = jittered_profile(panels=40, seed=2)
-    path.write_text("y,h\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(y.tolist(), h.tolist())))
-    return path
-
-
-@settings(max_examples=20, deadline=None, database=None)
-@given(kmax=st.integers(1, 400), name=st.sampled_from(["h1", "h2", "tabulated"]))
-def test_check_profile_evaluates_the_kernel_once(profile_csv, kmax, name):
-    # the strategic verdict and the margins of one range share one kernel matrix
-    calls = []
-    integrals = WavemakerProfile.integrals
-
-    def counted(self, kernel, ks):
-        calls.append((kernel, len(ks)))
-        return integrals(self, kernel, ks)
-
-    profile = str(profile_csv) if name == "tabulated" else name
-    out = profile_csv.parent / "report.json"
-    with mock.patch.object(WavemakerProfile, "integrals", counted):
-        assert main(["check-profile", "--profile", profile, "--kmax", str(kmax), "--output", str(out)]) == 0
-    assert calls == [(cosh_over_cosh, kmax)]
-
-
-def test_strategic_memo_is_read_only_and_shared():
+def test_strategic_arrays_are_writable_and_agree():
     h = WavemakerProfile.from_samples(*jittered_profile(panels=20))
+    scaled = h._strategic(300)
     margins = ussd_margin(h, 300).margins
-    memo = h._strategic(300)
-    assert not memo.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        memo[0] = 1.0
     assert strategic_check(h, 300).fails_at == ()
-    assert h._strategic(300) is memo
-    np.testing.assert_array_equal(margins, np.arange(1, 301) * np.abs(memo))
+    np.testing.assert_array_equal(margins, np.arange(1, 301) * np.abs(scaled))
     # what the criteria hand out is their own, writable array
     cv = coupling_vector(h, 300)
     assert cv.b.flags.writeable and margins.flags.writeable
-    np.testing.assert_array_equal(cv.b, -math.sqrt(2.0 / math.pi) * memo)
-    # another range is a kernel of its own, and a single k is its own one-row range
-    assert h._strategic(299) is not memo
-    assert strategic_integral_scaled(h, 7) == h.integrals(cosh_over_cosh, [7])[0]
+    np.testing.assert_array_equal(cv.b, -math.sqrt(2.0 / math.pi) * scaled)
+    # a single k is its own one-row range, and agrees with it in every bit
+    assert strategic_integral_scaled(h, 7) == scaled[6]
