@@ -346,28 +346,27 @@ def _pair_roots(total: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.concatenate([up, down])
 
 
-def separation_certificate(kmax: int, grid_step: float = 1e-3) -> float:
-    """Largest eps such that no wave package centred on the scan grid holds two modes.
+def separation_certificate(kmax: int) -> float:
+    """Largest eps such that no wave package centred in [-H, H] holds two modes.
 
-    A package of center s and width eps/(|s|+1) holds two modes exactly when
-    eps > d2(s) (|s|+1), with d2(s) the second-smallest distance from s to the
-    signed frequencies, so the certificate is the exact minimum of
-    d2(s) (|s|+1) over a grid of [-mu_kmax - 1, mu_kmax + 1] with the given
-    step. The frequencies are taken far enough beyond kmax to cover the scan
-    interval, so packages near its ends see their true neighbours. This is a
-    finite-range surrogate for the existential gap constant; it claims
-    nothing between the grid points or beyond the scanned interval.
+    Here H = mu_kmax + 1. A package of center s and width eps/(|s|+1) holds two
+    modes exactly when eps > d2(s) (|s|+1), d2(s) the second-smallest distance
+    from s to the signed frequencies. Over consecutive frequencies with gap g_i
+    and midpoint m_i, d2(s) = min_i (g_i/2 + |s - m_i|), and each term times
+    (|s|+1) is monotone or concave between 0, m_i and +-H, so least at one of
+    them. The product is even: its infimum on [-H, H] is its minimum over 0,
+    the midpoints up to H and H. A finite-range surrogate for the existential
+    gap constant, it claims nothing beyond [-H, H].
     """
     _check_count(kmax, "kmax")
-    if not (grid_step > 0 and math.isfinite(grid_step)):
-        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
     hi_s = frequency(kmax) + 1.0
     # mu_k^2 > k - 2/e^2 (see _candidate_indices), so the frequencies run past hi_s + 1
     mu_pos = frequencies(math.ceil((hi_s + 1.0) ** 2) + 1)
     mu_ext = np.concatenate([-mu_pos[::-1], mu_pos])
-    s_grid = np.arange(-hi_s, hi_s + grid_step, grid_step)
+    mid = 0.5 * (mu_pos[:-1] + mu_pos[1:])
+    s = np.concatenate([[0.0], mid[mid <= hi_s], [hi_s]])
     # the two nearest frequencies are among the four around the insertion point
-    idx = np.clip(np.searchsorted(mu_ext, s_grid), 2, len(mu_ext) - 2)
-    d = np.abs(mu_ext[idx[:, None] + np.array([-2, -1, 0, 1])] - s_grid[:, None])
+    idx = np.clip(np.searchsorted(mu_ext, s), 2, len(mu_ext) - 2)
+    d = np.abs(mu_ext[idx[:, None] + np.array([-2, -1, 0, 1])] - s[:, None])
     d.sort(axis=1)
-    return float(np.min(d[:, 1] * (np.abs(s_grid) + 1.0)))
+    return float(np.min(d[:, 1] * (s + 1.0)))

@@ -1,4 +1,4 @@
-"""References for the profile integrals, for the tests only.
+"""References for the closed forms of the package, for the tests only.
 
 The package integrates every profile in closed form. These are what it must
 reproduce, computed apart from it with mpmath at 50 digits: the strategic
@@ -6,6 +6,10 @@ integrals and wall coefficients of any profile by quadrature, panel by
 panel, and those of the two built-in profiles from their textbook
 antiderivatives. A profile is given by its pieces, the knots and values of
 a piecewise-linear interpolant plus c cos(pi y/2 + 3 pi/4).
+
+Two certificates get references at 30 digits: the Hilbert ratio by
+quadrature of |g|^2 itself, and the gap constant from the second-smallest
+distance to the signed frequencies, found among the nearby ones.
 """
 
 import functools
@@ -120,6 +124,49 @@ def side_linear(n_modes) -> np.ndarray:
             prim = lambda t: -(t + mp.mpf(1) / 2) * mp.cos(a * t) / a + mp.sin(a * t) / a**2
             out.append(mp.sqrt(2) * (-1) ** k * (prim(0) - prim(-1)))
         return np.array([float(x) for x in out])
+
+
+def hilbert_quadrature(v) -> float:
+    """integral_0^pi |g|^2 / sum v_k^2 for g(x) = sum_k (-1)^k sqrt(2) v_k
+    e^{a_k (pi - x)} / sinh(a_k pi), a_k = (2k-1) pi/2, by tanh-sinh quadrature at
+    30 digits on [0, pi] split where the fastest exponentials have decayed; a
+    zero v_k adds no term."""
+    with mp.workdps(30):
+        terms = []
+        for k, vk in enumerate(map(float, v), start=1):
+            if not vk:
+                continue
+            a = (2 * k - 1) * mp.pi / 2
+            terms.append(((-1) ** k * mp.sqrt(2) * vk / mp.sinh(a * mp.pi), a))
+
+        def g2(x):
+            return mp.fsum(c * mp.exp(a * (mp.pi - x)) for c, a in terms) ** 2
+
+        total = mp.quad(g2, [0, mp.mpf("1e-4"), mp.mpf("1e-3"), mp.mpf("1e-2"), mp.mpf("0.1"), 1, mp.pi])
+        return float(total / mp.fsum(mp.mpf(float(x)) ** 2 for x in v))
+
+
+def separation_minimum(kmax) -> tuple[float, float]:
+    """min of d2(s) (|s| + 1) over s = 0, the midpoints of consecutive positive
+    frequencies up to H = mu_kmax + 1, and H, at 30 digits, with the centre
+    that attains it; d2(s) is the second-smallest distance from s to the signed
+    frequencies mu_{+-k} = +-sqrt(k tanh k), taken among k within 3 of s^2."""
+    with mp.workdps(30):
+        mu = lambda k: mp.sqrt(k * mp.tanh(k))
+        hi = mu(kmax) + 1
+        centres = [mp.mpf(0)]
+        k = 1
+        while (mid := (mu(k) + mu(k + 1)) / 2) <= hi:
+            centres.append(mid)
+            k += 1
+        centres.append(hi)
+
+        def product(s):
+            near = range(max(1, int(s * s) - 3), int(s * s) + 5)
+            return sorted(abs(sign * mu(j) - s) for j in near for sign in (1, -1))[1] * (s + 1)
+
+        value, centre = min((product(s), s) for s in centres)
+        return float(value), float(centre)
 
 
 def jittered_profile(panels=200, seed=1):

@@ -87,7 +87,7 @@ def test_criterion_1_spectral():
     )
 
     eps0 = spectral.separation_certificate(1000)
-    checks.append((f"wave-package scan certifies eps0 = {eps0:.6f} > 0", eps0 > 0))
+    checks.append((f"wave-package gap on [-H, H] certifies eps0 = {eps0:.6f} > 0", eps0 > 0))
 
     _report(1, "spectral", checks, time.perf_counter() - t0)
 

@@ -15,6 +15,8 @@ from wavetank.spectral import (
     wave_package,
 )
 
+from moments import separation_minimum
+
 # frozen from the mpmath hyperbolic oracle (40 digits, rounded to double)
 LAM1 = 0.7615941559557649
 LAM2 = 1.9280551601516338
@@ -201,8 +203,7 @@ def test_wave_package_rejects_centers_beyond_double_resolution():
 def test_separation_certificate_positive_and_consistent():
     eps0 = separation_certificate(100)
     assert eps0 > 0
-    # every grid point accepted at eps0 by the vectorized scan is also
-    # accepted by the scalar lookup
+    # no package centred anywhere on the certified interval holds two modes at eps0
     rng = np.random.default_rng(3)
     hi = frequency(100) + 1.0
     for s in rng.uniform(-hi, hi, size=200):
@@ -214,42 +215,41 @@ def test_separation_certificate_is_tight():
     mid = 0.5 * (frequency(59) + frequency(60))
     with pytest.raises(GapViolationError):
         wave_package(mid, 1.05 * (frequency(60) - frequency(59)) / 2 * (abs(mid) + 1.0))
-    # slightly above the certified value a violation exists somewhere on range
+    # the package at this midpoint holds two modes from its product on, so eps0 is at most that
     delta_needed = (frequency(60) - frequency(59)) / 2 * (abs(mid) + 1.0)
-    assert eps0 <= delta_needed + 1e-3
-
-
-@pytest.mark.parametrize("field", ["grid_step"])
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-def test_separation_certificate_rejects_bad_steps(field, bad):
-    # an empty scan grid would certify any eps
-    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
-        separation_certificate(5, **{field: bad})
+    assert eps0 <= delta_needed
 
 
 def _brute_force_products(kmax, grid_step=1e-3):
-    """The scan grid and d2(s) (|s| + 1) on it, d2 the second-smallest distance
-    from s to every signed frequency up to well past the grid."""
+    """d2(s) (|s| + 1) on a grid of [-H, H] with about the given step, d2 the
+    second-smallest distance from s to every signed frequency up to well past H."""
     hi = frequency(kmax) + 1.0
-    s = np.arange(-hi, hi + grid_step, grid_step)
+    s = np.linspace(-hi, hi, int(2.0 * hi / grid_step) + 1)
     k = np.arange(1, int((hi + 3.0) ** 2) + 10, dtype=float)
     mu = np.sqrt(k * np.tanh(k))
     mu = np.concatenate([-mu, mu])
     d2 = np.concatenate([np.partition(np.abs(mu - part[:, None]), 1, axis=1)[:, 1]
                          for part in np.array_split(s, max(1, s.size // 500))])
-    return s, d2 * (np.abs(s) + 1.0)
+    return d2 * (np.abs(s) + 1.0)
 
 
-@pytest.mark.parametrize("kmax", [1, 7, 60])
+@pytest.mark.parametrize("kmax", [1, 7, 9, 60, 100, 1000])
 def test_separation_certificate_is_the_exact_minimum(kmax):
-    s, products = _brute_force_products(kmax)
     eps0 = separation_certificate(kmax)
-    assert eps0 == products.min()
-    # at the minimizing grid point the package holds one mode at eps0 and two just above it
-    at = float(s[np.argmin(products)])
-    wave_package(at, eps0)
+    reference, centre = separation_minimum(kmax)
+    assert eps0 == pytest.approx(reference, rel=1e-12)
+    # no package centred at 0, at +-H or at a midpoint up to H holds two modes at eps0
+    hi = frequency(kmax) + 1.0
+    mu = frequencies(math.ceil(hi**2) + 2)
+    mid = 0.5 * (mu[:-1] + mu[1:])
+    for s in [0.0, hi, -hi, *mid[mid <= hi]]:
+        wave_package(float(s), eps0)
+    # and the one at the minimising centre holds two just above it
     with pytest.raises(GapViolationError):
-        wave_package(at, float(np.nextafter(eps0, 1.0)))
+        wave_package(centre, float(np.nextafter(eps0, 1.0)))
+    # sound: no point of a fine grid of [-H, H] has a smaller product
+    if kmax <= 60:
+        assert eps0 <= _brute_force_products(kmax).min()
 
 
 def test_eigenvalue_matches_the_vector_form():
