@@ -116,7 +116,6 @@ def cmd_check_profile(args) -> int:
         "strategic": {
             "verdict": strat.verdict,
             "fails_at": list(strat.fails_at),
-            "atol": strat.atol,
             "note": "finite-range certificate for k <= kmax",
         },
         "ussd": {

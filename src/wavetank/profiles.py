@@ -18,7 +18,9 @@ surface mode.
 
 All verdicts are finite-range certificates: they check k up to a caller
 chosen kmax and report the tail behaviour, claiming nothing about the
-infinitely many remaining indices.
+infinitely many remaining indices. No tolerance decides them: s h driven by
+u/s is the same actuator as h driven by u, so I_k is weighed against the
+rounding bound of its own pieces and the mean against integral |h|.
 """
 
 import math
@@ -45,10 +47,7 @@ __all__ = [
     "coupling_vector",
 ]
 
-MEAN_TOLERANCE = 1e-10
-# on I_k / cosh(k); a bound on rounding, far above the closed forms' error
-# [<= 8.8e-17 for the built-in profiles at k <= 5,000, against mpmath]
-STRATEGIC_ATOL = 1e-11
+MEAN_TOLERANCE = 1e-10  # of integral |h|: the mean a tabulated profile may keep
 
 # sufficient-condition constant tanh(1) / (1 - 2/e)
 SC_CONSTANT = math.tanh(1.0) / (1.0 - 2.0 / math.e)
@@ -120,12 +119,13 @@ class WavemakerProfile:
         return cls("builtin-nonstrategic", h1._knots, -r * h1._values, 1.0, derivative_sup=dsup)
 
     @classmethod
-    def from_samples(cls, y, h, require_zero_mean: bool = True) -> "WavemakerProfile":
+    def from_samples(cls, y, h) -> "WavemakerProfile":
         """Tabulated profile, interpolated piecewise-linearly between samples.
 
         The grid must be strictly ascending and span [-1, 0] to within 1e-12
         at each end; the interpolant is integrated exactly over the grid's
-        own span. The derivative bound is the largest slope of the
+        own span, and its integral must vanish to within ``MEAN_TOLERANCE``
+        times that of |h|. The derivative bound is the largest slope of the
         interpolant, so for the sufficient condition it speaks for the
         samples only as far as the interpolant represents them.
         """
@@ -141,20 +141,19 @@ class WavemakerProfile:
             raise ValueError("tabulated profile must span exactly [-1, 0]")
         dsup = float(np.max(np.abs(np.diff(h) / np.diff(y))))
         profile = cls("tabulated", y, h, 0.0, derivative_sup=dsup)
-        if require_zero_mean:
-            resid = profile.mean_residual()
-            if abs(resid) > MEAN_TOLERANCE:
-                raise ValueError(
-                    f"profile violates volume conservation: mean residual "
-                    f"{resid:.3e} exceeds {MEAN_TOLERANCE:.1e}"
-                )
+        resid, size = profile.mean_residual(), float(np.sum(0.5 * (np.abs(h[1:]) + np.abs(h[:-1])) * np.diff(y)))
+        if not abs(resid) <= MEAN_TOLERANCE * size:  # the zero profile loads
+            raise ValueError(
+                f"profile violates volume conservation: mean residual "
+                f"{resid:.3e} exceeds {MEAN_TOLERANCE:.1e} of integral |h| = {size:.3e}"
+            )
         return profile
 
     @classmethod
-    def from_csv(cls, path, require_zero_mean: bool = True) -> "WavemakerProfile":
+    def from_csv(cls, path) -> "WavemakerProfile":
         """Read a tabulated profile from a CSV file with header ``y,h``."""
         _, data = read_table(path, "profile", ("y", "h"))
-        return cls.from_samples(data[:, 0], data[:, 1], require_zero_mean=require_zero_mean)
+        return cls.from_samples(data[:, 0], data[:, 1])
 
     @classmethod
     def builtin(cls, name: str) -> "WavemakerProfile":
@@ -177,24 +176,24 @@ class WavemakerProfile:
         return float(np.sum(0.5 * (self._values[1:] + self._values[:-1]) * np.diff(self._knots)))
 
     def _rows(self, row, params: np.ndarray) -> np.ndarray:
-        """``row`` of each parameter, formed for a column of parameters a block
-        at a time (:mod:`wavetank._blocks`) against a row of knots. Every row
-        is summed along the knots on its own, element-wise, so a parameter's
-        value does not depend on the block, or the range, it is formed in."""
-        out = np.empty(params.size)
-        for rows in blocks(params.size, self._knots.size):
-            out[rows] = row(params[rows, None])[:, 0]
-        return out
+        """The columns ``row`` forms for each parameter, for a column of
+        parameters a block at a time (:mod:`wavetank._blocks`) against a row
+        of knots. Every row is summed along the knots on its own, element-wise,
+        so a parameter's values do not depend on the block, or the range, they
+        are formed in."""
+        return np.vstack([row(params[rows, None]) for rows in blocks(params.size, self._knots.size)])
 
     def _strategic(self, last: int, first: int = 1) -> np.ndarray:
-        """I_k / cosh(k) for k = first..last.
+        """Row 0: I_k / cosh(k) for k = first..last; row 1: P_k, the sum of the
+        magnitudes of the pieces it is summed from.
 
         With S = sinh[k(y+1)]/cosh k and C = cosh[k(y+1)]/cosh k, a panel of
         slope s integrates to [h S/k] - s [C]/k^2; the first bracket
         telescopes to the two ends. The cosine piece, theta = OMEGA y + PHASE,
         has the antiderivative (k cos(theta) S + OMEGA sin(theta) C) / (k^2 +
         OMEGA^2), the exponential antiderivative of cos(theta) e^{+-k(y+1)}
-        written in shifted exponentials.
+        written in shifted exponentials. A panel counts |s| (C_j + C_{j+1}) /
+        k^2 in P_k: the sum, not the difference, bounds the rounding of [C].
         """
         ends, h_ends = self._knots[[0, -1]], self._values[[0, -1]]
         cos_t, sin_t = np.cos(OMEGA * ends + PHASE), np.sin(OMEGA * ends + PHASE)
@@ -202,12 +201,15 @@ class WavemakerProfile:
         def row(k):
             c = cosh_over_cosh(k, self._knots)
             s = sinh_over_cosh(k, ends)
-            cosine = (k * cos_t * s + OMEGA * sin_t * c[:, [0, -1]]) / (k * k + OMEGA**2)
-            prim = h_ends * s / k + self._c * cosine
+            cos_term, sin_term, denom = k * cos_t * s, OMEGA * sin_t * c[:, [0, -1]], k * k + OMEGA**2
+            prim = h_ends * s / k + self._c * ((cos_term + sin_term) / denom)
+            sizes = np.abs(h_ends * s) / k + abs(self._c) * ((np.abs(cos_term) + np.abs(sin_term)) / denom)
             panels = np.sum(self._slopes * np.diff(c, axis=1), axis=1, keepdims=True)
-            return prim[:, 1:] - prim[:, :1] - panels / (k * k)
+            panel_sizes = np.sum(np.abs(self._slopes) * (c[:, 1:] + c[:, :-1]), axis=1, keepdims=True)
+            telescoped = np.hstack([prim[:, 1:] - prim[:, :1], np.sum(sizes, axis=1, keepdims=True)])
+            return telescoped + np.hstack([-panels, panel_sizes]) / (k * k)
 
-        return self._rows(row, np.arange(first, last + 1, dtype=float))
+        return self._rows(row, np.arange(first, last + 1, dtype=float)).T
 
     def _wall(self, rates) -> np.ndarray:
         """integral h(y) sin(a y) dy for every positive rate a in ``rates``.
@@ -228,7 +230,7 @@ class WavemakerProfile:
             cosine = _sin_integral(a + OMEGA, PHASE, lo, hi) + _sin_integral(a - OMEGA, -PHASE, lo, hi)
             return prim[:, 1:] - prim[:, :1] + panels / (a * a) + 0.5 * self._c * cosine
 
-        return self._rows(row, np.asarray(rates, dtype=float))
+        return self._rows(row, np.asarray(rates, dtype=float))[:, 0]
 
 
 # short name -> constructor of each built-in profile
@@ -248,7 +250,7 @@ def strategic_integral_scaled(h: WavemakerProfile, k: int) -> float:
     representable for every k; all criteria below consume this form.
     """
     _check_count(k, "mode index")
-    return float(h._strategic(k, k)[0])
+    return float(h._strategic(k, k)[0, 0])
 
 
 class StrategicVerdict(NamedTuple):
@@ -257,25 +259,26 @@ class StrategicVerdict(NamedTuple):
     strategic: bool
     fails_at: tuple[int, ...]
     kmax: int
-    atol: float
 
     @property
     def verdict(self) -> str:
         return "strategic-on-range" if self.strategic else "fails-at"
 
 
-def strategic_check(h: WavemakerProfile, kmax: int, atol: float = STRATEGIC_ATOL) -> StrategicVerdict:
-    """Flag every k <= kmax with |I_k| <= atol * cosh(k).
-
-    This is a finite-range certificate only; the strategic condition
-    quantifies over all positive integers.
+def strategic_check(h: WavemakerProfile, kmax: int) -> StrategicVerdict:
+    """Flag every k <= kmax where |I_k / cosh k| <= (n + 4) eps P_k: n is the
+    knot count and P_k the sum of the magnitudes of the n + 3 pieces that
+    I_k / cosh k is summed from. Adding them rounds at most n + 2 times, and
+    two ulps more cover the pieces' own rounding [against mpmath the whole
+    error is at most 1.83 eps P_k]. Both sides scale with h, so s h gets the
+    verdict of h. This is a finite-range certificate only; the strategic
+    condition quantifies over all positive integers.
     """
     _check_count(kmax, "kmax")
-    if not (atol >= 0 and math.isfinite(atol)):
-        raise ValueError(f"atol must be non-negative and finite, got {atol}")
-    scaled = h._strategic(kmax)
-    fails = tuple((np.flatnonzero(np.abs(scaled) <= atol) + 1).tolist())
-    return StrategicVerdict(strategic=not fails, fails_at=fails, kmax=kmax, atol=atol)
+    scaled, pieces = h._strategic(kmax)
+    rounding = (h._knots.size + 4) * np.finfo(float).eps * pieces
+    fails = tuple((np.flatnonzero(np.abs(scaled) <= rounding) + 1).tolist())
+    return StrategicVerdict(strategic=not fails, fails_at=fails, kmax=kmax)
 
 
 class UssdMargins(NamedTuple):
@@ -296,7 +299,7 @@ def ussd_margin(h: WavemakerProfile, kmax: int) -> UssdMargins:
     """All margins m_k for k <= kmax, their minimum, and the tail value m_kmax."""
     _check_count(kmax, "kmax")
     k = np.arange(1, kmax + 1)
-    margins = k * np.abs(h._strategic(kmax))
+    margins = k * np.abs(h._strategic(kmax)[0])
     imin = int(np.argmin(margins))
     return UssdMargins(
         margins=margins,
@@ -364,4 +367,4 @@ def coupling_vector(h, n_modes: int) -> CouplingVector:
         return h if h.n_modes == n_modes else CouplingVector(h.b[:n_modes])
     if not isinstance(h, WavemakerProfile):
         raise TypeError(f"expected WavemakerProfile or CouplingVector, got {type(h)!r}")
-    return CouplingVector(-math.sqrt(2.0 / math.pi) * h._strategic(n_modes))
+    return CouplingVector(-math.sqrt(2.0 / math.pi) * h._strategic(n_modes)[0])

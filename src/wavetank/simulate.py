@@ -67,12 +67,11 @@ class ModalState(Record):
         return cls(np.zeros(n_modes), np.zeros(n_modes))
 
     @classmethod
-    def single_mode(cls, k: int, n_modes: int, zeta: float = 1.0, w: float = 0.0) -> "ModalState":
+    def single_mode(cls, k: int, n_modes: int) -> "ModalState":
         if not 1 <= k <= n_modes:
             raise ValueError(f"mode index {k} outside 1..{n_modes}")
         state = cls.zero(n_modes)
-        state.zeta[k - 1] = zeta
-        state.w[k - 1] = w
+        state.zeta[k - 1] = 1.0
         return state
 
 
@@ -296,24 +295,20 @@ class TimeSeries(Record):
     @classmethod
     def from_csv(cls, path, modes: bool = True) -> "TimeSeries":
         """The series that :meth:`to_csv` wrote to ``path``. Every row's cell
-        count is checked; with ``modes=False`` only ``t,x_norm,energy,u`` are
-        parsed, and the series holds no mode columns."""
+        count is checked, and the names after ``u`` must be exactly
+        ``zeta_1..zeta_N, w_1..w_N``; with ``modes=False`` only
+        ``t,x_norm,energy,u`` are parsed, and the series holds no mode columns."""
         names = ("t", "x_norm", "energy", "u")
         header, data = read_table(path, "time-series", names, None if modes else len(names))
+        n = (len(header) - 4) // 2
+        if header[4:] != [f"zeta_{k}" for k in range(1, n + 1)] + [f"w_{k}" for k in range(1, n + 1)]:
+            raise ValueError(f"malformed time-series CSV {path}: expected zeta_1..zeta_N, w_1..w_N after u")
         if not len(data):
             raise ValueError(f"time-series CSV {path} has no samples")
-        zeta_cols = [i for i, name in enumerate(header) if name.startswith("zeta_")]
-        w_cols = [i for i, name in enumerate(header) if name.startswith("w_")]
-        series = cls(
-            t=data[:, 0],
-            x_norm=data[:, 1],
-            energy=data[:, 2],
-            u=data[:, 3],
-            zeta=data[:, zeta_cols] if zeta_cols else None,
-            w=data[:, w_cols] if w_cols else None,
-        )
-        if zeta_cols and w_cols:
-            series.final_state = ModalState(data[-1, zeta_cols], data[-1, w_cols])
+        zeta, w = (data[:, 4 : 4 + n], data[:, 4 + n :]) if n else (None, None)
+        series = cls(t=data[:, 0], x_norm=data[:, 1], energy=data[:, 2], u=data[:, 3], zeta=zeta, w=w)
+        if n:
+            series.final_state = ModalState(zeta[-1].copy(), w[-1].copy())
         return series
 
 

@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 import wavetank
 from wavetank import boundary, simulate, stability
-from wavetank._table import read_table
+from wavetank._table import read_table, write_table
 from wavetank.boundary import dirichlet_field, neumann_field
 from wavetank.cli import main
 
-from moments import side_linear
+from moments import jittered_profile, side_linear
 
 
 def run_cli(capsys, *argv):
@@ -83,11 +83,30 @@ def test_check_profile_nonstrategic(capsys):
 
 
 def test_check_profile_rejects_nonzero_mean(tmp_path, capsys):
-    path = tmp_path / "flat.csv"
-    path.write_text("y,h\n-1,1\n0,1\n")
-    code, _, err = run_cli(capsys, "check-profile", "--profile", str(path))
-    assert code == 2
-    assert "volume conservation" in err
+    path = tmp_path / "profile.csv"
+    # flat, and offset: 1e-12 (y + 1/2) + 5e-11, whose mean is its whole size
+    for text in ("y,h\n-1,1\n0,1\n", "y,h\n-1,4.95e-11\n0,5.05e-11\n"):
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "check-profile", "--profile", str(path))
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: profile violates volume conservation")
+
+
+@pytest.mark.parametrize(
+    "samples, scale",
+    [((np.linspace(-1.0, 0.0, 3), np.linspace(-1.0, 0.0, 3) + 0.5), 1e-10), (jittered_profile(), 1e6)],
+    ids=["h1-1e-10", "jittered-1e6"],
+)
+def test_check_profile_in_other_units(tmp_path, capsys, samples, scale):
+    # an absolute tolerance failed the first at every k and rejected the second,
+    # whose mean is 6.7e-17 of its size, as not conserving volume
+    path = tmp_path / "profile.csv"
+    write_table(path, ["y", "h"], [samples[0], scale * samples[1]])
+    code, out, _ = run_cli(capsys, "check-profile", "--profile", str(path), "--kmax", "50")
+    assert code == 0
+    strategic = json.loads(out)["strategic"]
+    assert strategic == {"verdict": "strategic-on-range", "fails_at": [], "note": "finite-range certificate for k <= kmax"}
 
 
 def test_simulate_open_conserves(tmp_path, capsys):

@@ -46,7 +46,7 @@ def test_mean_residuals(h1, h2):
 
 
 def test_mean_residual_constant_profile():
-    flat = WavemakerProfile.from_samples([-1.0, 0.0], [1.0, 1.0], require_zero_mean=False)
+    flat = WavemakerProfile("tabulated", [-1.0, 0.0], [1.0, 1.0], 0.0, derivative_sup=0.0)
     assert flat.mean_residual() == pytest.approx(1.0, rel=1e-14)
 
 
@@ -89,13 +89,6 @@ def test_strategic_check_zero_profile_fails_everywhere():
     assert verdict.fails_at == tuple(range(1, 11))
 
 
-@pytest.mark.parametrize("atol", [math.nan, math.inf, -math.inf, -1.0])
-def test_strategic_check_rejects_bad_atol(h_ns, atol):
-    # a NaN or negative tolerance flags no k, so it would certify a profile built to fail at k = 1
-    with pytest.raises(ValueError, match="^atol must be non-negative and finite, got "):
-        strategic_check(h_ns, 5, atol=atol)
-
-
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -120,11 +113,60 @@ def test_counts_must_be_integers(h1, call, message):
     assert str(err.value) == message
 
 
-def test_strategic_verdict_scale_invariant(h1):
-    # the zero set of I_k is invariant under nonzero scaling
-    y = np.linspace(-1.0, 0.0, 33)
-    doubled = WavemakerProfile.from_samples(y, 2.0 * (y + 0.5))
-    assert strategic_check(doubled, 30).fails_at == strategic_check(h1, 30).fails_at
+def _trapezoid_mean(y, h):
+    return np.sum(0.5 * (h[1:] + h[:-1]) * np.diff(y))
+
+
+def cancelling_profile():
+    """Four panels p - r q whose I_1 vanishes by construction, r = I_1(p) / I_1(q)."""
+    y = np.linspace(-1.0, 0.0, 5)
+    p, q = y + 0.5, np.array([1.0, -1.0, 0.0, -1.0, 1.0])
+    q -= _trapezoid_mean(y, q)
+    r = strategic_integral_scaled(WavemakerProfile.from_samples(y, p), 1) / strategic_integral_scaled(
+        WavemakerProfile.from_samples(y, q), 1
+    )
+    h = p - r * q
+    return y, h - _trapezoid_mean(y, h)
+
+
+def _pieces(h):
+    return h.kind, h._knots, h._values, h._c
+
+
+# each profile as (kind, knots, values, c), the k <= 200 where I_k = 0, and
+# whether the volume check accepts it
+SCALED_PROFILES = {
+    "h1": (lambda: _pieces(WavemakerProfile.linear()), (), True),
+    "h2": (lambda: _pieces(WavemakerProfile.cosine()), (), True),
+    "nonstrategic": (lambda: _pieces(WavemakerProfile.nonstrategic()), (1,), True),
+    "four-panel": (lambda: ("tabulated", *cancelling_profile(), 0.0), (1,), True),
+    "jittered": (lambda: ("tabulated", *jittered_profile(), 0.0), (), True),
+    # its mean is its whole size
+    "offset": (lambda: ("tabulated", [-1.0, 0.0], np.array([-0.5e-12, 0.5e-12]) + 5e-11, 0.0), (), False),
+}
+
+
+def _loads(y, h):
+    try:
+        WavemakerProfile.from_samples(y, h)
+    except ValueError as err:
+        assert "volume conservation" in str(err)
+        return False
+    return True
+
+
+def test_strategic_verdict_scale_invariant():
+    # the input is u(t) h(y), so s h driven by u / s is the same actuator: the
+    # verdicts of s h are those of h. An absolute tolerance on I_k / cosh k failed
+    # h1 at every k at 1e-10 and passed the four-panel profile at 1e6, and one on
+    # the mean rejected the jittered profile at 1e6 and accepted the offset one
+    for name, (make, fails_at, accepted) in SCALED_PROFILES.items():
+        kind, y, values, c = make()
+        for scale in (1e-300, 1e-10, 1.0, 1e6, 1e300):
+            verdict = strategic_check(WavemakerProfile(kind, y, scale * values, scale * c, None), 200)
+            assert (verdict.strategic, verdict.fails_at) == (not fails_at, fails_at), (name, scale)
+            if kind == "tabulated":
+                assert _loads(y, scale * values) == accepted, (name, scale)
 
 
 def test_ussd_margins_h1(h1):
@@ -305,8 +347,12 @@ def test_strategic_integrals_match_mpmath_to_5000(builtin_reference, name):
     # every k <= 5,000 against 50-digit antiderivatives [measured: 2.4e-15,
     # 4.4e-16 and 1.8e-13 relative]; a 128-node Gauss rule is 2.4e-5 off at
     # k = 5,000
-    got = WavemakerProfile.builtin(name)._strategic(5000)
+    h = WavemakerProfile.builtin(name)
+    got, pieces = h._strategic(5000)
     want = builtin_reference[name]
+    # the rounding bound that decides the strategic verdict holds at every k
+    # [measured: 1.0, 1.8 and 0.87 eps P_k]
+    assert np.all(np.abs(got - want) <= (h._knots.size + 4) * np.finfo(float).eps * pieces)
     if name != "nonstrategic":
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
         return
@@ -347,8 +393,19 @@ def test_tabulated_integrals_match_panel_quadrature(samples):
     # would be 4.3e-12 off at k = 1 and 2.5e-9 at k = 5,000
     y, h = samples()
     ks = np.r_[1:51, 500, 2800, 5000]
-    got = WavemakerProfile.from_samples(y, h)._strategic(5000)[ks - 1]
+    got = WavemakerProfile.from_samples(y, h)._strategic(5000)[0, ks - 1]
     np.testing.assert_allclose(got, strategic_quadrature(y, h, 0.0, ks), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tabulated_rounding_bound_holds(seed):
+    # the bound (n + 4) eps P_k that decides the strategic verdict, for 200
+    # panels, against 50-digit Gauss-Legendre [measured: at most 0.54 eps P_k]
+    y, h = jittered_profile(seed=seed)
+    ks = np.array([1, 2, 50, 500, 1000])
+    got, pieces = WavemakerProfile.from_samples(y, h)._strategic(1000)[:, ks - 1]
+    bound = (y.size + 4) * np.finfo(float).eps * pieces
+    assert np.all(np.abs(got - strategic_quadrature(y, h, 0.0, ks)) <= bound)
 
 
 @pytest.mark.parametrize(
@@ -361,17 +418,17 @@ def test_integrals_match_whole_block_kernel(h1, h2, profile, kernel, kmax):
     # along the knots on its own (a product with the knots, gemv, changed the
     # last bits of 364 of the 1,000 tabulated sums with the block)
     h = {"h1": h1, "h2": h2, "tabulated": WavemakerProfile.from_samples(*jittered_profile())}[profile]
-    if kernel == "cosh_over_cosh":  # I_k / cosh k
+    if kernel == "cosh_over_cosh":  # I_k / cosh k and P_k
         of = lambda first, last: h._strategic(last, first)
     else:  # the wall moments behind psi_k
         rates = _wall_rate(np.arange(1, kmax + 1))
         of = lambda first, last: h._wall(rates[first - 1 : last])
     whole = of(1, kmax)
-    alone = np.concatenate([of(k, k) for k in range(1, kmax + 1)])
+    alone = np.concatenate([of(k, k) for k in range(1, kmax + 1)], axis=-1)
     assert alone.tobytes() == whole.tobytes()
     rng = np.random.default_rng(kmax)
     for first, last in np.sort(rng.integers(1, kmax + 1, size=(8, 2)), axis=1):
-        assert of(first, last).tobytes() == whole[first - 1 : last].tobytes()
+        assert of(first, last).tobytes() == whole[..., first - 1 : last].tobytes()
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -388,7 +445,7 @@ def test_cosh_over_cosh_skip_is_exact(k, y):
 
 def test_strategic_arrays_are_writable_and_agree():
     h = WavemakerProfile.from_samples(*jittered_profile(panels=20))
-    scaled = h._strategic(300)
+    scaled = h._strategic(300)[0]
     margins = ussd_margin(h, 300).margins
     assert strategic_check(h, 300).fails_at == ()
     np.testing.assert_array_equal(margins, np.arange(1, 301) * np.abs(scaled))

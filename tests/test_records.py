@@ -121,7 +121,7 @@ def test_frozen_records_reject_assignment(record, field, value):
         EnvelopeReport(M_min=1.0, attained_at=0.0),
         RateStudyEntry(n_modes=4, rate=0.1, residual_rms=0.0, gamma_floor=0.2),
         WavePackageResult(center_s=0.0, width_delta=0.1, member=None),
-        StrategicVerdict(strategic=True, fails_at=(), kmax=10, atol=1e-11),
+        StrategicVerdict(strategic=True, fails_at=(), kmax=10),
         UssdMargins(margins=np.ones(2), min_margin=1.0, argmin=1, tail=1.0, kmax=2),
         ScVerdict(verdict="pass", derivative_sup=1.0, bound=2.0, eps=0.1),
     ],
@@ -136,8 +136,8 @@ def test_result_records_reject_assignment(record):
 def test_result_record_defaults_and_properties():
     margins = UssdMargins(margins=np.ones(2), min_margin=1.0, argmin=1, tail=1.0, kmax=2)
     assert margins.note.startswith("finite-range margins")
-    assert StrategicVerdict(strategic=False, fails_at=(1,), kmax=3, atol=0.0).verdict == "fails-at"
-    assert StrategicVerdict(strategic=True, fails_at=(), kmax=3, atol=0.0).verdict == "strategic-on-range"
+    assert StrategicVerdict(strategic=False, fails_at=(1,), kmax=3).verdict == "fails-at"
+    assert StrategicVerdict(strategic=True, fails_at=(), kmax=3).verdict == "strategic-on-range"
 
 
 def test_modal_state_keywords_and_messages():

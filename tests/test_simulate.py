@@ -673,6 +673,12 @@ def test_time_series_rejects_malformed(tmp_path):
     path.write_text("t,x_norm,energy,u\n")
     with pytest.raises(ValueError, match="no samples"):
         TimeSeries.from_csv(path)
+    # placed by name prefix, the swapped columns would load zeta_1 = 7 as 5, and
+    # zeta without w would load and then fail to write back
+    for text in ("t,x_norm,energy,u,zeta_2,zeta_1,w_1,w_2\n0,1,1,0,5,7,0,0\n", "t,x_norm,energy,u,zeta_1\n0,1,1,0,7\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"^malformed time-series CSV .*: expected zeta_1\.\.zeta_N, w_1\.\.w_N after u$"):
+            TimeSeries.from_csv(path)
 
 
 def test_modal_state_validation():
