@@ -19,8 +19,8 @@ surface mode.
 All verdicts are finite-range certificates: they check k up to a caller
 chosen kmax and report the tail behaviour, claiming nothing about the
 infinitely many remaining indices. No tolerance decides them: s h driven by
-u/s is the same actuator as h driven by u, so I_k is weighed against the
-rounding bound of its own pieces and the mean against integral |h|.
+u/s is the same actuator as h driven by u, so every criterion takes I_k as 0
+within its pieces' rounding bound; the mean is weighed against integral |h|.
 """
 
 import math
@@ -75,20 +75,24 @@ class WavemakerProfile:
     kind : str
         One of ``builtin-linear``, ``builtin-cosine``, ``builtin-nonstrategic``,
         ``tabulated``.
-    derivative_sup : float or None
-        Supremum of |h'| when known; ``None`` marks it unknown and makes
-        the sufficient condition report "unknown".
+    derivative_sup : float
+        Supremum of |h'|, |s_j - c OMEGA sin(OMEGA y + PHASE)| on panel j:
+        convex in the sine, which peaks at 1 at y = -1/2, so it lies at a
+        panel end or at sine 1 on the panel that holds -1/2.
     value_at_zero : float
         h(0), the profile value at the still-water line.
     """
 
-    def __init__(self, kind, knots, values, c, derivative_sup):
+    def __init__(self, kind, knots, values, c):
         self.kind = kind
-        self._knots = np.asarray(knots, dtype=float)
+        self._knots = y = np.asarray(knots, dtype=float)
         self._values = np.asarray(values, dtype=float)
         self._slopes = np.diff(self._values) / np.diff(self._knots)
         self._c = float(c)
-        self.derivative_sup = derivative_sup
+        sin_t = np.sin(OMEGA * y + PHASE)
+        peak = np.where((y[:-1] <= -0.5) & (y[1:] >= -0.5), 1.0, sin_t[1:])
+        sines = np.stack([sin_t[:-1], sin_t[1:], peak])
+        self.derivative_sup = float(np.max(np.abs(self._slopes - self._c * OMEGA * sines)))
         self.value_at_zero = float(self._values[-1] + self._c * math.cos(PHASE))
 
     # -- constructors ----------------------------------------------------
@@ -96,12 +100,12 @@ class WavemakerProfile:
     @classmethod
     def linear(cls) -> "WavemakerProfile":
         """Built-in linear profile h(y) = y + 1/2."""
-        return cls("builtin-linear", (-1.0, 0.0), (-0.5, 0.5), 0.0, derivative_sup=1.0)
+        return cls("builtin-linear", (-1.0, 0.0), (-0.5, 0.5), 0.0)
 
     @classmethod
     def cosine(cls) -> "WavemakerProfile":
         """Built-in trigonometric profile h(y) = cos[(pi/2)(y + 3/2)]."""
-        return cls("builtin-cosine", (-1.0, 0.0), (0.0, 0.0), 1.0, derivative_sup=0.5 * math.pi)
+        return cls("builtin-cosine", (-1.0, 0.0), (0.0, 0.0), 1.0)
 
     @classmethod
     def nonstrategic(cls) -> "WavemakerProfile":
@@ -113,10 +117,7 @@ class WavemakerProfile:
         """
         h1 = cls.linear()
         r = strategic_integral_scaled(cls.cosine(), 1) / strategic_integral_scaled(h1, 1)
-        # h' = -(pi/2) sin(theta) - r, theta = (pi/2)(y + 3/2), and sin(theta)
-        # spans [sqrt(1/2), 1]; |h'| is convex in sin(theta), so its sup is at an end
-        dsup = max(abs(0.5 * math.pi * s + r) for s in (math.sqrt(0.5), 1.0))
-        return cls("builtin-nonstrategic", h1._knots, -r * h1._values, 1.0, derivative_sup=dsup)
+        return cls("builtin-nonstrategic", h1._knots, -r * h1._values, 1.0)
 
     @classmethod
     def from_samples(cls, y, h) -> "WavemakerProfile":
@@ -125,9 +126,8 @@ class WavemakerProfile:
         The grid must be strictly ascending and span [-1, 0] to within 1e-12
         at each end; the interpolant is integrated exactly over the grid's
         own span, and its integral must vanish to within ``MEAN_TOLERANCE``
-        times that of |h|. The derivative bound is the largest slope of the
-        interpolant, so for the sufficient condition it speaks for the
-        samples only as far as the interpolant represents them.
+        times that of |h|. ``derivative_sup``, the largest slope of the
+        interpolant, speaks for the samples only as far as it does.
         """
         y = np.asarray(y, dtype=float)
         h = np.asarray(h, dtype=float)
@@ -139,8 +139,7 @@ class WavemakerProfile:
             raise ValueError("tabulated profile grid must be strictly ascending")
         if abs(y[0] + 1.0) > 1e-12 or abs(y[-1]) > 1e-12:
             raise ValueError("tabulated profile must span exactly [-1, 0]")
-        dsup = float(np.max(np.abs(np.diff(h) / np.diff(y))))
-        profile = cls("tabulated", y, h, 0.0, derivative_sup=dsup)
+        profile = cls("tabulated", y, h, 0.0)
         resid, size = profile.mean_residual(), float(np.sum(0.5 * (np.abs(h[1:]) + np.abs(h[:-1])) * np.diff(y)))
         if not abs(resid) <= MEAN_TOLERANCE * size:  # the zero profile loads
             raise ValueError(
@@ -211,6 +210,15 @@ class WavemakerProfile:
 
         return self._rows(row, np.arange(first, last + 1, dtype=float)).T
 
+    def _certified(self, last: int, first: int = 1) -> np.ndarray:
+        """I_k / cosh(k) for k = first..last, exactly 0.0 where it is at most
+        (n + 4) eps P_k, n the knot count: adding the n + 3 pieces of
+        :meth:`_strategic` rounds n + 2 times, and two ulps cover their own
+        rounding [against mpmath the whole error is at most 1.83 eps P_k].
+        Both sides scale with h."""
+        scaled, pieces = self._strategic(last, first)
+        return np.where(np.abs(scaled) <= (self._knots.size + 4) * np.finfo(float).eps * pieces, 0.0, scaled)
+
     def _wall(self, rates) -> np.ndarray:
         """integral h(y) sin(a y) dy for every positive rate a in ``rates``.
 
@@ -247,10 +255,11 @@ def strategic_integral_scaled(h: WavemakerProfile, k: int) -> float:
     """I_k / cosh(k): the strategic integral with the hyperbolic growth removed.
 
     The integrand h(y) cosh[k(y+1)] / cosh(k) is O(1), so the value stays
-    representable for every k; all criteria below consume this form.
+    representable for every k; all criteria below consume this form, 0.0
+    where it is within the rounding bound of its pieces.
     """
     _check_count(k, "mode index")
-    return float(h._strategic(k, k)[0, 0])
+    return float(h._certified(k, k)[0])
 
 
 class StrategicVerdict(NamedTuple):
@@ -266,18 +275,11 @@ class StrategicVerdict(NamedTuple):
 
 
 def strategic_check(h: WavemakerProfile, kmax: int) -> StrategicVerdict:
-    """Flag every k <= kmax where |I_k / cosh k| <= (n + 4) eps P_k: n is the
-    knot count and P_k the sum of the magnitudes of the n + 3 pieces that
-    I_k / cosh k is summed from. Adding them rounds at most n + 2 times, and
-    two ulps more cover the pieces' own rounding [against mpmath the whole
-    error is at most 1.83 eps P_k]. Both sides scale with h, so s h gets the
-    verdict of h. This is a finite-range certificate only; the strategic
-    condition quantifies over all positive integers.
-    """
+    """Flag every k <= kmax where I_k / cosh k is within the rounding bound of
+    its pieces, so s h gets the verdict of h: a finite-range certificate only,
+    as the strategic condition quantifies over all positive integers."""
     _check_count(kmax, "kmax")
-    scaled, pieces = h._strategic(kmax)
-    rounding = (h._knots.size + 4) * np.finfo(float).eps * pieces
-    fails = tuple((np.flatnonzero(np.abs(scaled) <= rounding) + 1).tolist())
+    fails = tuple((np.flatnonzero(h._certified(kmax) == 0.0) + 1).tolist())
     return StrategicVerdict(strategic=not fails, fails_at=fails, kmax=kmax)
 
 
@@ -296,26 +298,21 @@ class UssdMargins(NamedTuple):
 
 
 def ussd_margin(h: WavemakerProfile, kmax: int) -> UssdMargins:
-    """All margins m_k for k <= kmax, their minimum, and the tail value m_kmax."""
+    """All margins m_k for k <= kmax, their minimum, and the tail value m_kmax;
+    m_k is 0 wherever :func:`strategic_check` fails."""
     _check_count(kmax, "kmax")
-    k = np.arange(1, kmax + 1)
-    margins = k * np.abs(h._strategic(kmax)[0])
+    margins = np.arange(1, kmax + 1) * np.abs(h._certified(kmax))
     imin = int(np.argmin(margins))
-    return UssdMargins(
-        margins=margins,
-        min_margin=float(margins[imin]),
-        argmin=imin + 1,
-        tail=float(margins[-1]),
-        kmax=kmax,
-    )
+    return UssdMargins(margins=margins, min_margin=float(margins[imin]), argmin=imin + 1,
+                       tail=float(margins[-1]), kmax=kmax)
 
 
 class ScVerdict(NamedTuple):
     """Outcome of the sufficient derivative-bound condition."""
 
-    verdict: str  # pass | fail | unknown
-    derivative_sup: float | None
-    bound: float | None
+    verdict: str  # pass | fail
+    derivative_sup: float
+    bound: float
     eps: float
 
 
@@ -324,12 +321,9 @@ def sc_check(h: WavemakerProfile, eps: float) -> ScVerdict:
 
     Passing implies a positive uniform margin, hence uniform decay for
     smooth initial data; it is easier to check than the margins themselves.
-    Verdict is "unknown" when the derivative bound of h is not available.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if h.derivative_sup is None:
-        return ScVerdict(verdict="unknown", derivative_sup=None, bound=None, eps=eps)
     bound = (1.0 - eps) * SC_CONSTANT * abs(h.value_at_zero)
     verdict = "pass" if h.derivative_sup < bound else "fail"
     return ScVerdict(verdict=verdict, derivative_sup=h.derivative_sup, bound=bound, eps=eps)
@@ -359,7 +353,8 @@ class CouplingVector(Frozen):
 
 def coupling_vector(h, n_modes: int) -> CouplingVector:
     """Coupling coefficients b_k = -sqrt(2/pi) I_k / cosh(k) for k <= n_modes
-    of a profile ``h``, or the first n_modes of a :class:`CouplingVector` ``h``."""
+    of a profile ``h``, 0 wherever :func:`strategic_check` fails, or the first
+    n_modes of a :class:`CouplingVector` ``h``."""
     _check_count(n_modes, "n_modes")
     if isinstance(h, CouplingVector):
         if h.n_modes < n_modes:
@@ -367,4 +362,4 @@ def coupling_vector(h, n_modes: int) -> CouplingVector:
         return h if h.n_modes == n_modes else CouplingVector(h.b[:n_modes])
     if not isinstance(h, WavemakerProfile):
         raise TypeError(f"expected WavemakerProfile or CouplingVector, got {type(h)!r}")
-    return CouplingVector(-math.sqrt(2.0 / math.pi) * h._strategic(n_modes)[0])
+    return CouplingVector(-math.sqrt(2.0 / math.pi) * h._certified(n_modes))

@@ -198,15 +198,15 @@ def _closed_loop_pairs(b) -> tuple[np.ndarray, np.ndarray]:
     n = b.size
     lam = eigenvalues(n)
     total, rho = np.zeros(n), np.zeros(n)
-    b2 = b * b
-    live = np.flatnonzero(b2 >= np.finfo(float).tiny)
-    if not live.size:
-        return total, rho
-    q, lam_live = b2[live], lam[live]
-    mu = np.sqrt(lam_live)
-    lam_home = np.concatenate([lam_live, lam_live])
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
+            b2 = b * b
+            live = np.flatnonzero(b2 >= np.finfo(float).tiny)
+            if not live.size:
+                return total, rho
+            q, lam_live = b2[live], lam[live]
+            mu = np.sqrt(lam_live)
+            lam_home = np.concatenate([lam_live, lam_live])
             pole = np.concatenate([1j * mu, -1j * mu])
             off = np.concatenate([-0.5 * q, -0.5 * (1.0 + _SEED_NUDGE) * q]).astype(complex)
             _converge(off, lambda i: _aberth_step(i, pole, off, lam_live, lam_home[i], q), "roots")

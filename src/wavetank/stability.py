@@ -76,7 +76,7 @@ def decay_fit(series: TimeSeries, window: tuple[float, float], model: str) -> De
     Requires at least 10 samples inside the window, all with positive norm,
     and for the power model all at t > -1.
     """
-    t_lo, t_hi = window
+    t_lo, t_hi = window = tuple(map(float, window))
     if not t_lo < t_hi:
         raise ValueError(f"window must satisfy t_lo < t_hi, got {window}")
     if model not in ("exponential", "power"):
@@ -96,7 +96,7 @@ def decay_fit(series: TimeSeries, window: tuple[float, float], model: str) -> De
     resid = logx - (slope * abscissa + intercept)
     fitted = -slope if model == "exponential" else slope
     return DecayFit(
-        window=(float(t_lo), float(t_hi)),
+        window=window,
         model=model,
         fitted_value=float(fitted),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
@@ -139,9 +139,9 @@ def rate_vs_n_study(h, n_values, t_final=40000.0, dt=1e-2, sample_every=1000) ->
     Each run starts from the evenly spread state zeta_k = w_k = 1/sqrt(N), is
     sampled by :func:`simulate_closed` every ``sample_every``-th point of the
     grid of spacing ``dt`` up to ``t_final``, and fits the exponential model
-    to the norms on the last half of the samples. Long horizons are required
-    to out-wait the slowest mode; the exact samples keep the norms' relative
-    accuracy in the tail.
+    to the norms on the last half of the samples, so it needs >= 19 of them,
+    checked before any run. Long horizons are required to out-wait the
+    slowest mode; the exact samples keep the norms' relative accuracy in the tail.
 
     Every truncation is exponentially stable (positive rate); the rates
     shrink as modes are added, the finite shadow of non-uniform
@@ -154,11 +154,15 @@ def rate_vs_n_study(h, n_values, t_final=40000.0, dt=1e-2, sample_every=1000) ->
         raise ValueError("every truncation in the study must be >= 2")
     if any(lo >= hi for lo, hi in zip(n_values, n_values[1:])):
         raise ValueError("truncation sizes must be strictly increasing")
+    configs = [SimConfig(n_modes=n, t_final=t_final, dt=dt, sample_every=sample_every) for n in n_values]
+    samples = min(cfg.sample_steps().size for cfg in configs)
+    if samples < 19:
+        raise ValueError(f"t_final {t_final}, dt {dt} and sample_every {sample_every} give {samples} "
+                         "samples; the fit on their last half needs >= 19")
     entries = []
-    for n in n_values:
+    for n, cfg in zip(n_values, configs):
         coupling = coupling_vector(h, n)
         gamma_floor = float(np.min(np.abs(coupling.beta) * (frequencies(n) + 1.0) ** 2))
-        cfg = SimConfig(n_modes=n, t_final=t_final, dt=dt, sample_every=sample_every)
         v = np.ones(n) / math.sqrt(n)
         run = simulate_closed(ModalState(v, v.copy()), coupling, cfg)
         fit = decay_fit(run, (run.t[len(run.t) // 2], run.t[-1]), "exponential")

@@ -160,19 +160,25 @@ def test_simulate_records_last_step(tmp_path, capsys):
     assert summary["final"]["x_norm"] == pytest.approx(series.x_norm[-1], rel=1e-12)
 
 
-def test_simulate_beyond_the_root_finder_fails_loudly(tmp_path, capsys):
-    # h1 scaled by 1e4 at N = 100 leaves the closed-loop roots unconverged: one
-    # error line and exit 2, not a state computed from them
+@pytest.mark.parametrize(
+    "scale, n_modes, message",
+    [(1e4, "100", "left "), (1e200, "4", "broke down: overflow encountered in multiply")],
+    ids=["unconverged", "overflow"],
+)
+def test_simulate_beyond_the_root_finder_fails_loudly(tmp_path, capsys, scale, n_modes, message):
+    # h1 scaled by 1e4 at N = 100 leaves the closed-loop roots unconverged, and
+    # by 1e200 its couplings square past the float range (numpy's warning came
+    # first): one error line and exit 2, not a state computed from them
     y = np.linspace(-1.0, 0.0, 201)
     profile = tmp_path / "strong.csv"
-    profile.write_text("y,h\n" + "".join(f"{a!r},{1e4 * (a + 0.5)!r}\n" for a in y.tolist()))
+    profile.write_text("y,h\n" + "".join(f"{a!r},{scale * (a + 0.5)!r}\n" for a in y.tolist()))
     csv_path = tmp_path / "x.csv"
     code, out, err = run_cli(
-        capsys, "simulate", "--profile", str(profile), "--n-modes", "100", "--t-final", "1",
+        capsys, "simulate", "--profile", str(profile), "--n-modes", n_modes, "--t-final", "1",
         "--dt", "0.005", "--out-csv", str(csv_path),
     )
     assert code == 2 and out == ""
-    assert err.startswith("error: closed-loop root finder left ") and err.count("\n") == 1
+    assert err.startswith("error: closed-loop root finder " + message) and err.count("\n") == 1
     assert not csv_path.exists()
 
 
@@ -676,6 +682,14 @@ def test_rate_study_rejects_repeated_truncation(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: truncation sizes must be strictly increasing\n"
+
+
+def test_rate_study_rejects_too_few_samples(capsys):
+    # one line naming the three values, where the decay fit named its window
+    # as (np.float64(1.0), np.float64(1.0))
+    code, out, err = run_cli(capsys, "rate-study", "--ns", "2", "--t-final", "1", "--dt", "1", "--sample-every", "1")
+    assert code == 2 and out == ""
+    assert err == "error: t_final 1.0, dt 1.0 and sample_every 1 give 2 samples; the fit on their last half needs >= 19\n"
 
 
 def test_unknown_flag_single_line_error(capsys):

@@ -9,6 +9,8 @@ from wavetank._hyper import cosh_over_cosh
 from wavetank.boundary import _wall_rate, side_projection
 from wavetank.cli import main
 from wavetank.profiles import (
+    OMEGA,
+    PHASE,
     SC_CONSTANT,
     WavemakerProfile,
     coupling_vector,
@@ -19,6 +21,7 @@ from wavetank.profiles import (
 )
 from wavetank.simulate import SimConfig
 from wavetank.spectral import eigenvalues, separation_certificate
+from wavetank.stability import spectral_abscissa
 
 from moments import jittered_profile, strategic_builtins, strategic_quadrature
 
@@ -46,7 +49,7 @@ def test_mean_residuals(h1, h2):
 
 
 def test_mean_residual_constant_profile():
-    flat = WavemakerProfile("tabulated", [-1.0, 0.0], [1.0, 1.0], 0.0, derivative_sup=0.0)
+    flat = WavemakerProfile("tabulated", [-1.0, 0.0], [1.0, 1.0], 0.0)
     assert flat.mean_residual() == pytest.approx(1.0, rel=1e-14)
 
 
@@ -159,12 +162,24 @@ def test_strategic_verdict_scale_invariant():
     # the input is u(t) h(y), so s h driven by u / s is the same actuator: the
     # verdicts of s h are those of h. An absolute tolerance on I_k / cosh k failed
     # h1 at every k at 1e-10 and passed the four-panel profile at 1e6, and one on
-    # the mean rejected the jittered profile at 1e6 and accepted the offset one
+    # the mean rejected the jittered profile at 1e6 and accepted the offset one.
+    # The margins and couplings read the same zeros as the verdict: the four-panel
+    # profile had a margin of 4.4e-16 (4.7e-10 at 1e6), b_1 = 3.5e-16 and, at
+    # N = 8, an abscissa of -6.3e-32 where mode 1 is uncoupled
     for name, (make, fails_at, accepted) in SCALED_PROFILES.items():
         kind, y, values, c = make()
         for scale in (1e-300, 1e-10, 1.0, 1e6, 1e300):
-            verdict = strategic_check(WavemakerProfile(kind, y, scale * values, scale * c, None), 200)
+            h = WavemakerProfile(kind, y, scale * values, scale * c)
+            verdict = strategic_check(h, 200)
             assert (verdict.strategic, verdict.fails_at) == (not fails_at, fails_at), (name, scale)
+            margins = ussd_margin(h, 200)
+            assert tuple(np.flatnonzero(margins.margins == 0.0) + 1) == fails_at, (name, scale)
+            assert (margins.min_margin == 0.0) == bool(fails_at), (name, scale)
+            if fails_at:
+                assert margins.argmin == fails_at[0], (name, scale)
+            assert tuple(np.flatnonzero(coupling_vector(h, 200).b == 0.0) + 1) == fails_at, (name, scale)
+            if fails_at and scale in (1.0, 1e6):
+                assert spectral_abscissa(h, 8) == 0.0, (name, scale)
             if kind == "tabulated":
                 assert _loads(y, scale * values) == accepted, (name, scale)
 
@@ -193,7 +208,7 @@ def test_ussd_margins_h1_closed_form_to_1000(h1):
 
 def test_ussd_margin_nonstrategic_min_zero(h_ns):
     rep = ussd_margin(h_ns, 50)
-    assert rep.min_margin == pytest.approx(0.0, abs=1e-11)
+    assert rep.min_margin == 0.0
     assert rep.argmin == 1
 
 
@@ -215,11 +230,6 @@ def test_sc_check_fails_when_surface_value_vanishes():
     assert sc_check(h, 0.1).verdict == "fail"
 
 
-def test_sc_check_unknown_without_derivative_bound():
-    h = WavemakerProfile("tabulated", [-1.0, 0.0], [-0.5, 0.5], 0.0, derivative_sup=None)
-    assert sc_check(h, 0.1).verdict == "unknown"
-
-
 def test_sc_check_rejects_bad_eps(h1):
     for eps in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
@@ -235,6 +245,35 @@ def test_sc_pass_implies_positive_margin_range(h1, h2):
     for h in (h1, h2):
         assert sc_check(h, 0.1).verdict == "pass"
         assert ussd_margin(h, 200).min_margin > 0
+
+
+@st.composite
+def panel_profiles(draw):
+    """Knots of 2 to 9 panels on [-1, 0], -1/2 among them now and then, the
+    values at them, and a cosine piece c != 0."""
+    inner = st.one_of(st.just(-0.5), st.floats(-0.999, -0.001))
+    knots = np.array([-1.0, *sorted(draw(st.lists(inner, min_size=1, max_size=8, unique=True))), 0.0])
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=knots.size, max_size=knots.size))
+    return knots, np.array(values), draw(st.floats(-10.0, 10.0).filter(lambda v: v != 0.0))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(panel_profiles())
+def test_derivative_sup_is_the_sampled_max(pieces):
+    # |h'| sampled at both ends of every panel and at y = -1/2, where the
+    # cosine's slope peaks, with math.sin rather than the array form
+    knots, values, c = pieces
+    h = WavemakerProfile("tabulated", knots, values, c)
+    sampled, inside = [], []
+    for lo, hi, v_lo, v_hi in zip(knots[:-1], knots[1:], values[:-1], values[1:]):
+        slope = (v_hi - v_lo) / (hi - lo)
+        for y in (lo, hi, -0.5) if lo <= -0.5 <= hi else (lo, hi):
+            sampled.append(abs(slope - c * OMEGA * math.sin(OMEGA * y + PHASE)))
+        inside.append(np.abs(slope - c * OMEGA * np.sin(OMEGA * np.linspace(lo, hi, 101) + PHASE)))
+    want = max(sampled)
+    assert abs(h.derivative_sup - want) <= 2 * math.ulp(want)
+    # and |h'| inside the panels stays below it
+    assert np.max(inside) <= want + 4 * math.ulp(want)
 
 
 def test_coupling_vector_values(h1):
@@ -265,7 +304,7 @@ def test_nonstrategic_construction(h_ns):
     assert abs(cv.b[0]) <= 1e-15
     assert abs(cv.b[1]) > 1e-6
     assert h_ns.mean_residual() == pytest.approx(0.0, abs=1e-12)
-    assert h_ns.derivative_sup is not None and h_ns.derivative_sup > 0
+    assert h_ns.derivative_sup > 0
 
 
 def test_builtin_lookup():

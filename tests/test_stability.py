@@ -31,6 +31,7 @@ from wavetank.stability import (
 )
 
 from substeps import expm_states
+from test_profiles import cancelling_profile
 
 
 def synthetic_series(fn, t_hi=50.0, n=501):
@@ -69,6 +70,9 @@ def test_decay_fit_window_errors():
         decay_fit(series, (0.0, 0.5), "exponential")
     with pytest.raises(ValueError, match="t_lo"):
         decay_fit(series, (2.0, 1.0), "exponential")
+    # a window of numpy floats reads as plain floats
+    with pytest.raises(ValueError, match=r"^window must satisfy t_lo < t_hi, got \(1\.0, 1\.0\)$"):
+        decay_fit(series, (np.float64(1.0), np.float64(1.0)), "exponential")
     with pytest.raises(ValueError, match="model"):
         decay_fit(series, (0.0, 50.0), "loglog")
     dying = synthetic_series(lambda t: np.maximum(1.0 - t / 25.0, 0.0))
@@ -188,12 +192,13 @@ def by_imag(z):
 
 @pytest.mark.parametrize("n", [16, 100, 400])
 def test_nonstrategic_abscissa_is_first_order(h_ns, n):
-    # mode 1 couples only through rounding (b_1 ~ 5.6e-18); its root sits
-    # -b_1^2/2 off the axis, which a dense eigensolve cannot resolve
-    b1 = coupling_vector(h_ns, n).b[0]
-    a = spectral_abscissa(h_ns, n)
-    assert a <= 0.0
-    assert a == pytest.approx(-b1**2 / 2, rel=1e-6)
+    # I_1 is within the rounding bound of its pieces for both profiles, so
+    # b_1 is 0 and mode 1 keeps its roots +-i mu_1: the abscissa is 0, not the
+    # -b_1^2/2 of a rounding-sized coupling (-6.3e-32 for the four-panel
+    # profile at N = 8)
+    for h in (h_ns, WavemakerProfile.from_samples(*cancelling_profile())):
+        assert coupling_vector(h, n).b[0] == 0.0
+        assert spectral_abscissa(h, n) == 0.0
 
 
 def test_zero_coupling_is_deflated():
@@ -521,6 +526,17 @@ def test_rate_study_validation(h1):
         rate_vs_n_study(h1, [4, 4])
     with pytest.raises(ValueError, match="at least one truncation"):
         rate_vs_n_study(h1, [])
+
+
+def test_rate_study_needs_19_samples(h1):
+    # the fit takes the last half of the samples and needs 10 of them: 17 steps
+    # give 18 samples, refused before any run; 18 steps give 19
+    with mock.patch("wavetank.stability.simulate_closed") as run:
+        with pytest.raises(ValueError) as err:
+            rate_vs_n_study(h1, [2, 4], t_final=17.0, dt=1.0, sample_every=1)
+        run.assert_not_called()
+    assert str(err.value) == "t_final 17.0, dt 1.0 and sample_every 1 give 18 samples; the fit on their last half needs >= 19"
+    assert rate_vs_n_study(h1, [2], t_final=18.0, dt=1.0, sample_every=1)[0].rate > 0
 
 
 def test_study_csv(tmp_path, h1):
