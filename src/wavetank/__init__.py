@@ -38,7 +38,6 @@ _OWNERS = {
     "reconstruct_field": "boundary",
     "side_projection": "boundary",
     "wall_trace": "boundary",
-    "CouplingVector": "profiles",
     "WavemakerProfile": "profiles",
     "coupling_vector": "profiles",
     "sc_check": "profiles",

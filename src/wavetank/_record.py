@@ -2,14 +2,15 @@
 fields are their ``__slots__`` not starting with an underscore.
 
 They give what the records used from generated code, without generating
-any at import: a repr, value equality, and copies and pickles rebuilt
-through ``__init__`` from the fields in order; :class:`Frozen` records add a
-hash and assignment that raises.
+any at import: a repr, and copies and pickles rebuilt through ``__init__``
+from the fields in order. Value equality and a hash belong to
+:class:`Frozen` records only, whose fields cannot be assigned; the other
+records hold arrays and compare by identity.
 """
 
 
 class Record:
-    """A record with ``__slots__`` fields, compared and shown by their values."""
+    """A record with ``__slots__`` fields, shown by their values."""
 
     __slots__ = ()
 
@@ -19,11 +20,6 @@ class Record:
     def __repr__(self) -> str:
         fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
         return f"{type(self).__name__}({', '.join(fields)})"
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
 
     def __reduce__(self):
         return type(self), self._values()
@@ -44,6 +40,11 @@ class Frozen(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
         return hash(self._values())

@@ -30,13 +30,11 @@ import numpy as np
 
 from ._blocks import blocks
 from ._hyper import cosh_over_cosh, sinh_over_cosh
-from ._record import Frozen
 from ._table import read_table
 from .spectral import _check_count
 
 __all__ = [
     "WavemakerProfile",
-    "CouplingVector",
     "StrategicVerdict",
     "UssdMargins",
     "ScVerdict",
@@ -329,37 +327,15 @@ def sc_check(h: WavemakerProfile, eps: float) -> ScVerdict:
     return ScVerdict(verdict=verdict, derivative_sup=h.derivative_sup, bound=bound, eps=eps)
 
 
-class CouplingVector(Frozen):
-    """Truncated coupling coefficients of the input map.
-
-    ``b`` drives the second-order modal equations (zeta_k'' = -lambda_k zeta_k
-    + b_k u); ``beta = b / sqrt(2)`` is the magnitude with which the input
-    couples to each eigenvector of the first-order form.
-    """
-
-    __slots__ = ("b",)
-
-    def __init__(self, b: np.ndarray):
-        self._freeze(b)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.b)
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self.b / math.sqrt(2.0)
-
-
-def coupling_vector(h, n_modes: int) -> CouplingVector:
-    """Coupling coefficients b_k = -sqrt(2/pi) I_k / cosh(k) for k <= n_modes
-    of a profile ``h``, 0 wherever :func:`strategic_check` fails, or the first
-    n_modes of a :class:`CouplingVector` ``h``."""
+def coupling_vector(h, n_modes: int) -> np.ndarray:
+    """Coupling coefficients b_k = -sqrt(2/pi) I_k / cosh(k), k <= n_modes, of a
+    profile or a 1-D coupling array ``h``: of a profile, 0 wherever
+    :func:`strategic_check` fails; of an array, its first n_modes entries,
+    after the one check that it is 1-D, finite and that long."""
     _check_count(n_modes, "n_modes")
-    if isinstance(h, CouplingVector):
-        if h.n_modes < n_modes:
-            raise ValueError("coupling vector shorter than the requested truncation")
-        return h if h.n_modes == n_modes else CouplingVector(h.b[:n_modes])
-    if not isinstance(h, WavemakerProfile):
-        raise TypeError(f"expected WavemakerProfile or CouplingVector, got {type(h)!r}")
-    return CouplingVector(-math.sqrt(2.0 / math.pi) * h._certified(n_modes))
+    if isinstance(h, WavemakerProfile):
+        return -math.sqrt(2.0 / math.pi) * h._certified(n_modes)
+    b = np.asarray(h, dtype=float)
+    if b.ndim != 1 or b.size < n_modes or not np.all(np.isfinite(b)):
+        raise ValueError(f"a coupling array must be 1-D and finite with at least {n_modes} entries")
+    return b[:n_modes]

@@ -28,7 +28,7 @@ import numpy as np
 from ._blocks import blocks
 from ._record import Frozen, Record
 from ._table import read_table, write_table
-from .profiles import CouplingVector, coupling_vector
+from .profiles import coupling_vector
 from .spectral import _check_count, _closed_loop_pairs, _pair_ratios, _pair_roots, eigenvalues, frequencies
 
 __all__ = [
@@ -469,7 +469,7 @@ def _sampled(config: SimConfig, samples) -> TimeSeries:
     )
 
 
-def _checked_coupling(state0: ModalState, h, config: SimConfig) -> CouplingVector:
+def _checked_coupling(state0: ModalState, h, config: SimConfig) -> np.ndarray:
     if state0.n_modes != config.n_modes:
         raise ValueError("initial state truncation does not match config.n_modes")
     return coupling_vector(h, config.n_modes)
@@ -479,9 +479,9 @@ def simulate_closed(state0: ModalState, h, config: SimConfig) -> TimeSeries:
     """Sample the collocated closed loop u = -b.w from ``state0``, exact to
     rounding at every sample.
 
-    ``h`` is a profile or a :class:`CouplingVector` of at least
-    ``config.n_modes`` entries. The state is the sum over the pairs of
-    closed-loop roots of two closed-form time functions times the part of
+    ``h`` is a profile or a 1-D coupling array of at least ``config.n_modes``
+    entries (see :func:`coupling_vector`). The state is the sum over the pairs
+    of closed-loop roots of two closed-form time functions times the part of
     ``state0`` in the pair's real invariant plane (see :func:`_closed_exact`),
     so ``dt`` only sets the sample grid. The energy column is the running
     minimum of the sampled energies: the exact energy never increases, so the
@@ -489,8 +489,8 @@ def simulate_closed(state0: ModalState, h, config: SimConfig) -> TimeSeries:
     relative accuracy in the tail. Raises LinAlgError (a ValueError) where
     the root finder does not converge.
     """
-    coupling = _checked_coupling(state0, h, config)
-    return _sampled(config, _closed_exact(state0, coupling.b, config))
+    b = _checked_coupling(state0, h, config)
+    return _sampled(config, _closed_exact(state0, b, config))
 
 
 def simulate_open(state0: ModalState, h, signal: InputSignal, config: SimConfig) -> TimeSeries:
@@ -502,8 +502,9 @@ def simulate_open(state0: ModalState, h, signal: InputSignal, config: SimConfig)
     integral has a closed form. A sample adds the whole segments before its
     own, the one :meth:`InputSignal.at` picks, to its own up to its time, so
     ``dt`` only sets the sample grid. With a zero signal y stays y0 and the
-    energy norm is conserved to a couple of ulps over any horizon.
+    energy norm is conserved to a couple of ulps over any horizon. ``h`` is a
+    profile or a 1-D coupling array, as for :func:`simulate_closed`.
     """
-    coupling = _checked_coupling(state0, h, config)
+    b = _checked_coupling(state0, h, config)
     signal.validate(config.t_final)
-    return _sampled(config, _open_exact(state0, coupling.b, signal, config))
+    return _sampled(config, _open_exact(state0, b, signal, config))

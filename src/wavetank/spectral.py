@@ -179,22 +179,24 @@ def _closed_loop_pairs(b) -> tuple[np.ndarray, np.ndarray]:
 
     The Aberth-Ehrlich iteration finds the 2N roots from the seeds
     +-i mu_k - b_k^2/2, the lower ones nudged off conjugate symmetry so that
-    a strongly damped pair can split onto the real axis. A root is held as
-    its home pole p = +-i mu_k plus an offset d, with the home denominator
-    d (d + 2p), since s^2 + lambda_k would cancel couplings below eps mu_k;
-    rho is formed from the offsets for the same reason. The roots homed at
-    +-i mu_k are pair k when each is the root nearest the other's conjugate;
-    the rest are paired again, largest imaginary part first, each with the
-    root nearest its conjugate. Near a double root Aberth stalls at about
-    sqrt(eps), so every pair is then polished by Newton's method (Bairstow's)
-    on its real equations f(s+) + f(s-) = 0 and f[s+, s-] = 0, regular there.
+    a strongly damped pair can split onto the real axis. A seed's real part
+    is capped at half the distance from mu_k to the nearest live frequency
+    (to 0 below the first, to mu_N + 1 above the last): strongly damped
+    roots go between the poles and onto the real axis, not to -b_k^2/2.
+    A root is held as its home pole p = +-i mu_k plus an offset d, with the
+    home denominator d (d + 2p), since s^2 + lambda_k would cancel couplings
+    below eps mu_k; rho is formed from the offsets for the same reason. The
+    roots homed at +-i mu_k are pair k when each is the root nearest the
+    other's conjugate; the rest are paired again, largest imaginary part
+    first, each with the root nearest its conjugate. Near a double root
+    Aberth stalls at about sqrt(eps), so every pair is then polished by
+    Newton's method (Bairstow's) on its real equations f(s+) + f(s-) = 0 and
+    f[s+, s-] = 0, regular there.
 
     Raises LinAlgError when an iteration does not converge, or when the pairs
     miss the trace identity sum P = -|b|^2 by more than 1e-13 |b|^2.
     """
     b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("coupling coefficients must be finite")
     n = b.size
     lam = eigenvalues(n)
     total, rho = np.zeros(n), np.zeros(n)
@@ -208,7 +210,9 @@ def _closed_loop_pairs(b) -> tuple[np.ndarray, np.ndarray]:
             mu = np.sqrt(lam_live)
             lam_home = np.concatenate([lam_live, lam_live])
             pole = np.concatenate([1j * mu, -1j * mu])
-            off = np.concatenate([-0.5 * q, -0.5 * (1.0 + _SEED_NUDGE) * q]).astype(complex)
+            edges = np.concatenate([[0.0], mu, [mu[-1] + 1.0]])
+            cap = np.minimum(q, np.minimum(np.diff(edges[:-1]), np.diff(edges[1:])))
+            off = np.concatenate([-0.5 * cap, -0.5 * (1.0 + _SEED_NUDGE) * cap]).astype(complex)
             _converge(off, lambda i: _aberth_step(i, pole, off, lam_live, lam_home[i], q), "roots")
             # pair k is held as P + i rho / mu_k, about twice the conjugate of
             # its upper offset when the coupling is weak

@@ -62,7 +62,7 @@ class EnvelopeReport(NamedTuple):
 
 class RateStudyEntry(NamedTuple):
     """Fitted tail rate for one truncation size, with fit residual and the
-    wave-package coupling floor min_k |beta_k| (mu_k + 1)^2 as a diagnostic."""
+    wave-package coupling floor min_k |b_k| / sqrt(2) (mu_k + 1)^2 as a diagnostic."""
 
     n_modes: int
     rate: float
@@ -123,18 +123,20 @@ def smooth_initial_state(n_modes: int, decay_power: float) -> ModalState:
 
 
 def spectral_abscissa(h, n_modes: int) -> float:
-    """Largest real part of the closed-loop eigenvalues, the roots of the
-    secular equation of the rank-one damping (see
+    """Largest real part of the closed-loop eigenvalues of a profile or a 1-D
+    coupling array ``h`` (see :func:`wavetank.profiles.coupling_vector`), the
+    roots of the secular equation of the rank-one damping (see
     :func:`wavetank.spectral._closed_loop_pairs`).
 
     Independent oracle for the fitted rates: the trajectory decay rate of the
     truncated loop equals minus this abscissa asymptotically.
     """
-    return float(_closed_loop_roots(coupling_vector(h, n_modes).b).real.max())
+    return float(_closed_loop_roots(coupling_vector(h, n_modes)).real.max())
 
 
 def rate_vs_n_study(h, n_values, t_final=40000.0, dt=1e-2, sample_every=1000) -> list[RateStudyEntry]:
-    """Fitted tail decay rates of the closed loop for strictly increasing truncations.
+    """Fitted tail decay rates of the closed loop of a profile or a 1-D coupling
+    array ``h`` for strictly increasing truncations.
 
     Each run starts from the evenly spread state zeta_k = w_k = 1/sqrt(N), is
     sampled by :func:`simulate_closed` every ``sample_every``-th point of the
@@ -161,10 +163,10 @@ def rate_vs_n_study(h, n_values, t_final=40000.0, dt=1e-2, sample_every=1000) ->
                          "samples; the fit on their last half needs >= 19")
     entries = []
     for n, cfg in zip(n_values, configs):
-        coupling = coupling_vector(h, n)
-        gamma_floor = float(np.min(np.abs(coupling.beta) * (frequencies(n) + 1.0) ** 2))
+        b = coupling_vector(h, n)
+        gamma_floor = float(np.min(np.abs(b) / math.sqrt(2.0) * (frequencies(n) + 1.0) ** 2))
         v = np.ones(n) / math.sqrt(n)
-        run = simulate_closed(ModalState(v, v.copy()), coupling, cfg)
+        run = simulate_closed(ModalState(v, v.copy()), b, cfg)
         fit = decay_fit(run, (run.t[len(run.t) // 2], run.t[-1]), "exponential")
         entries.append(RateStudyEntry(n, fit.fitted_value, fit.residual_rms, gamma_floor))
     return entries

@@ -278,7 +278,7 @@ def test_criterion_5_dynamics(h1):
     # the exact closed loop agrees with the independent Runge-Kutta cross-check
     cfg = simulate.SimConfig(n_modes=8, t_final=10.0, dt=1e-3, sample_every=100)
     ts_s = simulate.simulate_closed(st8, h1, cfg)
-    b = profiles.coupling_vector(h1, 8).b
+    b = profiles.coupling_vector(h1, 8)
     rows = rk4_states(st8, b, lambda t, w: -float(np.dot(b, w)), cfg.dt, cfg.sample_steps().tolist())
     rk4 = np.array([simulate.x_norm(simulate.ModalState(row[:8], row[8:])) for row in rows])
     int_diff = np.max(np.abs(ts_s.x_norm - rk4)) / ts_s.x_norm[0]

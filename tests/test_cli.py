@@ -18,6 +18,7 @@ from wavetank.boundary import dirichlet_field, neumann_field
 from wavetank.cli import main
 
 from moments import jittered_profile, side_linear
+from substeps import expm_states
 
 
 def run_cli(capsys, *argv):
@@ -160,25 +161,47 @@ def test_simulate_records_last_step(tmp_path, capsys):
     assert summary["final"]["x_norm"] == pytest.approx(series.x_norm[-1], rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "scale, n_modes, message",
-    [(1e4, "100", "left "), (1e200, "4", "broke down: overflow encountered in multiply")],
-    ids=["unconverged", "overflow"],
-)
-def test_simulate_beyond_the_root_finder_fails_loudly(tmp_path, capsys, scale, n_modes, message):
-    # h1 scaled by 1e4 at N = 100 leaves the closed-loop roots unconverged, and
-    # by 1e200 its couplings square past the float range (numpy's warning came
-    # first): one error line and exit 2, not a state computed from them
+def scaled_h1(tmp_path, scale):
+    """A 200-panel tabulated h1 scaled by ``scale``, written as a profile CSV."""
     y = np.linspace(-1.0, 0.0, 201)
     profile = tmp_path / "strong.csv"
     profile.write_text("y,h\n" + "".join(f"{a!r},{scale * (a + 0.5)!r}\n" for a in y.tolist()))
+    return profile
+
+
+def test_simulate_strong_coupling_converges(tmp_path, capsys):
+    # h1 scaled by 1e4 at N = 100, |b|^2 ~ 2.9e6: every seed starts at most half
+    # way to the next pole, so the roots converge [measured: 13 Aberth sweeps;
+    # unconverged after 500 when the seeds were +-i mu_k - b_k^2/2]. The states
+    # agree with the dense generator's exponential, whose squarings round at
+    # about eps |b|^2 [measured: 1.6e-9 of the first state's energy norm]
+    profile = scaled_h1(tmp_path, 1e4)
     csv_path = tmp_path / "x.csv"
     code, out, err = run_cli(
-        capsys, "simulate", "--profile", str(profile), "--n-modes", n_modes, "--t-final", "1",
+        capsys, "simulate", "--profile", str(profile), "--n-modes", "100", "--t-final", "1",
+        "--dt", "0.005", "--sample-every", "50", "--record-modes", "--out-csv", str(csv_path),
+    )
+    assert code == 0 and err == ""
+    series = simulate.TimeSeries.from_csv(csv_path)
+    assert np.all(np.diff(series.energy) <= 0.0) and series.energy[-1] < series.energy[0]
+    b = wavetank.coupling_vector(wavetank.WavemakerProfile.from_csv(profile), 100)
+    state0 = simulate.ModalState(series.zeta[0], series.w[0])
+    for row, want in zip(expm_states(b, state0, series.t), zip(series.zeta, series.w)):
+        error = simulate.ModalState(row[:100] - want[0], row[100:] - want[1])
+        assert simulate.x_norm(error) <= 1e-8 * simulate.x_norm(state0)
+
+
+@pytest.mark.parametrize("scale", [1e200], ids=["overflow"])
+def test_simulate_beyond_the_root_finder_fails_loudly(tmp_path, capsys, scale):
+    # h1 scaled by 1e200: its couplings square past the float range (numpy's
+    # warning came first): one error line and exit 2, not a state computed from them
+    csv_path = tmp_path / "x.csv"
+    code, out, err = run_cli(
+        capsys, "simulate", "--profile", str(scaled_h1(tmp_path, scale)), "--n-modes", "4", "--t-final", "1",
         "--dt", "0.005", "--out-csv", str(csv_path),
     )
     assert code == 2 and out == ""
-    assert err.startswith("error: closed-loop root finder " + message) and err.count("\n") == 1
+    assert err == "error: closed-loop root finder broke down: overflow encountered in multiply\n"
     assert not csv_path.exists()
 
 

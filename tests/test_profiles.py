@@ -19,7 +19,7 @@ from wavetank.profiles import (
     strategic_integral_scaled,
     ussd_margin,
 )
-from wavetank.simulate import SimConfig
+from wavetank.simulate import InputSignal, ModalState, SimConfig, simulate_closed, simulate_open
 from wavetank.spectral import eigenvalues, separation_certificate
 from wavetank.stability import spectral_abscissa
 
@@ -177,7 +177,7 @@ def test_strategic_verdict_scale_invariant():
             assert (margins.min_margin == 0.0) == bool(fails_at), (name, scale)
             if fails_at:
                 assert margins.argmin == fails_at[0], (name, scale)
-            assert tuple(np.flatnonzero(coupling_vector(h, 200).b == 0.0) + 1) == fails_at, (name, scale)
+            assert tuple(np.flatnonzero(coupling_vector(h, 200) == 0.0) + 1) == fails_at, (name, scale)
             if fails_at and scale in (1.0, 1e6):
                 assert spectral_abscissa(h, 8) == 0.0, (name, scale)
             if kind == "tabulated":
@@ -277,32 +277,49 @@ def test_derivative_sup_is_the_sampled_max(pieces):
 
 
 def test_coupling_vector_values(h1):
-    cv = coupling_vector(h1, 4)
-    assert cv.b[0] == pytest.approx(B1_H1, abs=1e-13)
-    assert cv.beta[0] == pytest.approx(BETA1_H1, abs=1e-13)
-    assert np.allclose(cv.beta, cv.b / math.sqrt(2.0), rtol=1e-15)
-    assert cv.n_modes == 4
+    b = coupling_vector(h1, 4)
+    assert isinstance(b, np.ndarray) and b.dtype == float and b.shape == (4,)
+    assert b[0] == pytest.approx(B1_H1, abs=1e-13)
+    assert b[0] / math.sqrt(2.0) == pytest.approx(BETA1_H1, abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "coupling",
+    [np.ones((2, 4)), np.array([0.1, math.nan, 0.2, 0.3]), np.ones(3)],
+    ids=["2-D", "non-finite", "short"],
+)
+@pytest.mark.parametrize(
+    "reader",
+    [
+        lambda b: simulate_closed(ModalState.zero(4), b, SimConfig(n_modes=4, t_final=1.0)),
+        lambda b: simulate_open(ModalState.zero(4), b, InputSignal.zero(1.0), SimConfig(n_modes=4, t_final=1.0)),
+        lambda b: spectral_abscissa(b, 4),
+    ],
+    ids=["simulate_closed", "simulate_open", "spectral_abscissa"],
+)
+def test_bad_coupling_arrays_fail_at_the_coupling(reader, coupling):
+    # one check, in coupling_vector, for every reader of a coupling array
+    with pytest.raises(ValueError, match="^a coupling array must be 1-D and finite with at least 4 entries$") as err:
+        reader(coupling)
+    assert err.traceback[-1].name == "coupling_vector"
 
 
 def test_coupling_vector_zero_profile():
     zero = WavemakerProfile.from_samples([-1.0, 0.0], [0.0, 0.0])
-    cv = coupling_vector(zero, 6)
-    assert np.all(cv.b == 0.0)
+    assert np.all(coupling_vector(zero, 6) == 0.0)
 
 
 def test_coupling_vector_homogeneous(h1):
     # alpha * h couples alpha times as strongly; tabulated linear data is exact
     y = np.linspace(-1.0, 0.0, 2)
     scaled = WavemakerProfile.from_samples(y, -3.0 * (y + 0.5))
-    cv_scaled = coupling_vector(scaled, 12)
-    cv_base = coupling_vector(h1, 12)
-    assert np.allclose(cv_scaled.b, -3.0 * cv_base.b, rtol=1e-13)
+    assert np.allclose(coupling_vector(scaled, 12), -3.0 * coupling_vector(h1, 12), rtol=1e-13)
 
 
 def test_nonstrategic_construction(h_ns):
-    cv = coupling_vector(h_ns, 3)
-    assert abs(cv.b[0]) <= 1e-15
-    assert abs(cv.b[1]) > 1e-6
+    b = coupling_vector(h_ns, 3)
+    assert abs(b[0]) <= 1e-15
+    assert abs(b[1]) > 1e-6
     assert h_ns.mean_residual() == pytest.approx(0.0, abs=1e-12)
     assert h_ns.derivative_sup > 0
 
@@ -489,8 +506,8 @@ def test_strategic_arrays_are_writable_and_agree():
     assert strategic_check(h, 300).fails_at == ()
     np.testing.assert_array_equal(margins, np.arange(1, 301) * np.abs(scaled))
     # what the criteria hand out is their own, writable array
-    cv = coupling_vector(h, 300)
-    assert cv.b.flags.writeable and margins.flags.writeable
-    np.testing.assert_array_equal(cv.b, -math.sqrt(2.0 / math.pi) * scaled)
+    b = coupling_vector(h, 300)
+    assert b.flags.writeable and margins.flags.writeable
+    np.testing.assert_array_equal(b, -math.sqrt(2.0 / math.pi) * scaled)
     # a single k is its own one-row range, and agrees with it in every bit
     assert strategic_integral_scaled(h, 7) == scaled[6]

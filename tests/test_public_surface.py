@@ -1,12 +1,13 @@
 """The public surface: every exported name resolves, the README's library
-sketch runs, and the benchmark's tracer, which wraps the public functions by
-name, installs and uninstalls."""
+sketch and command examples run, and the benchmark's tracer, which wraps the
+public functions by name, installs and uninstalls."""
 
 import importlib
 import importlib.util
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -26,11 +27,12 @@ def test_all_names_resolve(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
-# the 39 names the package exported when it imported every subsystem eagerly
+# the names the package exported when it imported every subsystem eagerly,
+# less the record that wrapped a coupling array, now a plain 1-D array
 EXPORTS = {
     "FieldGrid", "dirichlet_field", "harmonicity_residual", "hilbert_bound_ratio", "neumann_field",
     "neumann_to_neumann", "neumann_wall_residual", "reconstruct_field", "side_projection", "wall_trace",
-    "CouplingVector", "WavemakerProfile", "coupling_vector", "sc_check", "strategic_check", "ussd_margin",
+    "WavemakerProfile", "coupling_vector", "sc_check", "strategic_check", "ussd_margin",
     "InputSignal", "ModalState", "Segment", "SimConfig", "TimeSeries", "domain_norm", "simulate_closed",
     "simulate_open", "x_norm",
     "GapViolationError", "WavePackageResult", "eigenvalue", "frequency", "gap_products",
@@ -43,7 +45,7 @@ EXPORTS = {
 def test_package_exports_are_public_names():
     # the lazy table holds exactly those names, each listed in its module's
     # __all__ and resolved to the module's own object
-    assert len(EXPORTS) == 39 and set(wavetank._OWNERS) == EXPORTS
+    assert len(EXPORTS) == 38 and set(wavetank._OWNERS) == EXPORTS
     for name, owner in wavetank._OWNERS.items():
         module = importlib.import_module(f"wavetank.{owner}")
         assert name in module.__all__, f"{owner}.{name}"
@@ -152,3 +154,20 @@ def test_readme_library_sketch_runs(capsys):
     # the rate it prints beside the spectral abscissa is a fit that has reached it
     oracle = -namespace["spectral_abscissa"](namespace["h"], 16)
     assert namespace["fit"].fitted_value == pytest.approx(oracle, rel=0.05)
+
+
+def test_readme_command_examples_run(tmp_path, monkeypatch, capsys):
+    # every command of the "Command line" block, in order (decay reads the
+    # series simulate wrote), with the block's signal and a small state CSV
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    signal = re.search(r"Input-signal segments look like\n\n```json\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "signal.json").write_text(signal)
+    (tmp_path / "state.csv").write_text("k,zeta,w\n1,0.5,0.0\n2,0.0,0.25\n3,0.125,0.0\n")
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("wavetank ")]
+    assert len(commands) == 7
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
+        assert capsys.readouterr().err == "", argv

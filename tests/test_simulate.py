@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wavetank.profiles import CouplingVector, coupling_vector
+from wavetank.profiles import coupling_vector
 from wavetank.simulate import (
     InputSignal,
     ModalState,
@@ -66,7 +66,7 @@ def test_domain_norm_dominates(rng):
 
 def closed_run(state, b, t_final, dt, sample_every=1):
     cfg = SimConfig(n_modes=state.n_modes, t_final=t_final, dt=dt, sample_every=sample_every, record_modes=True)
-    return simulate_closed(state, CouplingVector(np.asarray(b, dtype=float)), cfg)
+    return simulate_closed(state, b, cfg)
 
 
 def test_rotation_identity_at_zero(rng):
@@ -106,10 +106,10 @@ def test_damping_eigenvector_decay(h1):
     # one mode from (1, 0): zeta'' + q zeta' + lambda zeta = 0, with a = -q/2
     # and omega^2 = lambda - a^2, gives zeta = e^{a t} (cos(omega t) - (a/omega) sin(omega t))
     # and w = -(lambda/omega) e^{a t} sin(omega t)
-    q = coupling_vector(h1, 1).b[0] ** 2
+    q = coupling_vector(h1, 1)[0] ** 2
     lam = eigenvalues(1)[0]
     a, omega = -q / 2, math.sqrt(lam - q * q / 4)
-    ts = closed_run(ModalState.single_mode(1, 1), coupling_vector(h1, 1).b, 50.0, 0.05, 10)
+    ts = closed_run(ModalState.single_mode(1, 1), coupling_vector(h1, 1), 50.0, 0.05, 10)
     decay, c, s = np.exp(a * ts.t), np.cos(omega * ts.t), np.sin(omega * ts.t)
     assert np.allclose(ts.zeta[:, 0], decay * (c - (a / omega) * s), rtol=0.0, atol=1e-13)
     assert np.allclose(ts.w[:, 0], -(lam / omega) * decay * s, rtol=0.0, atol=1e-13)
@@ -128,7 +128,7 @@ def test_damping_orthogonal_kernel():
 def test_damping_never_expands(h1, rng):
     # the energies of the sampled states themselves, not only their running
     # minimum, rise by rounding at most [measured: none rose in 200 draws]
-    b = coupling_vector(h1, 8).b
+    b = coupling_vector(h1, 8)
     lam = eigenvalues(8)
     for _ in range(20):
         ts = closed_run(random_state(8, rng), b, 5.0, 0.05)
@@ -166,7 +166,7 @@ def test_closed_loop_single_mode_rate(h1):
     # one damped oscillator: energy e-folds at rate ~ b_1^2 for small coupling
     cfg = SimConfig(n_modes=1, t_final=100.0, dt=1e-3, sample_every=1000)
     ts = simulate_closed(ModalState.single_mode(1, 1), h1, cfg)
-    b1 = coupling_vector(h1, 1).b[0]
+    b1 = coupling_vector(h1, 1)[0]
     rate = -math.log(ts.energy[-1] / ts.energy[0]) / 100.0
     assert rate == pytest.approx(b1**2, rel=0.02)
 
@@ -174,7 +174,7 @@ def test_closed_loop_single_mode_rate(h1):
 def test_closed_loop_rk4_crosscheck_agrees(h1, rng):
     st = random_state(8, rng)
     cfg = SimConfig(n_modes=8, t_final=10.0, dt=1e-3, sample_every=100)
-    b = coupling_vector(h1, 8).b
+    b = coupling_vector(h1, 8)
     ts_s = simulate_closed(st, h1, cfg)
     rk4 = rk4_norms(st, b, lambda t, w: -float(np.dot(b, w)), cfg)
     assert np.max(np.abs(ts_s.x_norm - rk4)) <= 1e-6 * ts_s.x_norm[0]
@@ -267,7 +267,7 @@ def test_closed_loop_strong_coupling_matches_exponential(h1, scale):
     # and 5.5e-4 off at t = 1 [measured: 4.9e-13 and 2.0e-11 of the state; the
     # latter is mostly the reference's own squaring error, 5e-11 off mpmath at N = 20]
     n = 100
-    b = scale * coupling_vector(h1, n).b
+    b = scale * coupling_vector(h1, n)
     rng = np.random.default_rng(12)
     z = rng.standard_normal(2 * n) / np.arange(1, 2 * n + 1)
     st = ModalState(z[:n], z[n:])
@@ -327,7 +327,7 @@ def test_open_loop_resonance_matches_oscillator(h1):
     mu = frequency(1)
     T = 50.0
     cfg = SimConfig(n_modes=4, t_final=T, dt=1e-3, sample_every=50000)
-    b1 = coupling_vector(h1, 4).b[0]
+    b1 = coupling_vector(h1, 4)[0]
     for omega in (mu, mu * (1.0 + 1e-9)):  # resonant and near-resonant
         ts = simulate_open(ModalState.zero(4), h1, InputSignal.sinusoid(1.0, omega, T), cfg)
         sigma, delta = omega + mu, omega - mu
@@ -346,7 +346,7 @@ def test_open_loop_rk4_crosscheck(h1, rng):
     sig = InputSignal.sinusoid(0.3, 1.1, 5.0)
     cfg = SimConfig(n_modes=6, t_final=5.0, dt=1e-3, sample_every=1000)
     ts_s = simulate_open(st, h1, sig, cfg)
-    rk4 = rk4_norms(st, coupling_vector(h1, 6).b, lambda t, w: sig(t), cfg)
+    rk4 = rk4_norms(st, coupling_vector(h1, 6), lambda t, w: sig(t), cfg)
     assert np.max(np.abs(ts_s.x_norm - rk4)) <= 1e-6 * ts_s.x_norm[0]
 
 
@@ -466,7 +466,7 @@ def test_open_loop_matches_per_step_reference(h1, run):
     n = state.n_modes
     cfg = SimConfig(n_modes=n, t_final=t_final, dt=dt, sample_every=sample_every, record_modes=True)
     ts = simulate_open(state, h1, signal, cfg)
-    b = coupling_vector(h1, n).b
+    b = coupling_vector(h1, n)
     ref = open_loop_states(state, b, signal, cfg)
     lam = eigenvalues(n)
 
