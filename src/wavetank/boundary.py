@@ -27,7 +27,7 @@ from ._blocks import blocks
 from ._hyper import cosh_over_cosh, cosh_ratio_side, exp_left_over_sinh, sinh_ratio_side
 from ._record import Record
 from ._table import write_table
-from .spectral import _check_count
+from .spectral import _check_count, _real_array
 
 __all__ = [
     "FieldGrid",
@@ -94,8 +94,8 @@ def _grid_axes(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(0.0, np.pi, nx + 1), np.linspace(-1.0, 0.0, ny + 1)
 
 
-def _as_coefficients(c) -> np.ndarray:
-    c = np.atleast_1d(np.asarray(c, dtype=float))
+def _as_coefficients(c, name: str) -> np.ndarray:
+    c = np.atleast_1d(_real_array(c, name))
     if c.ndim != 1:
         raise ValueError("coefficient vectors must be 1-D")
     if not np.all(np.isfinite(c)):
@@ -125,7 +125,7 @@ def dirichlet_field(eta, nx: int, ny: int) -> FieldGrid:
     evaluated on the grid; its top row reproduces the surface data exactly
     because every mode ratio equals one at y = 0.
     """
-    eta = _as_coefficients(eta)
+    eta = _as_coefficients(eta, "eta")
     x, y = _grid_axes(nx, ny)
     k = _modes(eta)
     weighted = (eta * math.sqrt(2.0 / math.pi))[:, None] * np.cos(k * x)
@@ -137,7 +137,7 @@ def wall_trace(eta, y) -> np.ndarray:
 
     Returns sum_k sqrt(2/pi) eta_k cosh[k(y+1)] / cosh(k) at the given depths.
     """
-    eta = _as_coefficients(eta)
+    eta = _as_coefficients(eta, "eta")
     y = np.asarray(y, dtype=float)
     kernel = cosh_over_cosh(_modes(eta, y.ndim), y)
     return np.tensordot(eta * math.sqrt(2.0 / math.pi), kernel, axes=1)
@@ -151,7 +151,7 @@ def neumann_field(v, nx: int, ny: int) -> FieldGrid:
     with a_k = (2k-1) pi/2. The x-ratio is evaluated in shifted exponentials
     for large a_k; the y-factor vanishes identically on the top boundary.
     """
-    v = _as_coefficients(v)
+    v = _as_coefficients(v, "v")
     x, y = _grid_axes(nx, ny)
     k = _modes(v)
     a = _wall_rate(k)
@@ -168,7 +168,7 @@ def neumann_wall_residual(v, y) -> float:
     in the same basis; the result is max_y of the absolute mismatch, which
     the per-mode identity keeps at roundoff level.
     """
-    v = _as_coefficients(v)
+    v = _as_coefficients(v, "v")
     y = np.asarray(y, dtype=float)
     if not y.size:
         return 0.0
@@ -188,7 +188,7 @@ def neumann_to_neumann(v, x) -> np.ndarray:
     Returns sum_k (-1)^k sqrt(2) v_k cosh[a_k(x - pi)] / sinh(a_k pi); this is
     how wall forcing with shape coefficients v excites the surface.
     """
-    v = _as_coefficients(v)
+    v = _as_coefficients(v, "v")
     x = np.asarray(x, dtype=float)
     k = _modes(v, x.ndim)
     signed = (-1.0) ** _modes(v, 0) * math.sqrt(2.0) * v
@@ -209,7 +209,7 @@ def hilbert_bound_ratio(v) -> float:
     at a time. Returns its ratio to the squared coefficient norm, ``v`` scaled
     by max|v_k| first so that every scale gives it; the contract is ratio <= 10.
     """
-    v = _as_coefficients(v)
+    v = _as_coefficients(v, "v")
     top = float(np.max(np.abs(v), initial=0.0))
     if top == 0.0:
         raise ValueError("ratio undefined for the zero coefficient vector")

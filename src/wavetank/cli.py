@@ -233,7 +233,7 @@ def cmd_simulate(args) -> int:
             "domain_norm": simulate.domain_norm(series.final_state),
         },
         "samples": len(series.t),
-        "t_end": config.n_steps * config.dt,
+        "t_end": float(series.t[-1]),
         "wall_time_s": wall,
     }
     text = json.dumps(summary, indent=2) + "\n"

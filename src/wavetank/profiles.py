@@ -31,7 +31,7 @@ import numpy as np
 from ._blocks import blocks
 from ._hyper import cosh_over_cosh, sinh_over_cosh
 from ._table import read_table
-from .spectral import _check_count
+from .spectral import _check_count, _real_array
 
 __all__ = [
     "WavemakerProfile",
@@ -127,8 +127,7 @@ class WavemakerProfile:
         times that of |h|. ``derivative_sup``, the largest slope of the
         interpolant, speaks for the samples only as far as it does.
         """
-        y = np.asarray(y, dtype=float)
-        h = np.asarray(h, dtype=float)
+        y, h = _real_array(y, "y"), _real_array(h, "h")
         if y.ndim != 1 or y.shape != h.shape or y.size < 2:
             raise ValueError("tabulated profile needs matching 1-D arrays with >= 2 samples")
         if not np.all(np.isfinite(y)) or not np.all(np.isfinite(h)):
@@ -335,7 +334,7 @@ def coupling_vector(h, n_modes: int) -> np.ndarray:
     _check_count(n_modes, "n_modes")
     if isinstance(h, WavemakerProfile):
         return -math.sqrt(2.0 / math.pi) * h._certified(n_modes)
-    b = np.asarray(h, dtype=float)
+    b = _real_array(h, "h", "a profile or a 1-D real array")
     if b.ndim != 1 or b.size < n_modes or not np.all(np.isfinite(b)):
         raise ValueError(f"a coupling array must be 1-D and finite with at least {n_modes} entries")
     return b[:n_modes]

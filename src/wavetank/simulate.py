@@ -9,16 +9,16 @@ input signal; the closed loop applies the collocated feedback
 u = -sum_k b_k w_k, which damps the energy norm through a rank-one
 perturbation of an otherwise norm-preserving oscillation.
 
-Both loops are exact to rounding at every sample, so ``dt`` only sets the
-sample grid. One call walks the whole sample schedule of a run and hands the
-samples back as arrays, a block of samples at a time (:mod:`wavetank._blocks`),
-which fill the columns of the series. The closed loop is built from its
-spectrum: the roots of the secular equation (:mod:`wavetank.spectral`), one
-real quadratic factor per pair of roots, each with its real invariant plane,
-so a sample is a sum of closed-form time functions of the pairs. Its energy
-column is the running minimum of the sampled energies, non-increasing by
-construction. The open loop integrates every segment of its input against
-the rotation in closed form.
+Both loops are exact to rounding at any time, so a run's schedule is one
+increasing array of sample times, :attr:`SimConfig.times`. One call walks it
+and hands the samples back as arrays, a block of times at a time
+(:mod:`wavetank._blocks`), which fill the columns of the series. The closed
+loop is built from its spectrum: the roots of the secular equation
+(:mod:`wavetank.spectral`), one real quadratic factor per pair of roots, each
+with its real invariant plane, so a sample is a sum of closed-form time
+functions of the pairs. Its energy column is the running minimum of the
+sampled energies, non-increasing by construction. The open loop integrates
+every segment of its input against the rotation in closed form.
 """
 
 import math
@@ -29,7 +29,8 @@ from ._blocks import blocks
 from ._record import Frozen, Record
 from ._table import read_table, write_table
 from .profiles import coupling_vector
-from .spectral import _check_count, _closed_loop_pairs, _pair_ratios, _pair_roots, eigenvalues, frequencies
+from .spectral import (_check_count, _closed_loop_pairs, _pair_ratios, _pair_roots, _real_array, eigenvalues,
+                       frequencies)
 
 __all__ = [
     "ModalState",
@@ -51,8 +52,7 @@ class ModalState(Record):
     __slots__ = ("zeta", "w")
 
     def __init__(self, zeta: np.ndarray, w: np.ndarray):
-        self.zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-        self.w = np.atleast_1d(np.asarray(w, dtype=float))
+        self.zeta, self.w = np.atleast_1d(_real_array(zeta, "zeta")), np.atleast_1d(_real_array(w, "w"))
         if self.zeta.shape != self.w.shape or self.zeta.ndim != 1:
             raise ValueError("zeta and w must be 1-D arrays of equal length")
         if not (np.all(np.isfinite(self.zeta)) and np.all(np.isfinite(self.w))):
@@ -102,11 +102,11 @@ def domain_norm(state: ModalState) -> float:
 class SimConfig(Frozen):
     """Simulation parameters; ``dt=None`` resolves to min(1e-2, 0.1/mu_N).
 
-    ``dt`` is the spacing of the sample grid, not an integration step: both
-    loops are exact at every sample, and ``sample_every`` thins the grid. The
-    default keeps the value it had when it was a step (about 60 per period of
-    the fastest retained mode), so default runs keep their sample times. The
-    grid count t_final / dt must stay below 2^63.
+    The schedule of a run is :attr:`times`: the grid of spacing ``dt`` from 0
+    to t_final, thinned to every ``sample_every``-th point, and always its
+    last. ``dt`` is no integration step, since both loops are exact at any
+    time; the default gives about 60 points per period of the fastest
+    retained mode. The grid count t_final / dt must stay below 2^63.
     """
 
     __slots__ = ("n_modes", "t_final", "dt", "sample_every", "record_modes")
@@ -129,17 +129,20 @@ class SimConfig(Frozen):
             raise ValueError(f"t_final must be finite, got {self.t_final}")
         if self.t_final < self.dt:
             raise ValueError(f"t_final must be >= dt, got {self.t_final} < {self.dt}")
+        # outside input: t_final / dt, the grid's last index, must fit the int64 arange of `times`
         if not self.t_final / self.dt < 2.0**63:
             raise ValueError(f"t_final / dt must be below 2**63, got {self.t_final / self.dt:.3g}")
         _check_count(self.sample_every, "sample_every")
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_final / self.dt)))
+        # the grid's last index; the benchmark's tracer (perfbench/spans.py) reads it as a run's work
+        return int(round(self.t_final / self.dt))
 
-    def sample_steps(self) -> np.ndarray:
-        """The recorded steps: every ``sample_every``-th from 0, and always the last."""
-        return np.r_[np.arange(0, self.n_steps, min(self.sample_every, self.n_steps)), self.n_steps]
+    @property
+    def times(self) -> np.ndarray:
+        """The sample times: every ``sample_every``-th point of the grid from 0, and always the last."""
+        return np.r_[np.arange(0, self.n_steps, min(self.sample_every, self.n_steps)), self.n_steps] * self.dt
 
 
 class Segment(Frozen):
@@ -351,10 +354,10 @@ def _pair_parts(b: np.ndarray, total: np.ndarray, rho: np.ndarray, z0: np.ndarra
     return parts
 
 
-def _closed_exact(state0: ModalState, b: np.ndarray, config: SimConfig):
-    """Blocks (states, energies, inputs) of the exact closed loop at the sample
-    steps, z(t) = sum_k phi0_k(t) X_k + phi1_k(t) Y_k over the pairs of roots
-    (see :func:`_pair_parts`).
+def _closed_exact(state0: ModalState, b: np.ndarray, times: np.ndarray):
+    """Blocks (states, energies, inputs) of the exact closed loop at the
+    increasing ``times`` from 0: z(t) = sum_k phi0_k(t) X_k +
+    phi1_k(t) Y_k over the pairs of roots (see :func:`_pair_parts`).
 
     On pair k's plane e^{A t} = phi0 + phi1 A, with
     phi1 = (e^{s+ t} - e^{s- t}) / (s+ - s-) and
@@ -367,7 +370,7 @@ def _closed_exact(state0: ModalState, b: np.ndarray, config: SimConfig):
     the exact energy never increases, so the column stays within rounding of
     it and never increases either.
     """
-    n, dt = config.n_modes, config.dt
+    n = b.size
     total, rho = _closed_loop_pairs(b)
     z0 = np.concatenate([state0.zeta, state0.w])
     parts = _pair_parts(b, total, rho, z0)
@@ -375,9 +378,9 @@ def _closed_exact(state0: ModalState, b: np.ndarray, config: SimConfig):
     real = roots[:n].imag == 0.0
     m, over, omega = total / 2.0, np.flatnonzero(real), np.where(real, 1.0, roots[:n].imag)
     slow, fast = roots[over].real, roots[n + over].real
-    steps, least = config.sample_steps(), math.inf
-    for rows in blocks(steps.size, n):  # N-wide time functions; phi and the states are 2N wide
-        t = steps[rows, None] * dt
+    least = math.inf
+    for rows in blocks(times.size, n):  # N-wide time functions; phi and the states are 2N wide
+        t = times[rows, None]
         phi = np.empty((t.shape[0], 2 * n))
         decay, turn = np.exp(t * m), t * omega
         phi[:, n:] = decay * np.sin(turn) / omega
@@ -410,21 +413,20 @@ def _integrals(wave, lo, hi, mu: np.ndarray) -> np.ndarray:
     return amp / 2 * span * total
 
 
-def _open_exact(state0: ModalState, b: np.ndarray, signal: InputSignal, config: SimConfig):
-    """Blocks (states, energies, inputs) of the exact open loop at the sample
-    steps, each the rotating-frame y0 + [(b/mu) Im E; b Re E] turned by R(t).
-    E at t sums the whole segments before the one serving t and that one up
-    to t; a row with E = 0 keeps y0 as it is."""
-    n, dt = config.n_modes, config.dt
+def _open_exact(state0: ModalState, b: np.ndarray, signal: InputSignal, times: np.ndarray):
+    """Blocks (states, energies, inputs) of the exact open loop at the
+    increasing ``times`` from 0, each the rotating-frame y0 + [(b/mu) Im E;
+    b Re E] turned by R(t). E at t sums the whole segments before the one
+    serving t and that one up to t; a row with E = 0 keeps y0 as it is."""
+    n = b.size
     mu = frequencies(n)
     wave = signal._wave
     starts = np.maximum(np.r_[0.0, signal._seams], 0.0)  # where the integral enters each segment
     whole = _integrals(wave[:, :-1], starts[:-1], starts[1:], mu)
     prefix = np.vstack([np.zeros((1, n)), np.cumsum(whole, axis=0)])
     y0 = np.concatenate([state0.zeta, state0.w])
-    steps = config.sample_steps()
-    for rows in blocks(steps.size, n):  # N-wide complex integrals; the states are 2N wide
-        t = steps[rows] * dt
+    for rows in blocks(times.size, n):  # N-wide complex integrals; the states are 2N wide
+        t = times[rows]
         i = np.searchsorted(signal._seams, t, side="right")
         e, live = prefix[i], wave[0, i] != 0  # a row in a zero segment adds nothing to its prefix
         e[live] += _integrals(wave[:, i[live]], starts[i[live]], t[live], mu)
@@ -440,17 +442,13 @@ def _open_exact(state0: ModalState, b: np.ndarray, signal: InputSignal, config: 
         yield np.hstack([zeta, w]), _energies(zeta, w), signal.at(t)
 
 
-def _sampled(config: SimConfig, samples) -> TimeSeries:
-    """The series of a run whose ``samples`` give blocks of (states, energies,
-    inputs) rows, states z = [zeta; w], at consecutive steps of
-    ``config.sample_steps()``; the last state is the final one. Only the
-    recorded modes are kept."""
-    steps = config.sample_steps()
+def _sampled(config: SimConfig, times: np.ndarray, samples) -> TimeSeries:
+    """The series at ``times`` of a run whose ``samples`` give blocks of
+    (states, energies, inputs) rows, states z = [zeta; w], one row per time;
+    the last state is the final one. Only the recorded modes are kept."""
     n = config.n_modes
-    energy, u = np.empty(len(steps)), np.empty(len(steps))
-    zeta = w = None
-    if config.record_modes:
-        zeta, w = np.empty((len(steps), n)), np.empty((len(steps), n))
+    energy, u = np.empty(times.size), np.empty(times.size)
+    zeta, w = (np.empty((times.size, n)), np.empty((times.size, n))) if config.record_modes else (None, None)
     done = 0
     for states, energies, inputs in samples:
         rows = slice(done, done + len(states))
@@ -459,7 +457,7 @@ def _sampled(config: SimConfig, samples) -> TimeSeries:
             zeta[rows], w[rows] = states[:, :n], states[:, n:]
         done = rows.stop
     return TimeSeries(
-        t=steps * config.dt,
+        t=times,
         x_norm=np.sqrt(energy),
         energy=energy,
         u=u,
@@ -476,35 +474,36 @@ def _checked_coupling(state0: ModalState, h, config: SimConfig) -> np.ndarray:
 
 
 def simulate_closed(state0: ModalState, h, config: SimConfig) -> TimeSeries:
-    """Sample the collocated closed loop u = -b.w from ``state0``, exact to
-    rounding at every sample.
+    """Sample the collocated closed loop u = -b.w from ``state0`` at
+    ``config.times``, exact to rounding at every sample.
 
     ``h`` is a profile or a 1-D coupling array of at least ``config.n_modes``
     entries (see :func:`coupling_vector`). The state is the sum over the pairs
     of closed-loop roots of two closed-form time functions times the part of
     ``state0`` in the pair's real invariant plane (see :func:`_closed_exact`),
-    so ``dt`` only sets the sample grid. The energy column is the running
-    minimum of the sampled energies: the exact energy never increases, so the
-    energy and norm columns are non-increasing by construction and keep their
-    relative accuracy in the tail. Raises LinAlgError (a ValueError) where
-    the root finder does not converge.
+    a closed form at any time. The energy column is the running minimum of
+    the sampled energies: the exact energy never increases, so the energy and
+    norm columns are non-increasing by construction and keep their relative
+    accuracy in the tail. Raises LinAlgError (a ValueError) where the root
+    finder does not converge.
     """
-    b = _checked_coupling(state0, h, config)
-    return _sampled(config, _closed_exact(state0, b, config))
+    b, times = _checked_coupling(state0, h, config), config.times
+    return _sampled(config, times, _closed_exact(state0, b, times))
 
 
 def simulate_open(state0: ModalState, h, signal: InputSignal, config: SimConfig) -> TimeSeries:
-    """Integrate the driven open loop, exact to rounding at every sample.
+    """Sample the driven open loop at ``config.times``, exact to rounding at
+    every sample.
 
     In rotating coordinates y(t) = R(-t) z(t) = y0 + [(b/mu) Im E(t); b Re E(t)]
     with E(t) = int_0^t u(s) e^{-i mu s} ds. Every segment is A cos(omega s +
     phase) (a constant has omega = phase = 0, a zero segment A = 0), whose
     integral has a closed form. A sample adds the whole segments before its
-    own, the one :meth:`InputSignal.at` picks, to its own up to its time, so
-    ``dt`` only sets the sample grid. With a zero signal y stays y0 and the
-    energy norm is conserved to a couple of ulps over any horizon. ``h`` is a
+    own, the one :meth:`InputSignal.at` picks, to its own up to its time, a
+    closed form at any time. With a zero signal y stays y0 and the energy
+    norm is conserved to a couple of ulps over any horizon. ``h`` is a
     profile or a 1-D coupling array, as for :func:`simulate_closed`.
     """
-    b = _checked_coupling(state0, h, config)
+    b, times = _checked_coupling(state0, h, config), config.times
     signal.validate(config.t_final)
-    return _sampled(config, _open_exact(state0, b, signal, config))
+    return _sampled(config, times, _open_exact(state0, b, signal, times))

@@ -43,13 +43,8 @@ class GapViolationError(ValueError):
     """Raised when a wave package of the requested width holds two or more modes."""
 
     def __init__(self, s, delta, indices):
-        self.s = s
-        self.delta = delta
-        self.indices = tuple(indices)
-        super().__init__(
-            f"gap violation: frequencies {self.indices} all within "
-            f"{delta:.6g} of s={s:.6g}"
-        )
+        self.s, self.delta, self.indices = s, delta, tuple(indices)
+        super().__init__(f"gap violation: frequencies {self.indices} all within {delta:.6g} of s={s:.6g}")
 
 
 class WavePackageResult(NamedTuple):
@@ -70,6 +65,14 @@ def _check_count(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _real_array(values, name: str, what: str = "a real array") -> np.ndarray:
+    """``values`` as a float array; ValueError unless they are integers or floats (not bool, complex or text)."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be {what}, got dtype {array.dtype}")
+    return array.astype(float, copy=False)
 
 
 def eigenvalue(k: int) -> float:
@@ -168,8 +171,8 @@ _STALL = 1e-6
 _MAX_SWEEPS = 500  # sweeps of either iteration before the root finder gives up
 
 
-def _closed_loop_pairs(b) -> tuple[np.ndarray, np.ndarray]:
-    """The closed-loop spectrum with coupling ``b`` as N real quadratic factors.
+def _closed_loop_pairs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-loop spectrum of the float coupling array ``b`` as N real quadratic factors.
 
     The characteristic polynomial is prod_k (s^2 + lambda_k) f(s), with the
     secular function f(s) = 1 + s sum_k b_k^2 / (s^2 + lambda_k). Pair k is
@@ -196,7 +199,6 @@ def _closed_loop_pairs(b) -> tuple[np.ndarray, np.ndarray]:
     Raises LinAlgError when an iteration does not converge, or when the pairs
     miss the trace identity sum P = -|b|^2 by more than 1e-13 |b|^2.
     """
-    b = np.asarray(b, dtype=float)
     n = b.size
     lam = eigenvalues(n)
     total, rho = np.zeros(n), np.zeros(n)

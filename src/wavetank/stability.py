@@ -157,7 +157,7 @@ def rate_vs_n_study(h, n_values, t_final=40000.0, dt=1e-2, sample_every=1000) ->
     if any(lo >= hi for lo, hi in zip(n_values, n_values[1:])):
         raise ValueError("truncation sizes must be strictly increasing")
     configs = [SimConfig(n_modes=n, t_final=t_final, dt=dt, sample_every=sample_every) for n in n_values]
-    samples = min(cfg.sample_steps().size for cfg in configs)
+    samples = min(cfg.times.size for cfg in configs)
     if samples < 19:
         raise ValueError(f"t_final {t_final}, dt {dt} and sample_every {sample_every} give {samples} "
                          "samples; the fit on their last half needs >= 19")

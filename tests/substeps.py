@@ -45,23 +45,23 @@ def expm_states(b: np.ndarray, state0: ModalState, times) -> np.ndarray:
     return np.array(rows)
 
 
-def open_loop_states(state0: ModalState, b: np.ndarray, signal, config) -> np.ndarray:
-    """States [zeta; w] of the driven open loop at each sample step, one row
-    per sample, from the Duhamel integral in the rotating frame,
+def open_loop_states(state0: ModalState, b: np.ndarray, signal, times) -> np.ndarray:
+    """States [zeta; w] of the driven open loop at each of the increasing
+    ``times`` from 0, one row per time, from the Duhamel integral in the
+    rotating frame,
 
         y(t) = y0 + int_0^t u(s) [-(b/mu) sin(mu s); b cos(mu s)] ds,
 
     by 16-point Gauss-Legendre quadrature on panels of at most 0.5 time
     units, cut at every seam and sample time. Each panel takes its input from
     the segment holding its midpoint."""
-    mu = frequencies(config.n_modes)
-    times = config.sample_steps() * config.dt
+    mu = frequencies(state0.n_modes)
     seams = [seg.t_start for seg in signal.segments[1:]]
     nodes, weights = np.polynomial.legendre.leggauss(16)
     y_zeta, y_w = state0.zeta, state0.w
     rows = []
     lo = 0.0
-    for t in times.tolist():
+    for t in np.asarray(times, dtype=float).tolist():
         cuts = [lo, *(seam for seam in seams if lo < seam < t), t]
         for start, end in zip(cuts, cuts[1:]):
             edges = np.linspace(start, end, math.ceil((end - start) / 0.5) + 1)
@@ -77,10 +77,11 @@ def open_loop_states(state0: ModalState, b: np.ndarray, signal, config) -> np.nd
     return np.array(rows)
 
 
-def rk4_states(state0: ModalState, b: np.ndarray, control, dt: float, steps) -> np.ndarray:
-    """States [zeta; w] at each of the increasing ``steps``, one row per step,
+def rk4_states(state0: ModalState, b: np.ndarray, control, dt: float, times) -> np.ndarray:
+    """States [zeta; w] at each of the increasing ``times``, one row per time,
     by classical RK4 in steps of ``dt`` on zeta' = w, w' = -lambda zeta + u b
-    with the input u = control(t, w)."""
+    with the input u = control(t, w); each time is taken as the nearest whole
+    number of steps."""
     neg_lam = -eigenvalues(state0.n_modes)
 
     def rhs(t, zeta, w):
@@ -89,7 +90,7 @@ def rk4_states(state0: ModalState, b: np.ndarray, control, dt: float, steps) -> 
     zeta, w = state0.zeta, state0.w
     rows = []
     done = 0
-    for step in steps:
+    for step in np.rint(np.asarray(times) / dt).astype(int).tolist():
         for k in range(done, step):
             t = k * dt
             k1z, k1w = rhs(t, zeta, w)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavetank._hyper import cosh_over_cosh
-from wavetank.boundary import _wall_rate, side_projection
+from wavetank.boundary import _wall_rate, neumann_to_neumann, side_projection
 from wavetank.cli import main
 from wavetank.profiles import (
     OMEGA,
@@ -302,6 +302,26 @@ def test_bad_coupling_arrays_fail_at_the_coupling(reader, coupling):
     with pytest.raises(ValueError, match="^a coupling array must be 1-D and finite with at least 4 entries$") as err:
         reader(coupling)
     assert err.traceback[-1].name == "coupling_vector"
+
+
+@pytest.mark.parametrize("bad", [np.array([1 + 1j, 0.0]), np.array([True, False]), "h1"],
+                         ids=["complex", "bool", "string"])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (lambda x: ModalState(x, [0.0, 0.0]), "zeta must be a real array"),
+        (lambda x: WavemakerProfile.from_samples([-1.0, 0.0], x), "h must be a real array"),
+        (lambda x: neumann_to_neumann(x, 0.5), "v must be a real array"),
+        (lambda x: spectral_abscissa(x, 2), "h must be a profile or a 1-D real array"),
+    ],
+    ids=["ModalState", "from_samples", "neumann_to_neumann", "spectral_abscissa"],
+)
+def test_arrays_that_are_not_real_fail_loudly(entry, message, bad):
+    # one dtype check: a complex array does not run on its real part, a bool
+    # array is not taken as 1/0, and text is named as what it is
+    with pytest.raises(ValueError, match=rf"^{message}, got dtype (complex128|bool|<U2)$") as err:
+        entry(bad)
+    assert err.traceback[-1].name == "_real_array"
 
 
 def test_coupling_vector_zero_profile():

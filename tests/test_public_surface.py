@@ -140,6 +140,14 @@ def test_benchmark_tracer_installs_and_uninstalls():
         assert profiles.strategic_integral_scaled is not before[("wavetank.profiles", "strategic_integral_scaled")]
         profiles.strategic_integral_scaled(profiles.WavemakerProfile.builtin("h1"), 1)
         assert [span[0] for span in tracer.spans] == ["profiles.load", "profiles.modes"]
+        # a run's span counts its work as n_modes * n_steps, read from its config
+        # given by position or by keyword
+        cfg = simulate.SimConfig(n_modes=3, t_final=1.0, dt=0.1, sample_every=4)
+        state0, b = simulate.ModalState.zero(3), [0.1, 0.2, 0.3]
+        simulate.simulate_closed(state0, b, cfg)
+        simulate.simulate_open(state0, b, simulate.InputSignal.zero(1.0), config=cfg)
+        runs = [(span[0], span[4]) for span in tracer.spans if span[0].startswith("simulate.")]
+        assert runs == [("simulate.closed", 3 * 10), ("simulate.open", 3 * 10)]
     finally:
         tracer.uninstall()
     after = _namespaces()
