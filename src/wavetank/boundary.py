@@ -103,6 +103,18 @@ def _as_coefficients(c, name: str) -> np.ndarray:
     return c
 
 
+def _edge_points(points, lo: float, hi: float, edge: str) -> np.ndarray:
+    """``points`` as floats, after checking that every one lies in [lo, hi] (NaN does not)."""
+    points = np.asarray(points, dtype=float)
+    outside = points[~((lo <= points) & (points <= hi))]
+    if outside.size:
+        raise ValueError(f"points must lie on the {edge}, got {outside[0]}")
+    return points
+
+
+_WALL = "wall x = 0, at depths y in [-1, 0]"
+
+
 def _wall_rate(k):
     # a_k = (2k-1) pi/2, the rate of the k-th wall mode
     return (2 * k - 1) * 0.5 * np.pi
@@ -135,10 +147,11 @@ def dirichlet_field(eta, nx: int, ny: int) -> FieldGrid:
 def wall_trace(eta, y) -> np.ndarray:
     """Trace of the top extension on the left wall x = 0.
 
-    Returns sum_k sqrt(2/pi) eta_k cosh[k(y+1)] / cosh(k) at the given depths.
+    Returns sum_k sqrt(2/pi) eta_k cosh[k(y+1)] / cosh(k) at the given depths,
+    which must lie on the wall, in [-1, 0]; any other (NaN too) raises ValueError.
     """
     eta = _as_coefficients(eta, "eta")
-    y = np.asarray(y, dtype=float)
+    y = _edge_points(y, -1.0, 0.0, _WALL)
     kernel = cosh_over_cosh(_modes(eta, y.ndim), y)
     return np.tensordot(eta * math.sqrt(2.0 / math.pi), kernel, axes=1)
 
@@ -166,10 +179,11 @@ def neumann_wall_residual(v, y) -> float:
     The x-derivative of the extension at x = 0 is evaluated through the
     term-wise differentiated series and compared against -v(y) reconstructed
     in the same basis; the result is max_y of the absolute mismatch, which
-    the per-mode identity keeps at roundoff level.
+    the per-mode identity keeps at roundoff level. The depths ``y`` must lie
+    on the wall, in [-1, 0]; any other (NaN too) raises ValueError.
     """
     v = _as_coefficients(v, "v")
-    y = np.asarray(y, dtype=float)
+    y = _edge_points(y, -1.0, 0.0, _WALL)
     if not y.size:
         return 0.0
     k = _modes(v, 0)
@@ -186,10 +200,12 @@ def neumann_to_neumann(v, x) -> np.ndarray:
     """Top normal-derivative trace of the wall extension at the points ``x``.
 
     Returns sum_k (-1)^k sqrt(2) v_k cosh[a_k(x - pi)] / sinh(a_k pi); this is
-    how wall forcing with shape coefficients v excites the surface.
+    how wall forcing with shape coefficients v excites the surface. The
+    abscissae ``x`` must lie on the surface, in [0, pi]; any other (NaN too)
+    raises ValueError.
     """
     v = _as_coefficients(v, "v")
-    x = np.asarray(x, dtype=float)
+    x = _edge_points(x, 0.0, np.pi, "surface y = 0, at abscissae x in [0, pi]")
     k = _modes(v, x.ndim)
     signed = (-1.0) ** _modes(v, 0) * math.sqrt(2.0) * v
     return np.tensordot(signed, cosh_ratio_side(_wall_rate(k), x), axes=1)

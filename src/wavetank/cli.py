@@ -84,7 +84,9 @@ def _config_flags(path, command: str, commands: dict) -> list[str]:
     return flags
 
 
-def _write_or_print(text: str, path) -> None:
+def _write_json(report: dict, path) -> None:
+    """Write ``report`` as indented JSON to ``path``, or to stdout when it is empty."""
+    text = json.dumps(report, indent=2) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -131,7 +133,7 @@ def cmd_check_profile(args) -> int:
             "bound": sc.bound,
         },
     }
-    _write_or_print(json.dumps(report, indent=2) + "\n", args.output)
+    _write_json(report, args.output)
     return 0
 
 
@@ -171,21 +173,15 @@ def _read_signal_json(path) -> simulate.InputSignal:
             raise ValueError(f"malformed input-signal JSON {path}: {exc}") from None
     if not isinstance(data, list):
         raise ValueError(f"input-signal JSON {path} must hold a list of segments")
+    # Segment's own signature names the fields and rejects any other; those it annotates float go through float()
+    floats = [name for name, kind in simulate.Segment.__init__.__annotations__.items() if kind is float]
     segments = []
     for item in data:
         try:
-            segments.append(
-                simulate.Segment(
-                    t_start=float(item["t_start"]),
-                    t_end=float(item["t_end"]),
-                    form=item["form"],
-                    value=float(item.get("value", 0.0)),
-                    amplitude=float(item.get("amplitude", 0.0)),
-                    omega=float(item.get("omega", 0.0)),
-                    phase=float(item.get("phase", 0.0)),
-                )
-            )
-        except (KeyError, TypeError) as exc:
+            if not isinstance(item, dict):
+                raise TypeError(f"a segment must be a JSON object, got {item!r}")
+            segments.append(simulate.Segment(**{key: float(v) if key in floats else v for key, v in item.items()}))
+        except TypeError as exc:
             raise ValueError(f"malformed segment in {path}: {exc}") from None
     return simulate.InputSignal(segments)
 
@@ -236,8 +232,7 @@ def cmd_simulate(args) -> int:
         "t_end": float(series.t[-1]),
         "wall_time_s": wall,
     }
-    text = json.dumps(summary, indent=2) + "\n"
-    _write_or_print(text, args.out_json)
+    _write_json(summary, args.out_json)
     return 0
 
 
@@ -251,7 +246,7 @@ def cmd_decay(args) -> int:
         "fitted_value": fit.fitted_value,
         "residual_rms": fit.residual_rms,
     }
-    _write_or_print(json.dumps(report, indent=2) + "\n", args.output)
+    _write_json(report, args.output)
     return 0
 
 
@@ -277,27 +272,28 @@ def cmd_rate_study(args) -> int:
 
 
 def _build_parser() -> tuple[_Parser, dict]:
-    """The top-level parser and the parser of each command."""
+    """The top-level parser and the parser of each command, which binds the
+    command's function as ``run``."""
     parser = _Parser(prog="wavetank", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
-    def add(name, help_text):
-        p = commands[name] = sub.add_parser(name, help=help_text)
+    def add(name, help_text, run):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", default="", help="JSON config merged under explicit flags")
         return p
 
-    p = add("spectrum", "eigenvalues, frequencies and gap products")
+    p = add("spectrum", "eigenvalues, frequencies and gap products", cmd_spectrum)
     p.add_argument("--kmax", type=int, default=50)
     p.add_argument("--output", default="", help="CSV path (stdout when omitted)")
 
-    p = add("check-profile", "strategic / margin / sufficient-condition report")
+    p = add("check-profile", "strategic / margin / sufficient-condition report", cmd_check_profile)
     p.add_argument("--profile", default="h1")
     p.add_argument("--kmax", type=int, default=50)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--output", default="")
 
-    p = add("simulate", "run the open or closed loop and export the series")
+    p = add("simulate", "run the open or closed loop and export the series", cmd_simulate)
     p.add_argument("--profile", default="h1")
     p.add_argument("--n-modes", type=int, default=32)
     p.add_argument("--dt", type=float, help="sample grid spacing (default min(1e-2, 0.1/mu_N))")
@@ -310,14 +306,14 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--out-csv", default="series.csv")
     p.add_argument("--out-json", default="")
 
-    p = add("decay", "fit a decay model to an exported series")
+    p = add("decay", "fit a decay model to an exported series", cmd_decay)
     p.add_argument("--series", required=True)
     p.add_argument("--model", choices=["exponential", "power"], default="exponential")
     p.add_argument("--t-lo", type=float, default=0.0)
     p.add_argument("--t-hi", type=float, default=1e30)
     p.add_argument("--output", default="")
 
-    p = add("field", "reconstruct the fluid field from a state CSV")
+    p = add("field", "reconstruct the fluid field from a state CSV", cmd_field)
     p.add_argument("--state", required=True)
     p.add_argument("--u-now", type=float, default=0.0)
     p.add_argument("--profile", default="h1")
@@ -326,7 +322,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--n-side-modes", type=int, default=64)
     p.add_argument("--output", default="")
 
-    p = add("rate-study", "fitted closed-loop rates over a truncation sweep")
+    p = add("rate-study", "fitted closed-loop rates over a truncation sweep", cmd_rate_study)
     p.add_argument("--profile", default="h1")
     p.add_argument("--ns", default="4,8,16,32", help="comma-separated truncation sizes")
     p.add_argument("--t-final", type=float, default=40000.0)
@@ -334,17 +330,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--sample-every", type=int, default=1000)
     p.add_argument("--output", default="")
 
-    return parser, commands
-
-
-_COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "check-profile": cmd_check_profile,
-    "simulate": cmd_simulate,
-    "decay": cmd_decay,
-    "field": cmd_field,
-    "rate-study": cmd_rate_study,
-}
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
@@ -355,7 +341,7 @@ def main(argv=None) -> int:
         if args.config:
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_flags(args.config, args.command, commands) + argv[at:])
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except (ValueError, TypeError, OSError, KeyError) as exc:

@@ -145,10 +145,16 @@ class SimConfig(Frozen):
         return np.r_[np.arange(0, self.n_steps, min(self.sample_every, self.n_steps)), self.n_steps] * self.dt
 
 
+# the parameters each segment form reads; the others must stay 0
+_FORM_READS = {"zero": (), "constant": ("value",), "sinusoid": ("amplitude", "omega", "phase")}
+
+
 class Segment(Frozen):
     """One piece of a piecewise input: zero, constant, or a*cos(omega t + phase).
 
-    The time argument of a sinusoid is absolute simulation time.
+    The time argument of a sinusoid is absolute simulation time. A constant
+    reads ``value`` and a sinusoid ``amplitude``, ``omega`` and ``phase``; a
+    nonzero parameter that the form does not read is an error.
     """
 
     __slots__ = ("t_start", "t_end", "form", "value", "amplitude", "omega", "phase")
@@ -164,12 +170,16 @@ class Segment(Frozen):
         phase: float = 0.0,
     ):
         self._freeze(t_start, t_end, form, value, amplitude, omega, phase)
-        if self.form not in ("zero", "constant", "sinusoid"):
+        if self.form not in _FORM_READS:
             raise ValueError(f"unknown segment form {self.form!r}")
         if not self.t_end > self.t_start:
             raise ValueError(f"segment needs t_end > t_start, got [{self.t_start}, {self.t_end}]")
         if not all(map(math.isfinite, (self.value, self.amplitude, self.omega, self.phase))):
             raise ValueError("segment value, amplitude, omega and phase must be finite")
+        ignored = [f"{name}={getattr(self, name)}" for name in ("value", "amplitude", "omega", "phase")
+                   if name not in _FORM_READS[self.form] and getattr(self, name) != 0.0]
+        if ignored:
+            raise ValueError(f"a {self.form} segment ignores {', '.join(ignored)}")
 
     def __call__(self, t):
         """Value at ``t``, a time or an array of times."""
@@ -354,6 +364,14 @@ def _pair_parts(b: np.ndarray, total: np.ndarray, rho: np.ndarray, z0: np.ndarra
     return parts
 
 
+def _time_blocks(times: np.ndarray, row_entries: int) -> list[slice]:
+    """:func:`blocks` of ``times``, which must start at 0: both exact loops
+    write the initial state as given into the first row."""
+    if not (times.size and times[0] == 0.0):
+        raise ValueError(f"sample times must start at 0, got {times[:1]}")
+    return blocks(times.size, row_entries)
+
+
 def _closed_exact(state0: ModalState, b: np.ndarray, times: np.ndarray):
     """Blocks (states, energies, inputs) of the exact closed loop at the
     increasing ``times`` from 0: z(t) = sum_k phi0_k(t) X_k +
@@ -379,7 +397,7 @@ def _closed_exact(state0: ModalState, b: np.ndarray, times: np.ndarray):
     m, over, omega = total / 2.0, np.flatnonzero(real), np.where(real, 1.0, roots[:n].imag)
     slow, fast = roots[over].real, roots[n + over].real
     least = math.inf
-    for rows in blocks(times.size, n):  # N-wide time functions; phi and the states are 2N wide
+    for rows in _time_blocks(times, n):  # N-wide time functions; phi and the states are 2N wide
         t = times[rows, None]
         phi = np.empty((t.shape[0], 2 * n))
         decay, turn = np.exp(t * m), t * omega
@@ -425,7 +443,7 @@ def _open_exact(state0: ModalState, b: np.ndarray, signal: InputSignal, times: n
     whole = _integrals(wave[:, :-1], starts[:-1], starts[1:], mu)
     prefix = np.vstack([np.zeros((1, n)), np.cumsum(whole, axis=0)])
     y0 = np.concatenate([state0.zeta, state0.w])
-    for rows in blocks(times.size, n):  # N-wide complex integrals; the states are 2N wide
+    for rows in _time_blocks(times, n):  # N-wide complex integrals; the states are 2N wide
         t = times[rows]
         i = np.searchsorted(signal._seams, t, side="right")
         e, live = prefix[i], wave[0, i] != 0  # a row in a zero segment adds nothing to its prefix

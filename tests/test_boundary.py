@@ -140,6 +140,35 @@ def test_neumann_to_neumann_x_integral():
     assert np.trapezoid(vals, x) == pytest.approx(-math.sqrt(2.0) / (np.pi / 2), abs=1e-6)
 
 
+def off_edge(edge, points):
+    """The message for ``points``, whose last entry is the first off the edge."""
+    return f"^points must lie on the {re.escape(edge)}, got {re.escape(str(np.float64(points[-1])))}$"
+
+
+WALL = "wall x = 0, at depths y in [-1, 0]"
+
+
+@pytest.mark.parametrize("y", [[0.5], [-1.0, -1.5], [np.nan]], ids=["above", "below", "nan"])
+def test_wall_trace_rejects_depths_off_the_wall(y):
+    # 0.5 gave 2.8e65 for 300 modes: cosh[k(y+1)] / cosh k grows like e^{k y}
+    with pytest.raises(ValueError, match=off_edge(WALL, y)):
+        wall_trace(np.ones(300), y)
+
+
+@pytest.mark.parametrize("y", [[3.0], [0.0, -1.0 - 1e-9], [np.nan]], ids=["above", "below", "nan"])
+def test_neumann_wall_residual_rejects_depths_off_the_wall(y):
+    # 3.0 gave a residual of 0.0, a pass at a point above the tank
+    with pytest.raises(ValueError, match=off_edge(WALL, y)):
+        neumann_wall_residual(np.ones(5), y)
+
+
+@pytest.mark.parametrize("x", [[7.0], [-1.0], [0.0, np.pi + 1e-12], [np.nan]], ids=["right", "left", "pi", "nan"])
+def test_neumann_to_neumann_rejects_abscissae_off_the_surface(x):
+    # 7.0 gave 1.0e293 for 300 modes, and -1.0 overflowed
+    with pytest.raises(ValueError, match=off_edge("surface y = 0, at abscissae x in [0, pi]", x)):
+        neumann_to_neumann(np.ones(300), x)
+
+
 def test_hilbert_ratio_e1_matches_closed_form():
     assert hilbert_bound_ratio(E1) == pytest.approx(HILBERT_E1, rel=1e-15)
 

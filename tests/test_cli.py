@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -245,6 +246,43 @@ def test_simulate_rejects_overlapping_input(tmp_path, capsys):
     )
     assert code == 2
     assert "overlap" in err
+
+
+def run_open_loop(capsys, tmp_path, segments):
+    """Run the open loop to t = 3 under the input-signal JSON ``segments``."""
+    sig_path = tmp_path / "sig.json"
+    sig_path.write_text(json.dumps(segments))
+    return run_cli(
+        capsys,
+        "simulate", "--feedback", "none", "--n-modes", "4", "--t-final", "3", "--dt", "0.5",
+        "--input", str(sig_path), "--out-csv", str(tmp_path / "x.csv"),
+    )
+
+
+@pytest.mark.parametrize(
+    "segment, message",
+    [
+        # each of the first two ran the tank with u = 0 and exited 0
+        ({"t_start": 0, "t_end": 3, "form": "sinusoid", "amplitud": 1.0, "omega": 1.0},
+         "malformed segment in {}: .*'amplitud'"),
+        ({"t_start": 0, "t_end": 3, "form": "constant", "amplitude": 2.0}, "a constant segment ignores amplitude=2.0"),
+        ({"t_start": 0, "form": "zero"}, "malformed segment in {}: .*'t_end'"),
+        ([0, 3, "zero"], r"malformed segment in {}: a segment must be a JSON object, got \[0, 3, 'zero'\]"),
+    ],
+    ids=["misspelled-key", "ignored-key", "missing-key", "not-an-object"],
+)
+def test_simulate_rejects_malformed_segments(tmp_path, capsys, segment, message):
+    code, out, err = run_open_loop(capsys, tmp_path, [segment])
+    assert code == 2 and out == ""
+    assert re.fullmatch(f"error: {message.format(re.escape(str(tmp_path / 'sig.json')))}\n", err)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_reads_numeric_strings_in_segments(tmp_path, capsys):
+    # numbers are converted as float() does, so a numeric string is a number
+    code, _, err = run_open_loop(capsys, tmp_path, [{"t_start": "0", "t_end": 3, "form": "constant", "value": "1.5"}])
+    assert code == 0 and err == ""
+    assert np.all(simulate.TimeSeries.from_csv(tmp_path / "x.csv").u == 1.5)
 
 
 @pytest.mark.parametrize("t_final", ["inf", "nan"])

@@ -292,6 +292,19 @@ def test_closed_loop_at_log_spaced_times(h1):
         assert x_norm(ModalState(row[:n] - want[:n], row[n:] - want[n:])) <= 1e-10 * x_norm(st)
 
 
+@pytest.mark.parametrize(
+    "samples",
+    [_closed_exact, lambda state, b, times: _open_exact(state, b, InputSignal.zero(3.0), times)],
+    ids=["closed", "open"],
+)
+@pytest.mark.parametrize("times, first", [([1.0, 2.0], r"\[1\.\]"), ([], r"\[\]")])
+def test_exact_loops_start_at_zero(h1, samples, times, first):
+    # both loops write the initial state as given into the first row, which
+    # is the state at t = 0 only
+    with pytest.raises(ValueError, match=rf"^sample times must start at 0, got {first}$"):
+        list(samples(ModalState.single_mode(1, 3), coupling_vector(h1, 3), np.array(times)))
+
+
 @pytest.mark.parametrize("tiny", [1e-100, 1e-150])
 def test_closed_loop_tiny_coupling_rotates(tiny):
     # b_1^2 of 1e-200 or 1e-300 is live, not deflated, though its pair's squares
@@ -380,6 +393,12 @@ def test_segment_forms():
     for field in ("value", "amplitude", "omega", "phase"):
         with pytest.raises(ValueError, match="finite"):
             Segment(0, 1, "sinusoid", **{field: math.nan})
+    # a parameter the form does not read is an error, not a silent 0 input
+    for form, field in [("zero", "value"), ("zero", "omega"), ("constant", "amplitude"), ("constant", "phase"),
+                        ("sinusoid", "value")]:
+        with pytest.raises(ValueError, match=f"^a {form} segment ignores {field}=2.0$"):
+            Segment(0, 1, form, **{field: 2.0})
+    assert Segment(0, 1, "sinusoid", value=0.0, amplitude=1.0)(0.0) == 1.0  # an explicit 0 is accepted
 
 
 def test_signal_validation_errors():
@@ -399,23 +418,24 @@ def test_signal_validation_errors():
         InputSignal([Segment(0, 1, "zero")]).validate(2.0)
 
 
+# the parameters each segment form reads
+FORM_READS = {"zero": (), "constant": ("value",), "sinusoid": ("amplitude", "omega", "phase")}
+
+
 @st.composite
 def contiguous_signals(draw, t_end=None):
-    """1-6 contiguous segments of every form from 0 to ``t_end`` (drawn when None)."""
+    """1-6 contiguous segments of every form from 0 to ``t_end`` (drawn when None),
+    each with the parameters its form reads."""
     if t_end is None:
         t_end = draw(st.floats(1e-2, 50.0))
     weights = np.cumsum(draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6)))
     edges = [0.0, *(t_end * weights[:-1] / weights[-1]), t_end]
+    params = {"value": st.floats(-2.0, 2.0), "amplitude": st.floats(-2.0, 2.0), "omega": st.floats(0.0, 5.0),
+              "phase": st.floats(-math.pi, math.pi)}
     segments = []
     for lo, hi in zip(edges, edges[1:]):
-        form = draw(st.sampled_from(["zero", "constant", "sinusoid"]))
-        segments.append(Segment(
-            lo, hi, form,
-            value=draw(st.floats(-2.0, 2.0)),
-            amplitude=draw(st.floats(-2.0, 2.0)),
-            omega=draw(st.floats(0.0, 5.0)),
-            phase=draw(st.floats(-math.pi, math.pi)),
-        ))
+        form = draw(st.sampled_from(list(FORM_READS)))
+        segments.append(Segment(lo, hi, form, **{name: draw(params[name]) for name in FORM_READS[form]}))
     return InputSignal(draw(st.permutations(segments)))
 
 
@@ -606,8 +626,10 @@ def test_signal_table_matches_each_segment_bit_for_bit():
     edges = np.r_[0.0, np.cumsum(rng.uniform(0.01, 0.2, 1000))]
     forms = rng.choice(["zero", "constant", "sinusoid"], edges.size - 1)
     values = rng.uniform(-2.0, 2.0, (edges.size - 1, 4))
-    segments = [Segment(lo, hi, str(form), value=v, amplitude=a, omega=5.0 * abs(w), phase=p)
-                for lo, hi, form, (v, a, w, p) in zip(edges, edges[1:], forms, values)]
+    segments = []
+    for lo, hi, form, (v, a, w, p) in zip(edges, edges[1:], forms, values):
+        params = {"value": v, "amplitude": a, "omega": 5.0 * abs(w), "phase": p}
+        segments.append(Segment(lo, hi, str(form), **{name: params[name] for name in FORM_READS[form]}))
     signal = InputSignal(segments)
     t = np.concatenate([rng.uniform(lo, hi, 8) for lo, hi in zip(edges, edges[1:])])
     want = np.concatenate([seg(part) for seg, part in zip(segments, np.split(t, 8 * np.arange(1, len(segments))))])
