@@ -137,6 +137,14 @@ def cmd_check_profile(args) -> int:
     return 0
 
 
+def _init_number(init: str, parse, fault: str):
+    """The number after the colon of ``--init mode:K`` or ``smooth:P``, read by ``parse``."""
+    try:
+        return parse(init.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(f"--init {init}: {fault}") from None
+
+
 def _initial_state(init: str, n_modes: int) -> simulate.ModalState:
     if init == "zero":
         return simulate.ModalState.zero(n_modes)
@@ -144,11 +152,9 @@ def _initial_state(init: str, n_modes: int) -> simulate.ModalState:
         v = np.ones(n_modes) / np.sqrt(n_modes)
         return simulate.ModalState(v.copy(), v.copy())
     if init.startswith("mode:"):
-        k = int(init.split(":", 1)[1])
-        return simulate.ModalState.single_mode(k, n_modes)
+        return simulate.ModalState.single_mode(_init_number(init, int, "K must be an integer"), n_modes)
     if init.startswith("smooth:"):
-        power = float(init.split(":", 1)[1])
-        return stability.smooth_initial_state(n_modes, power)
+        return stability.smooth_initial_state(n_modes, _init_number(init, float, "P must be a number"))
     return _read_state_csv(init, n_modes)
 
 
@@ -173,15 +179,15 @@ def _read_signal_json(path) -> simulate.InputSignal:
             raise ValueError(f"malformed input-signal JSON {path}: {exc}") from None
     if not isinstance(data, list):
         raise ValueError(f"input-signal JSON {path} must hold a list of segments")
-    # Segment's own signature names the fields and rejects any other; those it annotates float go through float()
-    floats = [name for name, kind in simulate.Segment.__init__.__annotations__.items() if kind is float]
     segments = []
     for item in data:
         try:
             if not isinstance(item, dict):
                 raise TypeError(f"a segment must be a JSON object, got {item!r}")
-            segments.append(simulate.Segment(**{key: float(v) if key in floats else v for key, v in item.items()}))
-        except TypeError as exc:
+            # Segment checks the keys and the numbers; a string other than the form is read by float()
+            numbers = {key: float(v) for key, v in item.items() if key != "form" and isinstance(v, str)}
+            segments.append(simulate.Segment(**{**item, **numbers}))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed segment in {path}: {exc}") from None
     return simulate.InputSignal(segments)
 
@@ -262,13 +268,20 @@ def cmd_field(args) -> int:
 
 def cmd_rate_study(args) -> int:
     h = _load_profile(args.profile)
-    n_values = [int(v) for v in args.ns.split(",") if v.strip()]
-    entries = stability.rate_vs_n_study(h, n_values, args.t_final, args.dt, args.sample_every)
+    entries = stability.rate_vs_n_study(h, args.ns, args.t_final, args.dt, args.sample_every)
     stability.study_to_csv(entries, args.output)
     return 0
 
 
 # -- argument wiring ---------------------------------------------------------
+
+
+def _sizes(text: str) -> list[int]:
+    """The value of ``--ns``: comma-separated integers, empty entries skipped."""
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _build_parser() -> tuple[_Parser, dict]:
@@ -324,7 +337,7 @@ def _build_parser() -> tuple[_Parser, dict]:
 
     p = add("rate-study", "fitted closed-loop rates over a truncation sweep", cmd_rate_study)
     p.add_argument("--profile", default="h1")
-    p.add_argument("--ns", default="4,8,16,32", help="comma-separated truncation sizes")
+    p.add_argument("--ns", type=_sizes, default="4,8,16,32", help="comma-separated truncation sizes")
     p.add_argument("--t-final", type=float, default=40000.0)
     p.add_argument("--dt", type=float, default=1e-2)
     p.add_argument("--sample-every", type=int, default=1000)

@@ -68,7 +68,8 @@ class ModalState(Record):
 
     @classmethod
     def single_mode(cls, k: int, n_modes: int) -> "ModalState":
-        if not 1 <= k <= n_modes:
+        _check_count(k, "mode index")
+        if not k <= n_modes:
             raise ValueError(f"mode index {k} outside 1..{n_modes}")
         state = cls.zero(n_modes)
         state.zeta[k - 1] = 1.0
@@ -145,8 +146,9 @@ class SimConfig(Frozen):
         return np.r_[np.arange(0, self.n_steps, min(self.sample_every, self.n_steps)), self.n_steps] * self.dt
 
 
-# the parameters each segment form reads; the others must stay 0
-_FORM_READS = {"zero": (), "constant": ("value",), "sinusoid": ("amplitude", "omega", "phase")}
+# each form's row (A, omega, phase) of A cos(omega t + phase): the field that gives each entry, or None
+# for 0. A form reads only the fields of its row; the others must stay 0
+_FORM_ROW = {"zero": (None, None, None), "constant": ("value", None, None), "sinusoid": ("amplitude", "omega", "phase")}
 
 
 class Segment(Frozen):
@@ -154,10 +156,12 @@ class Segment(Frozen):
 
     The time argument of a sinusoid is absolute simulation time. A constant
     reads ``value`` and a sinusoid ``amplitude``, ``omega`` and ``phase``; a
-    nonzero parameter that the form does not read is an error.
+    nonzero parameter that the form does not read is an error. The times and
+    parameters are ints or floats, numpy's included, and are stored as
+    floats; a bool, None or text is an error that names the field.
     """
 
-    __slots__ = ("t_start", "t_end", "form", "value", "amplitude", "omega", "phase")
+    __slots__ = ("t_start", "t_end", "form", "value", "amplitude", "omega", "phase", "_wave")
 
     def __init__(
         self,
@@ -169,31 +173,33 @@ class Segment(Frozen):
         omega: float = 0.0,
         phase: float = 0.0,
     ):
-        self._freeze(t_start, t_end, form, value, amplitude, omega, phase)
-        if self.form not in _FORM_READS:
+        given = dict(zip(self.__slots__, (t_start, t_end, form, value, amplitude, omega, phase)))
+        for name, x in given.items():  # an int past the float range raises OverflowError in float()
+            if name != "form" and (isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating))):
+                raise ValueError(f"segment {name} must be an int or a float, got {x!r}")
+        self._freeze(*(x if name == "form" else float(x) for name, x in given.items()))
+        if self.form not in _FORM_ROW:
             raise ValueError(f"unknown segment form {self.form!r}")
         if not self.t_end > self.t_start:
             raise ValueError(f"segment needs t_end > t_start, got [{self.t_start}, {self.t_end}]")
         if not all(map(math.isfinite, (self.value, self.amplitude, self.omega, self.phase))):
             raise ValueError("segment value, amplitude, omega and phase must be finite")
         ignored = [f"{name}={getattr(self, name)}" for name in ("value", "amplitude", "omega", "phase")
-                   if name not in _FORM_READS[self.form] and getattr(self, name) != 0.0]
+                   if name not in _FORM_ROW[self.form] and getattr(self, name) != 0.0]
         if ignored:
             raise ValueError(f"a {self.form} segment ignores {', '.join(ignored)}")
+        # a constant's omega and phase are 0, so cos 0 = 1 gives its value exactly
+        self._freeze(*self._values(), tuple(getattr(self, name) if name else 0.0 for name in _FORM_ROW[self.form]))
 
     def __call__(self, t):
         """Value at ``t``, a time or an array of times."""
-        if self.form == "sinusoid":
-            return self.amplitude * np.cos(self.omega * t + self.phase)
-        value = self.value if self.form == "constant" else 0.0
-        return np.full(t.shape, value) if isinstance(t, np.ndarray) else np.float64(value)
+        amp, omega, phase = self._wave
+        return amp * np.cos(omega * t + phase)
 
     def shifted(self, tau: float) -> "Segment":
-        # shifting a sinusoid in time adjusts its phase: cos(w(t-tau)+p)
-        phase = self.phase - self.omega * tau if self.form == "sinusoid" else self.phase
-        return Segment(
-            self.t_start + tau, self.t_end + tau, self.form, self.value, self.amplitude, self.omega, phase
-        )
+        # shifting the row in time adjusts its phase, cos(w(t-tau)+p), which a w of 0 leaves as it is
+        return Segment(self.t_start + tau, self.t_end + tau, self.form, self.value, self.amplitude, self.omega,
+                       self.phase - self.omega * tau)
 
 
 class InputSignal(Frozen):
@@ -221,11 +227,8 @@ class InputSignal(Frozen):
                 )
             if cur.t_start > prev.t_end + 1e-12:
                 raise ValueError(f"gap in input coverage between t={prev.t_end} and t={cur.t_start}")
-        # the waveform table: segment i is A cos(omega t + phase) with column i of
-        # (A, omega, phase); a constant has omega = phase = 0, a zero segment A = 0
-        wave = np.array([(seg.amplitude, seg.omega, seg.phase) if seg.form == "sinusoid" else
-                         (seg.value if seg.form == "constant" else 0.0, 0.0, 0.0) for seg in segs]).T
-        self._freeze(segs, np.array([seg.t_start for seg in segs[1:]]), wave)
+        # the waveform table: column i is segment i's row (A, omega, phase)
+        self._freeze(segs, np.array([seg.t_start for seg in segs[1:]]), np.array([seg._wave for seg in segs]).T)
 
     @classmethod
     def zero(cls, t_final: float) -> "InputSignal":

@@ -265,11 +265,19 @@ def run_open_loop(capsys, tmp_path, segments):
         # each of the first two ran the tank with u = 0 and exited 0
         ({"t_start": 0, "t_end": 3, "form": "sinusoid", "amplitud": 1.0, "omega": 1.0},
          "malformed segment in {}: .*'amplitud'"),
-        ({"t_start": 0, "t_end": 3, "form": "constant", "amplitude": 2.0}, "a constant segment ignores amplitude=2.0"),
+        ({"t_start": 0, "t_end": 3, "form": "constant", "amplitude": 2.0},
+         "malformed segment in {}: a constant segment ignores amplitude=2.0"),
         ({"t_start": 0, "form": "zero"}, "malformed segment in {}: .*'t_end'"),
         ([0, 3, "zero"], r"malformed segment in {}: a segment must be a JSON object, got \[0, 3, 'zero'\]"),
+        # true ran the tank with u = 1 and exited 0; "abc" failed without naming the file
+        ({"t_start": 0, "t_end": 3, "form": "constant", "value": True},
+         "malformed segment in {}: segment value must be an int or a float, got True"),
+        ({"t_start": 0, "t_end": 3, "form": "constant", "value": None},
+         "malformed segment in {}: segment value must be an int or a float, got None"),
+        ({"t_start": 0, "t_end": 3, "form": "constant", "value": "abc"},
+         "malformed segment in {}: could not convert string to float: 'abc'"),
     ],
-    ids=["misspelled-key", "ignored-key", "missing-key", "not-an-object"],
+    ids=["misspelled-key", "ignored-key", "missing-key", "not-an-object", "value-true", "value-null", "value-text"],
 )
 def test_simulate_rejects_malformed_segments(tmp_path, capsys, segment, message):
     code, out, err = run_open_loop(capsys, tmp_path, [segment])
@@ -283,6 +291,55 @@ def test_simulate_reads_numeric_strings_in_segments(tmp_path, capsys):
     code, _, err = run_open_loop(capsys, tmp_path, [{"t_start": "0", "t_end": 3, "form": "constant", "value": "1.5"}])
     assert code == 0 and err == ""
     assert np.all(simulate.TimeSeries.from_csv(tmp_path / "x.csv").u == 1.5)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[{", "malformed input-signal JSON {}: "
+               "Expecting property name enclosed in double quotes: line 1 column 3 (char 2)"),
+        ('{"t_start": 0}', "input-signal JSON {} must hold a list of segments"),
+    ],
+    ids=["malformed", "not-a-list"],
+)
+def test_simulate_rejects_input_signal_files(tmp_path, capsys, text, message):
+    sig_path = tmp_path / "sig.json"
+    sig_path.write_text(text)
+    code, out, err = run_cli(
+        capsys, "simulate", "--feedback", "none", "--n-modes", "2", "--t-final", "1", "--input", str(sig_path),
+        "--out-csv", str(tmp_path / "x.csv"),
+    )
+    assert (code, out, err) == (2, "", f"error: {message.format(sig_path)}\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_starts_from_one_mode(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "simulate", "--n-modes", "3", "--t-final", "1", "--init", "mode:2", "--record-modes",
+        "--out-csv", str(tmp_path / "x.csv"),
+    )
+    assert code == 0 and err == ""
+    series = simulate.TimeSeries.from_csv(tmp_path / "x.csv")
+    assert series.zeta[0].tolist() == [0.0, 1.0, 0.0] and series.w[0].tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--init", "mode:x"], "--init mode:x: K must be an integer"),
+        (["simulate", "--init", "mode:1.5"], "--init mode:1.5: K must be an integer"),
+        (["simulate", "--init", "smooth:abc"], "--init smooth:abc: P must be a number"),
+        (["rate-study", "--ns", "8,x"], "argument --ns: expected comma-separated integers, got '8,x'"),
+    ],
+    ids=["init-mode-text", "init-mode-float", "init-smooth-text", "ns-text"],
+)
+def test_flag_value_errors_name_the_flag(tmp_path, capsys, argv, message):
+    # each printed only int()'s or float()'s own message, naming neither the flag nor its value
+    out_csv = tmp_path / "x.csv"
+    extra = ["--n-modes", "4", "--t-final", "1", "--out-csv", str(out_csv)] if argv[0] == "simulate" else []
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_csv.exists()
 
 
 @pytest.mark.parametrize("t_final", ["inf", "nan"])
@@ -622,6 +679,26 @@ def test_non_finite_state_csv_rejected(tmp_path, capsys, value):
         assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        ("k,zeta,w\n", ["field"], "state CSV {} has no modes"),
+        ("k,zeta,w\n2,0.5,0\n", ["field"], "state CSV {} must list modes k = 1..N in order"),
+        ("k,zeta,w\n1,0.5,0\n2,0,0.25\n", ["simulate", "--n-modes", "1", "--t-final", "1"],
+         "state CSV {} holds 2 modes, config allows 1"),
+    ],
+    ids=["no-modes", "not-1-to-N", "more-than-n-modes"],
+)
+def test_state_csv_rejected(tmp_path, capsys, text, argv, message):
+    state = tmp_path / "state.csv"
+    state.write_text(text)
+    out_csv = tmp_path / "out.csv"
+    flag = ["--state", str(state), "--output"] if argv[0] == "field" else ["--init", str(state), "--out-csv"]
+    code, out, err = run_cli(capsys, *argv, *flag, str(out_csv))
+    assert (code, out, err) == (2, "", f"error: {message.format(state)}\n")
+    assert not out_csv.exists()
+
+
 def test_field_malformed_state(tmp_path, capsys):
     state = tmp_path / "state.csv"
     state.write_text("k,zeta\n1,0\n")
@@ -704,6 +781,9 @@ def test_config_file_merged_under_flags(tmp_path, capsys):
                      id="simulate-bad-choice"),
         pytest.param(["simulate", "--n-modes", "2"], {"n_modes": [4]}, "n_modes must be a string or a number",
                      id="simulate-list-value"),
+        # printed only int()'s own message, naming neither the field nor its value
+        pytest.param(["rate-study"], {"ns": "8,x"}, "error: argument --ns: expected comma-separated integers, got '8,x'",
+                     id="rate-study-text-ns"),
     ],
 )
 def test_config_values_checked_like_flags(tmp_path, capsys, argv, fields, fault):
@@ -717,6 +797,13 @@ def test_config_values_checked_like_flags(tmp_path, capsys, argv, fields, fault)
     assert err.startswith("error:") and fault in err
     assert len(err.strip().splitlines()) == 1
     assert not out_csv.exists()
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"kmax": 4}]))
+    code, out, err = run_cli(capsys, "spectrum", "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"error: config JSON {cfg} must hold an object\n")
 
 
 def test_config_switch_and_flag_order(tmp_path, capsys):
@@ -792,11 +879,15 @@ def fuzz_dir(tmp_path_factory):
         "short_signal.json": json.dumps([{"t_start": 0, "t_end": 0.2, "form": "zero"}]),
         "overlap.json": json.dumps([{"t_start": 0, "t_end": 3, "form": "zero"}, {"t_start": 1, "t_end": 6, "form": "zero"}]),
         "keyless.json": json.dumps([{"t_start": 0, "form": "zero"}]),
+        "true_value.json": json.dumps([{"t_start": 0, "t_end": 6, "form": "constant", "value": True}]),
+        "null_value.json": json.dumps([{"t_start": 0, "t_end": 6, "form": "constant", "value": None}]),
+        "text_value.json": json.dumps([{"t_start": 0, "t_end": 6, "form": "constant", "value": "abc"}]),
         "object.json": json.dumps({"t_start": 0}),
         "malformed.json": "[{",
         "config.json": json.dumps({"kmax": 3, "n_modes": 4, "t_final": 0.5, "profile": "h2", "record_modes": True}),
         "bad_config.json": json.dumps({"kmax": "three"}),
         "unknown_config.json": json.dumps({"k_max": 3}),
+        "list_config.json": json.dumps([{"kmax": 3}]),
     }
     for name, text in files.items():
         (d / name).write_text(text)
@@ -818,7 +909,8 @@ def fuzz_flags(d):
     output = among("", d / "out.txt", d / "no" / "out.txt", d)
     profile = among("h1", "h2", "nonstrategic", "bogus") | paths("profile.csv", "flat.csv", "bad.csv")
     times = among(0, 1e-3, 0.5, 1, 5, -1, "nan", "inf", "x")
-    config = paths("config.json", "bad_config.json", "unknown_config.json", "malformed.json", "object.json")
+    config = paths("config.json", "bad_config.json", "unknown_config.json", "list_config.json", "malformed.json",
+                   "object.json")
     return {
         "spectrum": {"--config": config, "--kmax": ints(-3, 50), "--output": output},
         "check-profile": {"--config": config, "--profile": profile, "--kmax": ints(-3, 50),
@@ -827,11 +919,12 @@ def fuzz_flags(d):
                      "--dt": among(0.01, 0.05, 0.5, 0, -0.1, "nan", "inf", "x"), "--t-final": times,
                      "--feedback": among("collocated", "none", "open"),
                      "--sample-every": ints(-1, 60), "--record-modes": None,
-                     "--init": among("zero", "spread", "mode:1", "mode:0", "mode:99", "mode:x", "smooth:3",
-                                     "smooth:1", "smooth:inf", "smooth:nan")
+                     "--init": among("zero", "spread", "mode:1", "mode:0", "mode:99", "mode:x", "mode:1.5", "smooth:3",
+                                     "smooth:1", "smooth:inf", "smooth:nan", "smooth:abc")
                      | paths("state.csv", "nan_state.csv", "bad.csv"),
                      "--input": among("") | paths("signal.json", "short_signal.json", "overlap.json",
-                                                  "keyless.json", "object.json", "malformed.json"),
+                                                  "keyless.json", "true_value.json", "null_value.json",
+                                                  "text_value.json", "object.json", "malformed.json"),
                      "--out-csv": output, "--out-json": output},
         "decay": {"--config": config, "--series": paths("series.csv", "profile.csv", "bad.csv"),
                   "--model": among("exponential", "power", "linear"),

@@ -58,6 +58,22 @@ def test_zero_mean_enforced_on_load():
         WavemakerProfile.from_samples([-1.0, 0.0], [1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "y, h, message",
+    [
+        ([-1.0, 0.0], [0.0], "tabulated profile needs matching 1-D arrays with >= 2 samples"),
+        ([0.0], [0.0], "tabulated profile needs matching 1-D arrays with >= 2 samples"),
+        ([[-1.0, 0.0]], [[0.0, 0.0]], "tabulated profile needs matching 1-D arrays with >= 2 samples"),
+        ([-1.0, 0.0], [math.nan, 0.0], "tabulated profile contains non-finite entries"),
+        ([-1.0, math.inf], [0.0, 0.0], "tabulated profile contains non-finite entries"),
+    ],
+    ids=["unequal", "one-sample", "2-D", "nan-h", "inf-y"],
+)
+def test_from_samples_rejects_shapes_and_non_finite_entries(y, h, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        WavemakerProfile.from_samples(y, h)
+
+
 def test_strategic_integral_closed_form(h1):
     for k in (1, 2, 5, 10, 30, 50):
         scaled = strategic_integral_scaled(h1, k)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -401,6 +402,25 @@ def test_segment_forms():
     assert Segment(0, 1, "sinusoid", value=0.0, amplitude=1.0)(0.0) == 1.0  # an explicit 0 is accepted
 
 
+@pytest.mark.parametrize("field", ["t_start", "t_end", "value", "amplitude", "omega", "phase"])
+@pytest.mark.parametrize("bad", [True, None, "1.5"], ids=["bool", "None", "text"])
+def test_segment_numbers_are_ints_or_floats(field, bad):
+    # a bool counted as a number, so a value of True drove the tank with u = 1
+    kwargs = {"t_start": 0, "t_end": 1, "form": "sinusoid", field: bad}
+    with pytest.raises(ValueError, match=f"^segment {field} must be an int or a float, got {re.escape(repr(bad))}$"):
+        Segment(**kwargs)
+
+
+def test_segment_numbers_are_stored_as_floats():
+    seg = Segment(np.int64(0), 2, "sinusoid", amplitude=np.float32(0.5), omega=np.float64(3.0), phase=1)
+    numbers = ("t_start", "t_end", "value", "amplitude", "omega", "phase")
+    assert all(type(getattr(seg, name)) is float for name in numbers)
+    assert seg == Segment(0.0, 2.0, "sinusoid", amplitude=0.5, omega=3.0, phase=1.0)
+    # a zero segment is u = 0 whatever the sign of a zero it does not read
+    assert math.copysign(1.0, Segment(0, 1, "zero", value=-0.0)(0.5)) == 1.0
+    assert math.copysign(1.0, Segment(0, 1, "constant", value=-0.0)(0.5)) == -1.0
+
+
 def test_signal_validation_errors():
     # a malformed list of segments fails when the signal is built
     with pytest.raises(ValueError, match="overlap"):
@@ -413,6 +433,8 @@ def test_signal_validation_errors():
         InputSignal([])
     with pytest.raises(ValueError, match="gap"):
         InputSignal.constant(1.0, 1.0).concat(2.0, InputSignal.zero(1.0))
+    with pytest.raises(ValueError, match=r"^tau must be >= 0, got -0\.5$"):
+        InputSignal.zero(1.0).concat(-0.5, InputSignal.zero(1.0))
     # reaching the horizon is the one check left to the simulation
     with pytest.raises(ValueError, match="t_final"):
         InputSignal([Segment(0, 1, "zero")]).validate(2.0)
@@ -621,19 +643,25 @@ def test_open_loop_seam_on_midpoint_takes_later_segment(h1):
 
 
 def test_signal_table_matches_each_segment_bit_for_bit():
-    # 1,000 segments of every form, each evaluated on its own span and by the table
+    # 1,000 segments of every form, each evaluated on its own span and by the
+    # table, as drawn and shifted by tau, as concat shifts them
     rng = np.random.default_rng(5)
     edges = np.r_[0.0, np.cumsum(rng.uniform(0.01, 0.2, 1000))]
     forms = rng.choice(["zero", "constant", "sinusoid"], edges.size - 1)
     values = rng.uniform(-2.0, 2.0, (edges.size - 1, 4))
-    segments = []
+    drawn = []
     for lo, hi, form, (v, a, w, p) in zip(edges, edges[1:], forms, values):
         params = {"value": v, "amplitude": a, "omega": 5.0 * abs(w), "phase": p}
-        segments.append(Segment(lo, hi, str(form), **{name: params[name] for name in FORM_READS[form]}))
-    signal = InputSignal(segments)
-    t = np.concatenate([rng.uniform(lo, hi, 8) for lo, hi in zip(edges, edges[1:])])
-    want = np.concatenate([seg(part) for seg, part in zip(segments, np.split(t, 8 * np.arange(1, len(segments))))])
-    assert np.array_equal(signal.at(t).view(np.int64), want.view(np.int64))
+        drawn.append(Segment(lo, hi, str(form), **{name: params[name] for name in FORM_READS[form]}))
+    times = np.concatenate([rng.uniform(lo, hi, 8) for lo, hi in zip(edges, edges[1:])])
+    for tau in (0.0, 0.3, 17.25):
+        segments, t = drawn, times
+        if tau:  # a zero head on [0, tau), sampled 8 times, then every segment shifted
+            segments = [Segment(0.0, tau, "zero"), *(seg.shifted(tau) for seg in drawn)]
+            t = np.r_[np.linspace(0.0, tau, 8, endpoint=False), times + tau]
+            assert all(seg.phase == 0.0 for seg in segments if seg.form != "sinusoid")  # omega = 0 keeps phase = 0
+        want = np.concatenate([seg(part) for seg, part in zip(segments, np.split(t, 8 * np.arange(1, len(segments))))])
+        assert np.array_equal(InputSignal(segments).at(t).view(np.int64), want.view(np.int64))
 
 
 def test_signal_unsorted_segments_sorted_at_construction():
@@ -759,6 +787,16 @@ def test_modal_state_validation():
             ModalState([0.0, bad], [0.0, 0.0])
         with pytest.raises(ValueError, match="non-finite"):
             ModalState([0.0], [bad])
+
+
+def test_single_mode_index_is_a_count():
+    # 1.5 raised numpy's IndexError, and True gave mode 1
+    for k in (1.5, True):
+        with pytest.raises(ValueError, match=f"^mode index must be an integer, got {k}$"):
+            ModalState.single_mode(k, 4)
+    with pytest.raises(ValueError, match="^mode index must be >= 1, got 0$"):
+        ModalState.single_mode(0, 4)
+    assert ModalState.single_mode(np.int64(2), 4).zeta.tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("feedback", ["collocated", "none"], ids=["collocated-splitting", "none-splitting"])

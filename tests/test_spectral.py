@@ -194,6 +194,10 @@ def test_wave_package_rejects_centers_beyond_double_resolution():
     # at |s| = 1e9 neighbouring frequencies are 5e-10 apart, below the spacing of doubles
     with pytest.raises(ValueError, match="too large: doubles do not separate"):
         wave_package(1e9, 0.1)
+    # below 2^26.5, where the bracket is formed and its frequencies are found not to increase
+    too_large = r"^\|s\| = 6\.71089e\+07 is too large: doubles do not separate the frequencies near it$"
+    with pytest.raises(ValueError, match=too_large):
+        wave_package(2.0**26, 1e-3)
     # and where the squares of the bracket would overflow
     for s in (1e155, -1e155, 1e300):
         with pytest.raises(ValueError, match="too large: doubles do not separate"):
