@@ -53,7 +53,8 @@ def _config_flags(path, command: str, commands: dict) -> list[str]:
     Parsed ahead of the explicit flags, they pass the same type and choice
     checks, and a flag given explicitly wins. Null values and fields of other
     commands are ignored, so one file can serve several commands; a field
-    that names no option of any command is an error.
+    that names no option of any command is an error, and so are ``config``
+    and ``help``, which every command takes from the command line only.
     """
     with open(path) as fh:
         try:
@@ -62,11 +63,13 @@ def _config_flags(path, command: str, commands: dict) -> list[str]:
             raise ValueError(f"malformed config JSON {path}: {exc}") from None
     if not isinstance(fields, dict):
         raise ValueError(f"config JSON {path} must hold an object")
-    actions = {a.dest: a for a in commands[command]._actions if a.option_strings and a.dest != "help"}
+    actions = {a.dest: a for a in commands[command]._actions if a.option_strings}
     known = {a.dest for parser in commands.values() for a in parser._actions}
     flags = []
     for key, value in fields.items():
         dest = key.replace("-", "_")
+        if dest in ("config", "help"):
+            raise ValueError(f"config field {key!r} is read from the command line only")
         if dest not in known:
             raise ValueError(f"config field {key!r} names no option of any command")
         action = actions.get(dest)
@@ -171,6 +174,17 @@ def _read_state_csv(path, n_modes=None) -> simulate.ModalState:
     return simulate.ModalState(np.pad(data[:, 1], pad), np.pad(data[:, 2], pad))
 
 
+# the number fields of a segment, each of which the JSON may also give as text that float() reads
+_SEGMENT_NUMBERS = ("t_start", "t_end", "value", "amplitude", "omega", "phase")
+
+
+def _segment_number(key: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"segment {key} must be a number, got {text!r}") from None
+
+
 def _read_signal_json(path) -> simulate.InputSignal:
     with open(path) as fh:
         try:
@@ -184,8 +198,9 @@ def _read_signal_json(path) -> simulate.InputSignal:
         try:
             if not isinstance(item, dict):
                 raise TypeError(f"a segment must be a JSON object, got {item!r}")
-            # Segment checks the keys and the numbers; a string other than the form is read by float()
-            numbers = {key: float(v) for key, v in item.items() if key != "form" and isinstance(v, str)}
+            # Segment checks the keys and the numbers; the text of a number field is read by float()
+            numbers = {key: _segment_number(key, v) for key, v in item.items()
+                       if key in _SEGMENT_NUMBERS and isinstance(v, str)}
             segments.append(simulate.Segment(**{**item, **numbers}))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed segment in {path}: {exc}") from None

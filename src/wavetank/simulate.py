@@ -9,13 +9,14 @@ input signal; the closed loop applies the collocated feedback
 u = -sum_k b_k w_k, which damps the energy norm through a rank-one
 perturbation of an otherwise norm-preserving oscillation.
 
-Both loops are exact to rounding at any time, so a run's schedule is one
-increasing array of sample times, :attr:`SimConfig.times`. One call walks it
-and hands the samples back as arrays, a block of times at a time
-(:mod:`wavetank._blocks`), which fill the columns of the series. The closed
-loop is built from its spectrum: the roots of the secular equation
+Both loops are exact to rounding at any time, so each is a function of
+time: it does its once-per-run work and then gives the states at any array
+of times. A run's schedule is one increasing array of sample times,
+:attr:`SimConfig.times`, and one sampler walks it, a block of times at a
+time (:mod:`wavetank._blocks`), filling the columns of the series. The
+closed loop is built from its spectrum: the roots of the secular equation
 (:mod:`wavetank.spectral`), one real quadratic factor per pair of roots, each
-with its real invariant plane, so a sample is a sum of closed-form time
+with its real invariant plane, so a state is a sum of closed-form time
 functions of the pairs. Its energy column is the running minimum of the
 sampled energies, non-increasing by construction. The open loop integrates
 every segment of its input against the rotation in closed form.
@@ -104,10 +105,11 @@ class SimConfig(Frozen):
     """Simulation parameters; ``dt=None`` resolves to min(1e-2, 0.1/mu_N).
 
     The schedule of a run is :attr:`times`: the grid of spacing ``dt`` from 0
-    to t_final, thinned to every ``sample_every``-th point, and always its
-    last. ``dt`` is no integration step, since both loops are exact at any
-    time; the default gives about 60 points per period of the fastest
-    retained mode. The grid count t_final / dt must stay below 2^63.
+    to its last point at or before t_final (within the rounding of k dt),
+    thinned to every ``sample_every``-th point, and always that last one.
+    ``dt`` is no integration step, since both loops are exact at any time;
+    the default gives about 60 points per period of the fastest retained
+    mode. The grid count t_final / dt must stay below 2^63.
     """
 
     __slots__ = ("n_modes", "t_final", "dt", "sample_every", "record_modes")
@@ -137,8 +139,10 @@ class SimConfig(Frozen):
 
     @property
     def n_steps(self) -> int:
-        # the grid's last index; the benchmark's tracer (perfbench/spans.py) reads it as a run's work
-        return int(round(self.t_final / self.dt))
+        # the grid's last index k, the largest with k dt <= t_final up to 4 ulps; the benchmark's tracer
+        # (perfbench/spans.py) reads it as a run's work
+        k = round(self.t_final / self.dt)
+        return k - 1 if k * self.dt > self.t_final * (1 + 2.0**-50) else k
 
     @property
     def times(self) -> np.ndarray:
@@ -367,41 +371,30 @@ def _pair_parts(b: np.ndarray, total: np.ndarray, rho: np.ndarray, z0: np.ndarra
     return parts
 
 
-def _time_blocks(times: np.ndarray, row_entries: int) -> list[slice]:
-    """:func:`blocks` of ``times``, which must start at 0: both exact loops
-    write the initial state as given into the first row."""
-    if not (times.size and times[0] == 0.0):
-        raise ValueError(f"sample times must start at 0, got {times[:1]}")
-    return blocks(times.size, row_entries)
-
-
-def _closed_exact(state0: ModalState, b: np.ndarray, times: np.ndarray):
-    """Blocks (states, energies, inputs) of the exact closed loop at the
-    increasing ``times`` from 0: z(t) = sum_k phi0_k(t) X_k +
-    phi1_k(t) Y_k over the pairs of roots (see :func:`_pair_parts`).
+def _closed_exact(state0: ModalState, b: np.ndarray):
+    """The exact closed loop from ``state0`` as a function of time: it gives
+    the states z = [zeta; w] at a 1-D array of times, one row per time, any
+    times in any order, z(t) = sum_k phi0_k(t) X_k + phi1_k(t) Y_k over the
+    pairs of roots (see :func:`_pair_parts`). The roots and the pair parts
+    are formed once, here.
 
     On pair k's plane e^{A t} = phi0 + phi1 A, with
     phi1 = (e^{s+ t} - e^{s- t}) / (s+ - s-) and
     phi0 = (e^{s+ t} + e^{s- t}) / 2 - (P/2) phi1. A complex pair takes its
     time functions through e^{P t/2}, cos and sin; a real pair through
     e^{s+ t} and e^{s- t}, never e^{P t/2} cosh(delta t), which would
-    overflow. A block of samples (:mod:`wavetank._blocks`, sized by the N-wide
-    time functions) forms its time functions, states, energies and inputs
-    together. The energy column is the running minimum of the sampled |z|^2:
-    the exact energy never increases, so the column stays within rounding of
-    it and never increases either.
+    overflow.
     """
     n = b.size
     total, rho = _closed_loop_pairs(b)
-    z0 = np.concatenate([state0.zeta, state0.w])
-    parts = _pair_parts(b, total, rho, z0)
+    parts = _pair_parts(b, total, rho, np.concatenate([state0.zeta, state0.w]))
     roots = _pair_roots(total, rho)
     real = roots[:n].imag == 0.0
     m, over, omega = total / 2.0, np.flatnonzero(real), np.where(real, 1.0, roots[:n].imag)
     slow, fast = roots[over].real, roots[n + over].real
-    least = math.inf
-    for rows in _time_blocks(times, n):  # N-wide time functions; phi and the states are 2N wide
-        t = times[rows, None]
+
+    def states(times: np.ndarray) -> np.ndarray:
+        t = times[:, None]
         phi = np.empty((t.shape[0], 2 * n))
         decay, turn = np.exp(t * m), t * omega
         phi[:, n:] = decay * np.sin(turn) / omega
@@ -411,13 +404,9 @@ def _closed_exact(state0: ModalState, b: np.ndarray, times: np.ndarray):
             ramp = np.where(width > 0.0, -np.expm1(-width) / np.where(width > 0.0, width, 1.0), 1.0)
             phi[:, n + over] = e_slow * t * ramp  # (e^{s+ t} - e^{s- t}) / (s+ - s-), also where they meet
             phi[:, over] = (e_slow + e_fast) / 2.0 - m[over] * phi[:, n + over]
-        states = phi @ parts
-        if rows.start == 0:  # the initial state as given
-            states[0] = z0
-        zeta, w = states[:, :n], states[:, n:]
-        energies = np.minimum.accumulate(np.r_[least, _energies(zeta, w)])[1:]
-        least = energies[-1]
-        yield states, energies, -(w @ b)
+        return phi @ parts
+
+    return states
 
 
 def _integrals(wave, lo, hi, mu: np.ndarray) -> np.ndarray:
@@ -434,11 +423,13 @@ def _integrals(wave, lo, hi, mu: np.ndarray) -> np.ndarray:
     return amp / 2 * span * total
 
 
-def _open_exact(state0: ModalState, b: np.ndarray, signal: InputSignal, times: np.ndarray):
-    """Blocks (states, energies, inputs) of the exact open loop at the
-    increasing ``times`` from 0, each the rotating-frame y0 + [(b/mu) Im E;
-    b Re E] turned by R(t). E at t sums the whole segments before the one
-    serving t and that one up to t; a row with E = 0 keeps y0 as it is."""
+def _open_exact(state0: ModalState, b: np.ndarray, signal: InputSignal):
+    """The exact open loop from ``state0`` driven by ``signal`` as a function
+    of time: it gives the states z = [zeta; w] at a 1-D array of times, one
+    row per time, each the rotating-frame y0 + [(b/mu) Im E; b Re E] turned
+    by R(t). E at t sums the whole segments before the one serving t, whose
+    prefix sums are formed once, here, and that one up to t; a row with
+    E = 0 keeps y0 as it is."""
     n = b.size
     mu = frequencies(n)
     wave = signal._wave
@@ -446,8 +437,8 @@ def _open_exact(state0: ModalState, b: np.ndarray, signal: InputSignal, times: n
     whole = _integrals(wave[:, :-1], starts[:-1], starts[1:], mu)
     prefix = np.vstack([np.zeros((1, n)), np.cumsum(whole, axis=0)])
     y0 = np.concatenate([state0.zeta, state0.w])
-    for rows in _time_blocks(times, n):  # N-wide complex integrals; the states are 2N wide
-        t = times[rows]
+
+    def states(t: np.ndarray) -> np.ndarray:
         i = np.searchsorted(signal._seams, t, side="right")
         e, live = prefix[i], wave[0, i] != 0  # a row in a zero segment adds nothing to its prefix
         e[live] += _integrals(wave[:, i[live]], starts[i[live]], t[live], mu)
@@ -456,36 +447,35 @@ def _open_exact(state0: ModalState, b: np.ndarray, signal: InputSignal, times: n
         ys[forced] += np.hstack([(b / mu) * e[forced].imag, b * e[forced].real])
         theta = np.outer(t, mu)
         c, s = np.cos(theta), np.sin(theta)
-        zeta = ys[:, :n] * c + (ys[:, n:] / mu) * s
-        w = -mu * ys[:, :n] * s + ys[:, n:] * c
-        if rows.start == 0:  # R(0) is the identity, and applying it would turn -0.0 into 0.0
-            zeta[0], w[0] = ys[0, :n], ys[0, n:]
-        yield np.hstack([zeta, w]), _energies(zeta, w), signal.at(t)
+        return np.hstack([ys[:, :n] * c + (ys[:, n:] / mu) * s, -mu * ys[:, :n] * s + ys[:, n:] * c])
+
+    return states
 
 
-def _sampled(config: SimConfig, times: np.ndarray, samples) -> TimeSeries:
-    """The series at ``times`` of a run whose ``samples`` give blocks of
-    (states, energies, inputs) rows, states z = [zeta; w], one row per time;
-    the last state is the final one. Only the recorded modes are kept."""
-    n = config.n_modes
+def _sampled(config: SimConfig, state0: ModalState, states, inputs, monotone: bool = False) -> TimeSeries:
+    """The series of a run at ``config.times``, the one walk of a schedule:
+    ``states`` is a loop as a function of time (:func:`_closed_exact`,
+    :func:`_open_exact`), ``inputs(t, w)`` the input at the times ``t``, whose
+    velocities are the rows of ``w``. The times go a block at a time
+    (:mod:`wavetank._blocks`, sized by the loops' N-wide time functions). Row
+    0, at t = 0, is ``state0`` as given, since e^{A 0} or R(0) would round it
+    and turn -0.0 into 0.0. With ``monotone`` the energy column is the running
+    minimum of the sampled energies. Only the recorded modes are kept; the
+    last state is the final one."""
+    n, times = config.n_modes, config.times
     energy, u = np.empty(times.size), np.empty(times.size)
     zeta, w = (np.empty((times.size, n)), np.empty((times.size, n))) if config.record_modes else (None, None)
-    done = 0
-    for states, energies, inputs in samples:
-        rows = slice(done, done + len(states))
-        energy[rows], u[rows] = energies, inputs
+    for rows in blocks(times.size, n):
+        z = states(times[rows])
+        if rows.start == 0:
+            z[0, :n], z[0, n:] = state0.zeta, state0.w
+        energy[rows], u[rows] = _energies(z[:, :n], z[:, n:]), inputs(times[rows], z[:, n:])
         if zeta is not None:
-            zeta[rows], w[rows] = states[:, :n], states[:, n:]
-        done = rows.stop
-    return TimeSeries(
-        t=times,
-        x_norm=np.sqrt(energy),
-        energy=energy,
-        u=u,
-        zeta=zeta,
-        w=w,
-        final_state=ModalState(states[-1, :n].copy(), states[-1, n:].copy()),
-    )
+            zeta[rows], w[rows] = z[:, :n], z[:, n:]
+    if monotone:
+        np.minimum.accumulate(energy, out=energy)
+    final = ModalState(z[-1, :n].copy(), z[-1, n:].copy())
+    return TimeSeries(times, np.sqrt(energy), energy, u, zeta, w, final)
 
 
 def _checked_coupling(state0: ModalState, h, config: SimConfig) -> np.ndarray:
@@ -508,8 +498,8 @@ def simulate_closed(state0: ModalState, h, config: SimConfig) -> TimeSeries:
     accuracy in the tail. Raises LinAlgError (a ValueError) where the root
     finder does not converge.
     """
-    b, times = _checked_coupling(state0, h, config), config.times
-    return _sampled(config, times, _closed_exact(state0, b, times))
+    b = _checked_coupling(state0, h, config)
+    return _sampled(config, state0, _closed_exact(state0, b), lambda t, w: -(w @ b), monotone=True)
 
 
 def simulate_open(state0: ModalState, h, signal: InputSignal, config: SimConfig) -> TimeSeries:
@@ -525,6 +515,6 @@ def simulate_open(state0: ModalState, h, signal: InputSignal, config: SimConfig)
     norm is conserved to a couple of ulps over any horizon. ``h`` is a
     profile or a 1-D coupling array, as for :func:`simulate_closed`.
     """
-    b, times = _checked_coupling(state0, h, config), config.times
+    b = _checked_coupling(state0, h, config)
     signal.validate(config.t_final)
-    return _sampled(config, times, _open_exact(state0, b, signal, times))
+    return _sampled(config, state0, _open_exact(state0, b, signal), lambda t, w: signal.at(t))

@@ -162,6 +162,20 @@ def test_simulate_records_last_step(tmp_path, capsys):
     assert summary["final"]["x_norm"] == pytest.approx(series.x_norm[-1], rel=1e-12)
 
 
+def test_simulate_samples_nothing_past_t_final(tmp_path, capsys):
+    # 1/0.6 rounded to 2 steps and sampled u = 1 at t = 1.2, past the end of the input
+    sig_path, json_path = tmp_path / "one.json", tmp_path / "x.json"
+    sig_path.write_text(json.dumps([{"t_start": 0, "t_end": 1, "form": "constant", "value": 1}]))
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "--feedback", "none", "--n-modes", "4", "--t-final", "1.0", "--dt", "0.6",
+        "--input", str(sig_path), "--out-csv", str(tmp_path / "x.csv"), "--out-json", str(json_path),
+    )
+    assert code == 0 and err == ""
+    assert simulate.TimeSeries.from_csv(tmp_path / "x.csv").t.tolist() == [0.0, 0.6]
+    assert json.loads(json_path.read_text())["t_end"] == 0.6
+
+
 def scaled_h1(tmp_path, scale):
     """A 200-panel tabulated h1 scaled by ``scale``, written as a profile CSV."""
     y = np.linspace(-1.0, 0.0, 201)
@@ -269,15 +283,19 @@ def run_open_loop(capsys, tmp_path, segments):
          "malformed segment in {}: a constant segment ignores amplitude=2.0"),
         ({"t_start": 0, "form": "zero"}, "malformed segment in {}: .*'t_end'"),
         ([0, 3, "zero"], r"malformed segment in {}: a segment must be a JSON object, got \[0, 3, 'zero'\]"),
-        # true ran the tank with u = 1 and exited 0; "abc" failed without naming the file
+        # true ran the tank with u = 1 and exited 0; "abc" named neither the file nor the field
         ({"t_start": 0, "t_end": 3, "form": "constant", "value": True},
          "malformed segment in {}: segment value must be an int or a float, got True"),
         ({"t_start": 0, "t_end": 3, "form": "constant", "value": None},
          "malformed segment in {}: segment value must be an int or a float, got None"),
         ({"t_start": 0, "t_end": 3, "form": "constant", "value": "abc"},
-         "malformed segment in {}: could not convert string to float: 'abc'"),
+         "malformed segment in {}: segment value must be a number, got 'abc'"),
+        # the text under a misspelled key hid the key behind float()'s error
+        ({"t_start": 0, "t_end": 3, "form": "sinusoid", "amplitud": "x", "omega": 1.0},
+         "malformed segment in {}: .*'amplitud'"),
     ],
-    ids=["misspelled-key", "ignored-key", "missing-key", "not-an-object", "value-true", "value-null", "value-text"],
+    ids=["misspelled-key", "ignored-key", "missing-key", "not-an-object", "value-true", "value-null", "value-text",
+         "misspelled-key-text"],
 )
 def test_simulate_rejects_malformed_segments(tmp_path, capsys, segment, message):
     code, out, err = run_open_loop(capsys, tmp_path, [segment])
@@ -853,6 +871,12 @@ def test_config_field_of_no_command_rejected(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: config field 'k_max' names no option of any command\n"
+    # every command takes --config and --help, but a file set neither and went on silently
+    for field, value in (("config", "nope.json"), ("help", True)):
+        cfg.write_text(json.dumps({field: value, "kmax": 3}))
+        code, out, err = run_cli(capsys, "spectrum", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == f"error: config field '{field}' is read from the command line only\n"
     # a field of another command is ignored, so one file serves several commands
     cfg.write_text(json.dumps({"profile": "h2", "kmax": 3}))
     code, out, _ = run_cli(capsys, "spectrum", "--config", str(cfg))
