@@ -11,8 +11,10 @@ wide. A larger array is made once per call.
 The heap keeps freed blocks only while its free top stays below glibc's trim
 threshold, 128 KiB at first. Freeing one mapped array of 2 MiB when this
 module loads raises that to 4 MiB and the mmap threshold to 2 MiB, above the
-CSV writer's block temporaries too (``_table.CELLS_PER_BLOCK`` cells, chosen
-by measurement; their 1.6 MB gather index is the largest).
+CSV writer's block temporaries too (about 250 bytes a cell; the 1.6 MB
+gather index is the largest). Blocks of twice as many cells made malloc hand
+the writer's arrays back to the system and fault them in again: writing the
+808k-cell record-field series took 77k page faults and twice the time.
 """
 
 import numpy as np

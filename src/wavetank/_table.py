@@ -10,16 +10,17 @@ reader walks the body once: it skips blank lines, checks every row's cell
 count against the header, and parses only the leading columns its caller
 asks for; ``#`` starts no comment.
 
-The writer formats whole blocks of cells with array operations. For
-``1e-280 <= |x| <= 1e280`` it scales ``|x|`` by ``10^(16-X)`` in double-double
-arithmetic (Dekker 1971), so the 17-digit integer ``q`` is known to better
-than 2^-45. The ASCII digits of ``q`` and of ``X`` come from a table of
-4-digit chunks, and each cell is laid out by one gather from a template
-chosen by its sign and ``%g`` layout, masked to its significant digits.
-Python's own correctly rounded ``'%.17g' % x`` decides the other cells:
-nonzero values outside that range, infinities, and values whose scaled
-fraction lies within 2^-30 of 1/2, where the product cannot tell the
-rounding.
+The writer formats the blocks of rows of :mod:`wavetank._blocks` with array
+operations; their cells, about 250 bytes of temporaries each, bound its
+memory whatever the width of the table. For ``1e-280 <= |x| <= 1e280`` it
+scales ``|x|`` by ``10^(16-X)`` in double-double arithmetic (Dekker 1971),
+so the 17-digit integer ``q`` is known to better than 2^-45. The ASCII
+digits of ``q`` and of ``X`` come from a table of 4-digit chunks, and each
+cell is laid out by one gather from a template chosen by its sign and ``%g``
+layout, masked to its significant digits. Python's own correctly rounded
+``'%.17g' % x`` decides the other cells: nonzero values outside that range,
+infinities, and values whose scaled fraction lies within 2^-30 of 1/2, where
+the product cannot tell the rounding.
 """
 
 import sys
@@ -28,13 +29,7 @@ from functools import cache
 
 import numpy as np
 
-from . import _blocks  # noqa: F401  (its heap thresholds keep the blocks' temporaries)
-
-# cells formatted at once: bounds every temporary of a block (about 250 bytes
-# a cell), whatever the width of the table. Twice as many made glibc's malloc
-# hand each block's arrays back to the system and fault them in again: writing
-# the 808k-cell record-field series took 77k page faults and twice the time
-CELLS_PER_BLOCK = 1 << 13
+from ._blocks import blocks
 
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's splitting constant
 _WIDTH = 25  # longest cell text with its separator: "-d.dddddddddddddddde-308,"
@@ -168,11 +163,10 @@ def write_table(path, header, columns) -> None:
     when ``path`` is empty or None."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     width = sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
-    step = max(1, CELLS_PER_BLOCK // width)
     with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), step):
-            fh.write(_block_text(np.column_stack([c[start : start + step] for c in columns])))
+        for rows in blocks(len(columns[0]), width):
+            fh.write(_block_text(np.column_stack([c[rows] for c in columns])))
 
 
 def read_table(path, what: str, names, leading: int | None = None) -> tuple[list[str], np.ndarray]:

@@ -281,7 +281,11 @@ def strategic_check(h: WavemakerProfile, kmax: int) -> StrategicVerdict:
 
 
 class UssdMargins(NamedTuple):
-    """Margins m_k = (k/cosh k)|I_k| whose positive infimum certifies uniform decay."""
+    """Margins m_k = (k/cosh k)|I_k| whose positive infimum certifies uniform
+    decay. It holds an array, so it compares by identity, as the package's
+    other records that hold arrays do."""
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     margins: np.ndarray
     min_margin: float

@@ -14,10 +14,10 @@ time: it does its once-per-run work and then gives the states at any array
 of times. A run's schedule is one increasing array of sample times,
 :attr:`SimConfig.times`, and one sampler walks it, a block of times at a
 time (:mod:`wavetank._blocks`), filling the columns of the series. The
-closed loop is built from its spectrum: the roots of the secular equation
-(:mod:`wavetank.spectral`), one real quadratic factor per pair of roots, each
-with its real invariant plane, so a state is a sum of closed-form time
-functions of the pairs. Its energy column is the running minimum of the
+closed loop is built from its spectrum, whose pairs of roots
+:mod:`wavetank.spectral` owns: it forms them, their real invariant planes
+and the states, a sum of closed-form time functions of the pairs, and this
+module only samples them. Its energy column is the running minimum of the
 sampled energies, non-increasing by construction. The open loop integrates
 every segment of its input against the rotation in closed form.
 """
@@ -30,8 +30,7 @@ from ._blocks import blocks
 from ._record import Frozen, Record
 from ._table import read_table, write_table
 from .profiles import coupling_vector
-from .spectral import (_check_count, _closed_loop_pairs, _pair_ratios, _pair_roots, _real_array, eigenvalues,
-                       frequencies)
+from .spectral import _check_count, _closed_exact, _real_array, eigenvalues, frequencies
 
 __all__ = [
     "ModalState",
@@ -101,6 +100,14 @@ def domain_norm(state: ModalState) -> float:
     return math.sqrt(x_norm_sq(state) + extra)
 
 
+def _number(x, name: str) -> float:
+    """``x`` as a float; ValueError naming ``name`` unless it is an int or a
+    float, numpy's included: a bool, None or text is not."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be an int or a float, got {x!r}")
+    return float(x)  # an int past the float range raises OverflowError
+
+
 class SimConfig(Frozen):
     """Simulation parameters; ``dt=None`` resolves to min(1e-2, 0.1/mu_N).
 
@@ -109,7 +116,8 @@ class SimConfig(Frozen):
     thinned to every ``sample_every``-th point, and always that last one.
     ``dt`` is no integration step, since both loops are exact at any time;
     the default gives about 60 points per period of the fastest retained
-    mode. The grid count t_final / dt must stay below 2^63.
+    mode. The grid count t_final / dt must stay below 2^63. ``t_final`` and
+    ``dt`` are ints or floats, stored as floats, and ``record_modes`` is a bool.
     """
 
     __slots__ = ("n_modes", "t_final", "dt", "sample_every", "record_modes")
@@ -125,7 +133,9 @@ class SimConfig(Frozen):
         _check_count(n_modes, "n_modes")
         if dt is None:
             dt = min(1e-2, 0.1 / float(frequencies(n_modes)[-1]))
-        self._freeze(n_modes, t_final, dt, sample_every, record_modes)
+        if not isinstance(record_modes, bool):
+            raise ValueError(f"record_modes must be a bool, got {record_modes!r}")
+        self._freeze(n_modes, _number(t_final, "t_final"), _number(dt, "dt"), sample_every, record_modes)
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not math.isfinite(self.t_final):
@@ -178,10 +188,7 @@ class Segment(Frozen):
         phase: float = 0.0,
     ):
         given = dict(zip(self.__slots__, (t_start, t_end, form, value, amplitude, omega, phase)))
-        for name, x in given.items():  # an int past the float range raises OverflowError in float()
-            if name != "form" and (isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating))):
-                raise ValueError(f"segment {name} must be an int or a float, got {x!r}")
-        self._freeze(*(x if name == "form" else float(x) for name, x in given.items()))
+        self._freeze(*(x if name == "form" else _number(x, f"segment {name}") for name, x in given.items()))
         if self.form not in _FORM_ROW:
             raise ValueError(f"unknown segment form {self.form!r}")
         if not self.t_end > self.t_start:
@@ -332,83 +339,6 @@ class TimeSeries(Record):
         return series
 
 
-def _pair_parts(b: np.ndarray, total: np.ndarray, rho: np.ndarray, z0: np.ndarray) -> np.ndarray:
-    """[X; Y]: row k is the part X_k of z0 in pair k's real invariant plane,
-    row N + k is Y_k = A X_k.
-
-    The plane is spanned by the divided differences over the pair's roots of
-    v(s) = [r; s r] and of s v(s), r = b / (s^2 + lambda): w1 = [-b P/D; b R/D]
-    and w2 = [b R/D; lambda b P/D], R_j = lambda_j - Q, D_j = R_j^2 + lambda_j P^2.
-    They stay apart where the roots meet, and A maps w1 to w2 and w2 to
-    P w2 - Q w1. Pair k's are scaled by b_k, so that a coupling near the floor
-    of float64 neither over- nor underflows them; a deflated mode (P = 0)
-    takes w1 = e_zeta_k, w2 = -lambda_k e_w_k. A is self-adjoint in the form
-    J = diag(-Lambda, I), so the planes are J-orthogonal and X_k comes from a
-    2 x 2 solve with the Gram matrix W^T J W. The bases are formed a block of
-    pairs at a time and never held for all pairs at once.
-    """
-    n = b.size
-    lam = eigenvalues(n)
-    mu, form = np.sqrt(lam), np.r_[-lam, np.ones(n)]
-    parts, form_z0 = np.empty((2 * n, 2 * n)), form * z0
-    for rows in blocks(n, 2 * n):  # a pair's plane is two rows of 2N
-        k = np.arange(rows.start, rows.stop)
-        p, dead = total[k], np.flatnonzero(total[k] == 0.0)
-        # R_j from lambda_k - Q = rho, without the cancellation of lambda_j - Q;
-        # a deflated pair's rows are set apart below
-        ratio_p, ratio_r = _pair_ratios(np.where(p == 0.0, 1.0, p)[:, None], (lam - lam[k, None]) + rho[k, None], mu)
-        outer = b[k, None] * b
-        plane = np.empty((k.size, 2, 2 * n))
-        plane[:, 0, :n], plane[:, 0, n:] = -outer * ratio_p, outer * ratio_r
-        plane[:, 1, :n], plane[:, 1, n:] = outer * ratio_r, lam * (outer * ratio_p)
-        plane[dead] = 0.0
-        plane[dead, 0, k[dead]], plane[dead, 1, n + k[dead]] = 1.0, -lam[k[dead]]
-        gram = np.einsum("kaj,kbj,j->kab", plane, plane, form)
-        c = np.linalg.solve(gram, (plane @ form_z0)[:, :, None])[:, :, 0]
-        image = np.stack([-(lam[k] - rho[k]) * c[:, 1], c[:, 0] + p * c[:, 1]], axis=1)  # A X_k in the basis
-        np.einsum("ka,kaj->kj", c, plane, out=parts[rows])
-        np.einsum("ka,kaj->kj", image, plane, out=parts[n:][rows])
-    return parts
-
-
-def _closed_exact(state0: ModalState, b: np.ndarray):
-    """The exact closed loop from ``state0`` as a function of time: it gives
-    the states z = [zeta; w] at a 1-D array of times, one row per time, any
-    times in any order, z(t) = sum_k phi0_k(t) X_k + phi1_k(t) Y_k over the
-    pairs of roots (see :func:`_pair_parts`). The roots and the pair parts
-    are formed once, here.
-
-    On pair k's plane e^{A t} = phi0 + phi1 A, with
-    phi1 = (e^{s+ t} - e^{s- t}) / (s+ - s-) and
-    phi0 = (e^{s+ t} + e^{s- t}) / 2 - (P/2) phi1. A complex pair takes its
-    time functions through e^{P t/2}, cos and sin; a real pair through
-    e^{s+ t} and e^{s- t}, never e^{P t/2} cosh(delta t), which would
-    overflow.
-    """
-    n = b.size
-    total, rho = _closed_loop_pairs(b)
-    parts = _pair_parts(b, total, rho, np.concatenate([state0.zeta, state0.w]))
-    roots = _pair_roots(total, rho)
-    real = roots[:n].imag == 0.0
-    m, over, omega = total / 2.0, np.flatnonzero(real), np.where(real, 1.0, roots[:n].imag)
-    slow, fast = roots[over].real, roots[n + over].real
-
-    def states(times: np.ndarray) -> np.ndarray:
-        t = times[:, None]
-        phi = np.empty((t.shape[0], 2 * n))
-        decay, turn = np.exp(t * m), t * omega
-        phi[:, n:] = decay * np.sin(turn) / omega
-        phi[:, :n] = decay * np.cos(turn) - m * phi[:, n:]
-        if over.size:
-            e_slow, e_fast, width = np.exp(t * slow), np.exp(t * fast), (slow - fast) * t
-            ramp = np.where(width > 0.0, -np.expm1(-width) / np.where(width > 0.0, width, 1.0), 1.0)
-            phi[:, n + over] = e_slow * t * ramp  # (e^{s+ t} - e^{s- t}) / (s+ - s-), also where they meet
-            phi[:, over] = (e_slow + e_fast) / 2.0 - m[over] * phi[:, n + over]
-        return phi @ parts
-
-    return states
-
-
 def _integrals(wave, lo, hi, mu: np.ndarray) -> np.ndarray:
     """int_lo^hi A cos(omega s + phase) e^{-i mu s} ds: one row per column
     (A, omega, phase) of ``wave`` with its own lo and hi, one column per mu.
@@ -454,14 +384,14 @@ def _open_exact(state0: ModalState, b: np.ndarray, signal: InputSignal):
 
 def _sampled(config: SimConfig, state0: ModalState, states, inputs, monotone: bool = False) -> TimeSeries:
     """The series of a run at ``config.times``, the one walk of a schedule:
-    ``states`` is a loop as a function of time (:func:`_closed_exact`,
-    :func:`_open_exact`), ``inputs(t, w)`` the input at the times ``t``, whose
-    velocities are the rows of ``w``. The times go a block at a time
-    (:mod:`wavetank._blocks`, sized by the loops' N-wide time functions). Row
-    0, at t = 0, is ``state0`` as given, since e^{A 0} or R(0) would round it
-    and turn -0.0 into 0.0. With ``monotone`` the energy column is the running
-    minimum of the sampled energies. Only the recorded modes are kept; the
-    last state is the final one."""
+    ``states`` is a loop as a function of time (:func:`_open_exact`, or
+    :func:`wavetank.spectral._closed_exact`), ``inputs(t, w)`` the input at
+    the times ``t``, whose velocities are the rows of ``w``. The times go a
+    block at a time (:mod:`wavetank._blocks`, sized by the loops' N-wide time
+    functions). Row 0, at t = 0, is ``state0`` as given, since e^{A 0} or
+    R(0) would round it and turn -0.0 into 0.0. With ``monotone`` the energy
+    column is the running minimum of the sampled energies. Only the recorded
+    modes are kept; the last state is the final one."""
     n, times = config.n_modes, config.times
     energy, u = np.empty(times.size), np.empty(times.size)
     zeta, w = (np.empty((times.size, n)), np.empty((times.size, n))) if config.record_modes else (None, None)
@@ -491,15 +421,16 @@ def simulate_closed(state0: ModalState, h, config: SimConfig) -> TimeSeries:
     ``h`` is a profile or a 1-D coupling array of at least ``config.n_modes``
     entries (see :func:`coupling_vector`). The state is the sum over the pairs
     of closed-loop roots of two closed-form time functions times the part of
-    ``state0`` in the pair's real invariant plane (see :func:`_closed_exact`),
-    a closed form at any time. The energy column is the running minimum of
-    the sampled energies: the exact energy never increases, so the energy and
-    norm columns are non-increasing by construction and keep their relative
-    accuracy in the tail. Raises LinAlgError (a ValueError) where the root
-    finder does not converge.
+    ``state0`` in the pair's real invariant plane, a closed form at any time
+    (see :func:`wavetank.spectral._closed_exact`). The energy column is the
+    running minimum of the sampled energies: the exact energy never
+    increases, so the energy and norm columns are non-increasing by
+    construction and keep their relative accuracy in the tail. Raises
+    LinAlgError (a ValueError) where the root finder does not converge.
     """
     b = _checked_coupling(state0, h, config)
-    return _sampled(config, state0, _closed_exact(state0, b), lambda t, w: -(w @ b), monotone=True)
+    z0 = np.concatenate([state0.zeta, state0.w])
+    return _sampled(config, state0, _closed_exact(b, z0), lambda t, w: -(w @ b), monotone=True)
 
 
 def simulate_open(state0: ModalState, h, signal: InputSignal, config: SimConfig) -> TimeSeries:

@@ -12,11 +12,12 @@ spectral-gap property mu_k (mu_{k+1} - mu_k) -> 1/2, and resolves
 wave-package membership queries used by the non-uniform stability
 diagnostics.
 
-It also holds the spectrum of the collocated closed loop, the generator
+It also owns the spectrum of the collocated closed loop, the generator
 less the rank-one damping b b^T: the 2N roots of its secular equation,
-found as N real quadratic factors (:func:`_closed_loop_pairs`). The
-spectral abscissa in ``stability`` reads their real parts, and the exact
-closed loop in ``simulate`` is built from them.
+found as N real quadratic factors (:func:`_closed_loop_pairs`). From these
+pairs it forms the roots, whose real parts give the spectral abscissa in
+``stability``, and each pair's real invariant plane and time functions,
+which give the exact closed-loop states that ``simulate`` samples.
 """
 
 import math
@@ -331,25 +332,101 @@ def _polish_step(i, pairs, lam, mu, q):
 
 
 def _closed_loop_roots(b) -> np.ndarray:
-    """All 2N eigenvalues of the closed loop with coupling ``b``: the roots of
-    the pairs of :func:`_closed_loop_pairs`, by :func:`_pair_roots`."""
-    return _pair_roots(*_closed_loop_pairs(b))
+    """All 2N eigenvalues of the closed loop with coupling ``b``, read from the
+    pairs of :func:`_closed_loop_pairs` by :func:`_pair_shape`: pair k's roots
+    at k and N + k, a real pair's slower one first."""
+    m, omega, over, slow, fast = _pair_shape(*_closed_loop_pairs(b))
+    up, down = m + 1j * omega, m - 1j * omega
+    up[over], down[over] = slow, fast
+    return np.concatenate([up, down])
 
 
-def _pair_roots(total: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """The roots of the pairs s^2 - P s + Q, Q = lambda_k - rho: pair k's at k
-    and N + k. A complex pair is P/2 +- i omega, so a deflated mode's roots
-    are exactly +-i mu_k. A real pair (delta^2 = P^2/4 - Q >= 0) has the
-    slower root first, formed as Q / (the faster one), without the
-    cancellation of P/2 + delta."""
+def _pair_shape(total: np.ndarray, rho: np.ndarray):
+    """m = P/2 and omega of the pairs s^2 - P s + Q, Q = lambda_k - rho, the
+    indices of the real ones, and their slower and faster roots. A complex
+    pair is m +- i omega, so a deflated mode's roots are exactly +-i mu_k. A
+    real pair (delta^2 = P^2/4 - Q >= 0) takes omega = 1, which its roots and
+    time functions replace, and its slower root is formed as Q / (the faster
+    one), without the cancellation of m + delta."""
     quad, m = eigenvalues(total.size) - rho, total / 2.0
     width2 = quad - m * m  # omega^2 of a complex pair, -delta^2 of a real one
-    over = width2 <= 0.0
-    omega = np.sqrt(np.where(over, 0.0, width2))
-    up, down = m + 1j * omega, m - 1j * omega
+    over = np.flatnonzero(width2 <= 0.0)
     fast = m[over] - np.sqrt(-width2[over])
-    up[over], down[over] = quad[over] / fast, fast
-    return np.concatenate([up, down])
+    return m, np.sqrt(np.where(width2 <= 0.0, 1.0, width2)), over, quad[over] / fast, fast
+
+
+def _pair_parts(b: np.ndarray, total: np.ndarray, rho: np.ndarray, z0: np.ndarray) -> np.ndarray:
+    """[X; Y]: row k is the part X_k of z0 in pair k's real invariant plane,
+    row N + k is Y_k = A X_k.
+
+    The plane is spanned by the divided differences over the pair's roots of
+    v(s) = [r; s r] and of s v(s), r = b / (s^2 + lambda): w1 = [-b P/D; b R/D]
+    and w2 = [b R/D; lambda b P/D], R_j = lambda_j - Q, D_j = R_j^2 + lambda_j P^2.
+    They stay apart where the roots meet, and A maps w1 to w2 and w2 to
+    P w2 - Q w1. Pair k's are scaled by b_k, so that a coupling near the floor
+    of float64 neither over- nor underflows them; a deflated mode (P = 0)
+    takes w1 = e_zeta_k, w2 = -lambda_k e_w_k. A is self-adjoint in the form
+    J = diag(-Lambda, I), so the planes are J-orthogonal and X_k comes from a
+    2 x 2 solve with the Gram matrix W^T J W. The bases are formed a block of
+    pairs at a time and never held for all pairs at once.
+    """
+    n = b.size
+    lam = eigenvalues(n)
+    mu, form = np.sqrt(lam), np.r_[-lam, np.ones(n)]
+    parts, form_z0 = np.empty((2 * n, 2 * n)), form * z0
+    for rows in blocks(n, 2 * n):  # a pair's plane is two rows of 2N
+        k = np.arange(rows.start, rows.stop)
+        p, dead = total[k], np.flatnonzero(total[k] == 0.0)
+        # R_j from lambda_k - Q = rho, without the cancellation of lambda_j - Q;
+        # a deflated pair's rows are set apart below
+        ratio_p, ratio_r = _pair_ratios(np.where(p == 0.0, 1.0, p)[:, None], (lam - lam[k, None]) + rho[k, None], mu)
+        outer = b[k, None] * b
+        plane = np.empty((k.size, 2, 2 * n))
+        plane[:, 0, :n], plane[:, 0, n:] = -outer * ratio_p, outer * ratio_r
+        plane[:, 1, :n], plane[:, 1, n:] = outer * ratio_r, lam * (outer * ratio_p)
+        plane[dead] = 0.0
+        plane[dead, 0, k[dead]], plane[dead, 1, n + k[dead]] = 1.0, -lam[k[dead]]
+        gram = np.einsum("kaj,kbj,j->kab", plane, plane, form)
+        c = np.linalg.solve(gram, (plane @ form_z0)[:, :, None])[:, :, 0]
+        image = np.stack([-(lam[k] - rho[k]) * c[:, 1], c[:, 0] + p * c[:, 1]], axis=1)  # A X_k in the basis
+        np.einsum("ka,kaj->kj", c, plane, out=parts[rows])
+        np.einsum("ka,kaj->kj", image, plane, out=parts[n:][rows])
+    return parts
+
+
+def _closed_exact(b: np.ndarray, z0: np.ndarray):
+    """The exact closed loop with coupling ``b`` from the state z0 = [zeta; w]
+    as a function of time: it gives the states z at a 1-D array of times, one
+    row per time, any times in any order, z(t) = sum_k phi0_k(t) X_k +
+    phi1_k(t) Y_k over the pairs of roots (see :func:`_pair_parts`). The
+    pairs, their shape and the pair parts are formed once, here.
+
+    On pair k's plane e^{A t} = phi0 + phi1 A, with
+    phi1 = (e^{s+ t} - e^{s- t}) / (s+ - s-) and
+    phi0 = (e^{s+ t} + e^{s- t}) / 2 - (P/2) phi1. A complex pair takes its
+    time functions through e^{P t/2}, cos and sin; a real pair through
+    e^{s+ t} and e^{s- t}, never e^{P t/2} cosh(delta t), which would
+    overflow.
+    """
+    n = b.size
+    total, rho = _closed_loop_pairs(b)
+    parts = _pair_parts(b, total, rho, z0)
+    m, omega, over, slow, fast = _pair_shape(total, rho)
+
+    def states(times: np.ndarray) -> np.ndarray:
+        t = times[:, None]
+        phi = np.empty((t.shape[0], 2 * n))
+        decay, turn = np.exp(t * m), t * omega
+        phi[:, n:] = decay * np.sin(turn) / omega
+        phi[:, :n] = decay * np.cos(turn) - m * phi[:, n:]
+        if over.size:
+            e_slow, e_fast, width = np.exp(t * slow), np.exp(t * fast), (slow - fast) * t
+            ramp = np.where(width > 0.0, -np.expm1(-width) / np.where(width > 0.0, width, 1.0), 1.0)
+            phi[:, n + over] = e_slow * t * ramp  # (e^{s+ t} - e^{s- t}) / (s+ - s-), also where they meet
+            phi[:, over] = (e_slow + e_fast) / 2.0 - m[over] * phi[:, n + over]
+        return phi @ parts
+
+    return states
 
 
 def separation_certificate(kmax: int) -> float:

@@ -104,9 +104,11 @@ def decay_fit(series: TimeSeries, window: tuple[float, float], model: str) -> De
 
 
 def envelope_check(series: TimeSeries, domain_norm0: float) -> EnvelopeReport:
-    """Envelope constant max_t x_norm(t) (1+t)^{1/6} / domain_norm0 and its argmax."""
+    """Envelope constant max_t x_norm(t) (1+t)^{1/6} / domain_norm0 and its argmax; every t must exceed -1."""
     if not (domain_norm0 > 0 and math.isfinite(domain_norm0)):
         raise ValueError(f"domain_norm0 must be positive and finite, got {domain_norm0}")
+    if np.any(series.t <= -1.0):  # the times increase: the first is the least
+        raise ValueError(f"envelope needs t > -1, series holds t = {series.t[0]:g}")
     weighted = series.x_norm * (1.0 + series.t) ** (1.0 / 6.0) / domain_norm0
     i = int(np.argmax(weighted))
     return EnvelopeReport(M_min=float(weighted[i]), attained_at=float(series.t[i]))

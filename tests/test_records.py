@@ -28,6 +28,8 @@ def test_sim_config_keywords_and_defaults():
     assert repr(SimConfig(n_modes=1, t_final=1.0, dt=0.5)) == (
         "SimConfig(n_modes=1, t_final=1.0, dt=0.5, sample_every=1, record_modes=False)"
     )
+    cfg = SimConfig(n_modes=1, t_final=np.int64(2), dt=np.float32(0.5))  # numpy numbers, stored as floats
+    assert (type(cfg.t_final), type(cfg.dt), cfg.t_final, cfg.dt) == (float, float, 2.0, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -43,6 +45,11 @@ def test_sim_config_keywords_and_defaults():
         (dict(n_modes=2, t_final=2.0**63, dt=1.0), "t_final / dt must be below 2**63, got 9.22e+18"),
         (dict(n_modes=4.5, t_final=1.0), "n_modes must be an integer, got 4.5"),
         (dict(n_modes=2, t_final=1.0, sample_every=True), "sample_every must be an integer, got True"),
+        (dict(n_modes=2, t_final=True), "t_final must be an int or a float, got True"),
+        (dict(n_modes=2, t_final=1.0, dt=True), "dt must be an int or a float, got True"),
+        (dict(n_modes=2, t_final="1"), "t_final must be an int or a float, got '1'"),
+        (dict(n_modes=2, t_final=1.0, record_modes="no"), "record_modes must be a bool, got 'no'"),
+        (dict(n_modes=2, t_final=1.0, record_modes=1), "record_modes must be a bool, got 1"),
     ],
 )
 def test_sim_config_validation_messages(kwargs, message):
@@ -120,8 +127,9 @@ def test_frozen_records_reject_assignment(record, field, value):
         lambda: ModalState([1.0, 2.0], [3.0, 4.0]),
         lambda: TimeSeries(t=np.arange(3.0), x_norm=np.ones(3), energy=np.ones(3), u=np.zeros(3)),
         lambda: FieldGrid(values=np.ones((3, 2)), nx=2, ny=1),
+        lambda: UssdMargins(margins=np.ones(2), min_margin=1.0, argmin=1, tail=1.0, kmax=2),
     ],
-    ids=["ModalState", "TimeSeries", "FieldGrid"],
+    ids=["ModalState", "TimeSeries", "FieldGrid", "UssdMargins"],
 )
 def test_array_records_compare_by_identity(make):
     # equal arrays in equal fields: comparing them by value would raise

@@ -14,7 +14,6 @@ from wavetank.simulate import (
     Segment,
     SimConfig,
     TimeSeries,
-    _closed_exact,
     _open_exact,
     domain_norm,
     simulate_closed,
@@ -22,7 +21,7 @@ from wavetank.simulate import (
     x_norm,
     x_norm_sq,
 )
-from wavetank.spectral import eigenvalues, frequency
+from wavetank.spectral import _closed_exact, eigenvalues, frequency
 
 from substeps import expm_states, open_loop_states, rk4_states
 
@@ -288,7 +287,7 @@ def test_closed_loop_at_log_spaced_times(h1):
     rng = np.random.default_rng(3)
     st = ModalState(rng.standard_normal(n), rng.standard_normal(n))
     times = np.r_[0.0, np.logspace(-2, 4, 61)]
-    states = _closed_exact(st, b)(times)
+    states = _closed_exact(b, np.r_[st.zeta, st.w])(times)
     for row, want in zip(states, expm_states(b, st, times)):
         assert x_norm(ModalState(row[:n] - want[:n], row[n:] - want[n:])) <= 1e-10 * x_norm(st)
 
@@ -305,7 +304,7 @@ def test_exact_loops_at_times_not_from_zero(h1, loop):
     st = ModalState(rng.standard_normal(n), rng.standard_normal(n))
     times = np.array([1.0, 2.0, 37.5, 1e3])
     if loop == "closed":
-        states, want = _closed_exact(st, b)(times), expm_states(b, st, times)
+        states, want = _closed_exact(b, np.r_[st.zeta, st.w])(times), expm_states(b, st, times)
     else:
         signal = InputSignal([Segment(0.0, 30.0, "sinusoid", amplitude=1.0, omega=1.3, phase=0.2),
                               Segment(30.0, 1e3, "zero")])

@@ -130,6 +130,19 @@ def test_envelope_rejects_bad_norm():
             envelope_check(series, bad)
 
 
+@pytest.mark.parametrize("t0", [-3.0, -1.0], ids=["before-minus-one", "at-minus-one"])
+def test_envelope_needs_times_above_minus_one(t0):
+    # (1+t)^(1/6) is NaN for t < -1 and 0 at t = -1: one ValueError naming the
+    # time, no numpy warning and no M_min = nan
+    t = np.array([t0, 0.0, 1.0])
+    series = TimeSeries(t=t, x_norm=np.ones(3), energy=np.ones(3), u=np.zeros(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^envelope needs t > -1, series holds t = {t0:g}$"):
+            envelope_check(series, 1.0)
+        assert envelope_check(TimeSeries(t=t[1:], x_norm=np.ones(2), energy=np.ones(2), u=np.zeros(2)), 1.0).M_min > 1
+
+
 def test_envelope_lower_bound():
     # M_min can never undercut the initial ratio: the t=0 sample has weight 1
     series = synthetic_series(lambda t: 3.0 * np.exp(-t / 7.0))

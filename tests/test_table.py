@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavetank
-from wavetank import _table
+from wavetank import _blocks
 from wavetank._table import write_table
 
 
@@ -110,9 +110,9 @@ def test_scaled_normals(tmp_path):
 
 
 def test_block_seams(tmp_path, monkeypatch):
-    # 7 cells a block: a 3-wide table goes two rows a block, a 9-wide one a
-    # row a block
-    monkeypatch.setattr(_table, "CELLS_PER_BLOCK", 7)
+    # blocks of fewer than 8 cells: a 3-wide table goes two rows a block, a
+    # 9-wide one a row a block
+    monkeypatch.setattr(_blocks, "BLOCK", 8)
     rng = np.random.default_rng(5)
     for width in (1, 3, 9):
         block = rng.standard_normal((23, width)) * 10.0 ** rng.integers(-30, 30, size=(23, width))
