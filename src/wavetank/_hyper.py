@@ -1,11 +1,14 @@
-"""Overflow-safe hyperbolic ratios for the modal kernels.
+"""Closed-form kernels of the modal series and of their integrals.
 
-Every ratio is written in shifted exponentials whose arguments are never
-positive on the stated domain, so no term overflows for any scale parameter
-(raw cosh/sinh overflow 64-bit floats near an argument of 710, which the
+The hyperbolic ratios of the surface and wall series are overflow-safe:
+each is written in shifted exponentials whose arguments are never positive
+on the stated domain, so no term overflows for any scale parameter (raw
+cosh/sinh overflow 64-bit floats near an argument of 710, which the
 truncations in use reach). The scale parameter and the coordinate broadcast
 against each other: pass ``k[:, None]`` and a row of points to get one
-kernel row per mode.
+kernel row per mode. :func:`exp_integral` is the one closed form of
+integral e^{i(p y + q)} dy over an interval, behind the profiles' wall
+moments and the open loop's input integrals.
 """
 
 import numpy as np
@@ -48,18 +51,16 @@ def cosh_ratio_side(a, x) -> np.ndarray:
     return (np.exp(a * (x - 2.0 * np.pi)) + np.exp(-a * x)) / (-np.expm1(-2.0 * a * np.pi))
 
 
-def sinh_ratio_side(a, x) -> np.ndarray:
-    """sinh[a(x - pi)] / sinh(a pi) for x in [0, pi], positive a.
-
-    Shifted form: -(e^{-a x} - e^{a(x - 2 pi)}) / (1 - e^{-2 a pi}).
-    """
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return -(np.exp(-a * x) - np.exp(a * (x - 2.0 * np.pi))) / (-np.expm1(-2.0 * a * np.pi))
-
-
 def exp_left_over_sinh(a, x) -> np.ndarray:
     """e^{a(pi - x)} / sinh(a pi) = 2 e^{-a x} / (1 - e^{-2 a pi}), stable for all a > 0."""
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
     return 2.0 * np.exp(-a * x) / (-np.expm1(-2.0 * a * np.pi))
+
+
+def exp_integral(p, q, lo, hi) -> np.ndarray:
+    """integral_lo^hi e^{i(p y + q)} dy = w e^{i(p m + q)} sinc(p w/2 pi), for the
+    midpoint m and width w; finite at p = 0 with no branch (sinc(0) = 1). The
+    arguments broadcast against each other."""
+    m, w = 0.5 * (lo + hi), hi - lo
+    return w * np.exp(1j * (p * m + q)) * np.sinc(p * (0.5 * w / np.pi))

@@ -15,8 +15,14 @@ Basis conventions:
     psi_k(y) = sqrt(2) cos[(2k-1)(pi/2)(y+1)]         on [-1, 0]
              = sqrt(2) (-1)^k sin[(2k-1)(pi/2) y]
 
-The sine form of psi_k is used for evaluation so that the wall extension
-vanishes identically (not just to roundoff) on the top boundary.
+Each edge is one series, formed in one place. The surface series
+sum_k sqrt(2/pi) eta_k cos(kx) cosh[k(y+1)]/cosh k gives the top extension
+and its wall trace. The wall series
+sum_k (-1)^k sqrt(2) (v_k/a_k) cosh[a_k(x - pi)]/sinh(a_k pi) sin(a_k y), with
+a_k = (2k-1) pi/2, gives the wall extension, its top trace, its wall
+residual and the Hilbert form. The sine form of psi_k is used so that the
+wall extension vanishes identically (not just to roundoff) on the top
+boundary.
 """
 
 import math
@@ -24,9 +30,10 @@ import math
 import numpy as np
 
 from ._blocks import blocks
-from ._hyper import cosh_over_cosh, cosh_ratio_side, exp_left_over_sinh, sinh_ratio_side
+from ._hyper import cosh_over_cosh, cosh_ratio_side, exp_left_over_sinh
 from ._record import Record
 from ._table import write_table
+from .profiles import _profile
 from .spectral import _check_count, _real_array
 
 __all__ = [
@@ -67,11 +74,11 @@ class FieldGrid(Record):
 
     @property
     def x(self) -> np.ndarray:
-        return np.linspace(0.0, np.pi, self.nx + 1)
+        return _grid_axes(self.nx, self.ny)[0]
 
     @property
     def y(self) -> np.ndarray:
-        return np.linspace(-1.0, 0.0, self.ny + 1)
+        return _grid_axes(self.nx, self.ny)[1]
 
     @property
     def top(self) -> np.ndarray:
@@ -120,14 +127,24 @@ def _wall_rate(k):
     return (2 * k - 1) * 0.5 * np.pi
 
 
-def _psi_factor(k, y) -> np.ndarray:
-    # psi_k(y)/sqrt(2); the sine form is exactly zero at y = 0
-    return (-1.0) ** k * np.sin(_wall_rate(k) * np.asarray(y, dtype=float))
+def _surface_series(eta, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The surface series sum_k sqrt(2/pi) eta_k cos(kx) ...: the mode indices k
+    and the coefficients sqrt(2/pi) eta_k, on a leading axis that broadcasts
+    against ``ndim``-D points."""
+    eta = _as_coefficients(eta, "eta")
+    shape = (-1,) + (1,) * ndim
+    return np.arange(1, eta.size + 1).reshape(shape), (eta * math.sqrt(2.0 / math.pi)).reshape(shape)
 
 
-def _modes(c, ndim: int = 1) -> np.ndarray:
-    """Mode indices 1..len(c) on a leading axis that broadcasts against ``ndim``-D points."""
-    return np.arange(1, c.size + 1).reshape((-1,) + (1,) * ndim)
+def _wall_series(v, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The wall series sum_k (-1)^k sqrt(2) v_k sin(a_k y) ... = sum_k v_k psi_k(y) ...:
+    the rates a_k and the coefficients (-1)^k sqrt(2) v_k, on a leading axis
+    that broadcasts against ``ndim``-D points. The sine form of psi_k is
+    exactly zero at y = 0."""
+    v = _as_coefficients(v, "v")
+    k = np.arange(1, v.size + 1)
+    shape = (-1,) + (1,) * ndim
+    return _wall_rate(k).reshape(shape), ((-1.0) ** k * math.sqrt(2.0) * v).reshape(shape)
 
 
 def dirichlet_field(eta, nx: int, ny: int) -> FieldGrid:
@@ -137,11 +154,9 @@ def dirichlet_field(eta, nx: int, ny: int) -> FieldGrid:
     evaluated on the grid; its top row reproduces the surface data exactly
     because every mode ratio equals one at y = 0.
     """
-    eta = _as_coefficients(eta, "eta")
+    k, c = _surface_series(eta)
     x, y = _grid_axes(nx, ny)
-    k = _modes(eta)
-    weighted = (eta * math.sqrt(2.0 / math.pi))[:, None] * np.cos(k * x)
-    return FieldGrid(nx=nx, ny=ny, values=weighted.T @ cosh_over_cosh(k, y))
+    return FieldGrid(nx=nx, ny=ny, values=(c * np.cos(k * x)).T @ cosh_over_cosh(k, y))
 
 
 def wall_trace(eta, y) -> np.ndarray:
@@ -150,27 +165,22 @@ def wall_trace(eta, y) -> np.ndarray:
     Returns sum_k sqrt(2/pi) eta_k cosh[k(y+1)] / cosh(k) at the given depths,
     which must lie on the wall, in [-1, 0]; any other (NaN too) raises ValueError.
     """
-    eta = _as_coefficients(eta, "eta")
     y = _edge_points(y, -1.0, 0.0, _WALL)
-    kernel = cosh_over_cosh(_modes(eta, y.ndim), y)
-    return np.tensordot(eta * math.sqrt(2.0 / math.pi), kernel, axes=1)
+    k, c = _surface_series(eta, y.ndim)
+    return np.tensordot(c.ravel(), cosh_over_cosh(k, y), axes=1)
 
 
 def neumann_field(v, nx: int, ny: int) -> FieldGrid:
     """Harmonic extension of left-wall Neumann data with coefficients ``v`` against psi_k.
 
     Each mode contributes
-        (2 sqrt(2) v_k / ((2k-1) pi)) * cosh[a_k(x - pi)]/sinh(a_k pi) * psi_k(y)/sqrt(2)
+        (-1)^k sqrt(2) v_k / a_k * cosh[a_k(x - pi)]/sinh(a_k pi) * sin(a_k y)
     with a_k = (2k-1) pi/2. The x-ratio is evaluated in shifted exponentials
     for large a_k; the y-factor vanishes identically on the top boundary.
     """
-    v = _as_coefficients(v, "v")
+    a, c = _wall_series(v)
     x, y = _grid_axes(nx, ny)
-    k = _modes(v)
-    a = _wall_rate(k)
-    g = 2.0 * math.sqrt(2.0) * v[:, None] / ((2 * k - 1) * np.pi)
-    values = (g * cosh_ratio_side(a, x)).T @ _psi_factor(k, y)
-    return FieldGrid(nx=nx, ny=ny, values=values)
+    return FieldGrid(nx=nx, ny=ny, values=(c / a * cosh_ratio_side(a, x)).T @ np.sin(a * y))
 
 
 def neumann_wall_residual(v, y) -> float:
@@ -182,18 +192,14 @@ def neumann_wall_residual(v, y) -> float:
     the per-mode identity keeps at roundoff level. The depths ``y`` must lie
     on the wall, in [-1, 0]; any other (NaN too) raises ValueError.
     """
-    v = _as_coefficients(v, "v")
     y = _edge_points(y, -1.0, 0.0, _WALL)
+    a, c = _wall_series(v, y.ndim)
     if not y.size:
         return 0.0
-    k = _modes(v, 0)
-    a = _wall_rate(k)
-    g = 2.0 * math.sqrt(2.0) * v / ((2 * k - 1) * np.pi)
-    dx_factor = g * a * sinh_ratio_side(a, 0.0)
-    psi = _psi_factor(_modes(v, y.ndim), y)
-    deriv = np.tensordot(dx_factor, psi, axes=1)
-    vy = np.tensordot(v * math.sqrt(2.0), psi, axes=1)
-    return float(np.max(np.abs(deriv + vy)))
+    psi = np.sin(a * y)
+    # at x = 0 the derivative of cosh[a(x - pi)]/sinh(a pi) is a sinh(-a pi)/sinh(a pi) = -a
+    deriv = np.tensordot((c / a * -a).ravel(), psi, axes=1)
+    return float(np.max(np.abs(deriv + np.tensordot(c.ravel(), psi, axes=1))))
 
 
 def neumann_to_neumann(v, x) -> np.ndarray:
@@ -204,11 +210,9 @@ def neumann_to_neumann(v, x) -> np.ndarray:
     abscissae ``x`` must lie on the surface, in [0, pi]; any other (NaN too)
     raises ValueError.
     """
-    v = _as_coefficients(v, "v")
     x = _edge_points(x, 0.0, np.pi, "surface y = 0, at abscissae x in [0, pi]")
-    k = _modes(v, x.ndim)
-    signed = (-1.0) ** _modes(v, 0) * math.sqrt(2.0) * v
-    return np.tensordot(signed, cosh_ratio_side(_wall_rate(k), x), axes=1)
+    a, c = _wall_series(v, x.ndim)
+    return np.tensordot(c.ravel(), cosh_ratio_side(a, x), axes=1)
 
 
 def hilbert_bound_ratio(v) -> float:
@@ -221,20 +225,21 @@ def hilbert_bound_ratio(v) -> float:
 
     satisfies integral_0^inf |g|^2 <= 10 sum |v_k|^2 by Hilbert's inequality.
     As a_j + a_k = (j+k-1) pi, the [0, pi] integral is the Hilbert-matrix form
-    sum_jk c_j c_k (1 - e^{-(j+k-1) pi^2}) / ((j+k-1) pi), formed a block of rows
-    at a time. Returns its ratio to the squared coefficient norm, ``v`` scaled
-    by max|v_k| first so that every scale gives it; the contract is ratio <= 10.
+    sum_jk c_j c_k (1 - e^{-(a_j + a_k) pi}) / (a_j + a_k), formed a block of
+    rows at a time. Returns its ratio to the squared coefficient norm, ``v``
+    scaled by max|v_k| first so that every scale gives it; the contract is
+    ratio <= 10.
     """
     v = _as_coefficients(v, "v")
     top = float(np.max(np.abs(v), initial=0.0))
     if top == 0.0:
         raise ValueError("ratio undefined for the zero coefficient vector")
     v = v / top
-    k = _modes(v, 0)
-    c = (-1.0) ** k * math.sqrt(2.0) * v * exp_left_over_sinh(_wall_rate(k), 0.0)
+    a, c = _wall_series(v, 0)
+    c = c * exp_left_over_sinh(a, 0.0)
     total = 0.0
-    for rows in blocks(k.size, k.size):
-        n = (k[rows, None] + k - 1) * np.pi
+    for rows in blocks(a.size, a.size):
+        n = a[rows, None] + a
         total += float(c[rows] @ (-np.expm1(-n * np.pi) / n @ c))
     return total / float(np.dot(v, v))
 
@@ -265,7 +270,7 @@ def side_projection(h, n_modes: int = DEFAULT_SIDE_MODES) -> np.ndarray:
     """
     _check_count(n_modes, "side-mode count")
     k = np.arange(1, n_modes + 1)
-    return math.sqrt(2.0) * (-1.0) ** k * h._wall(_wall_rate(k))
+    return math.sqrt(2.0) * (-1.0) ** k * _profile(h)._wall(_wall_rate(k))
 
 
 def reconstruct_field(

@@ -347,7 +347,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--profile", default="h1")
     p.add_argument("--nx", type=int, default=64)
     p.add_argument("--ny", type=int, default=64)
-    p.add_argument("--n-side-modes", type=int, default=64)
+    p.add_argument("--n-side-modes", type=int, default=boundary.DEFAULT_SIDE_MODES)
     p.add_argument("--output", default="")
 
     p = add("rate-study", "fitted closed-loop rates over a truncation sweep", cmd_rate_study)

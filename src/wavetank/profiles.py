@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._blocks import blocks
-from ._hyper import cosh_over_cosh, sinh_over_cosh
+from ._hyper import cosh_over_cosh, exp_integral, sinh_over_cosh
 from ._table import read_table
 from .spectral import _check_count, _real_array
 
@@ -52,13 +52,6 @@ SC_CONSTANT = math.tanh(1.0) / (1.0 - 2.0 / math.e)
 
 # the cosine piece cos(OMEGA y + PHASE) of a profile, h2 itself
 OMEGA, PHASE = 0.5 * math.pi, 0.75 * math.pi
-
-
-def _sin_integral(p, q: float, lo: float, hi: float) -> np.ndarray:
-    """integral_lo^hi sin(p y + q) dy = w sin(p m + q) sinc(p w/2), for the
-    midpoint m and width w; finite at p = 0 with no branch (sinc(0) = 1)."""
-    m, w = 0.5 * (lo + hi), hi - lo
-    return w * np.sin(p * m + q) * np.sinc(p * (0.5 * w / np.pi))
 
 
 class WavemakerProfile:
@@ -232,7 +225,7 @@ class WavemakerProfile:
         def row(a):
             prim = -h_ends * np.cos(a * ends) / a
             panels = np.sum(self._slopes * np.diff(np.sin(a * self._knots), axis=1), axis=1, keepdims=True)
-            cosine = _sin_integral(a + OMEGA, PHASE, lo, hi) + _sin_integral(a - OMEGA, -PHASE, lo, hi)
+            cosine = exp_integral(a + OMEGA, PHASE, lo, hi).imag + exp_integral(a - OMEGA, -PHASE, lo, hi).imag
             return prim[:, 1:] - prim[:, :1] + panels / (a * a) + 0.5 * self._c * cosine
 
         return self._rows(row, np.asarray(rates, dtype=float))[:, 0]
@@ -248,6 +241,14 @@ BUILTIN_PROFILES = {
 }
 
 
+def _profile(h) -> WavemakerProfile:
+    """``h`` itself; ValueError unless it is a profile (a coupling array is not),
+    for the criteria that read the profile and not only its coupling."""
+    if not isinstance(h, WavemakerProfile):
+        raise ValueError(f"h must be a WavemakerProfile, got {type(h).__name__}")
+    return h
+
+
 def strategic_integral_scaled(h: WavemakerProfile, k: int) -> float:
     """I_k / cosh(k): the strategic integral with the hyperbolic growth removed.
 
@@ -256,7 +257,7 @@ def strategic_integral_scaled(h: WavemakerProfile, k: int) -> float:
     where it is within the rounding bound of its pieces.
     """
     _check_count(k, "mode index")
-    return float(h._certified(k, k)[0])
+    return float(_profile(h)._certified(k, k)[0])
 
 
 class StrategicVerdict(NamedTuple):
@@ -276,7 +277,7 @@ def strategic_check(h: WavemakerProfile, kmax: int) -> StrategicVerdict:
     its pieces, so s h gets the verdict of h: a finite-range certificate only,
     as the strategic condition quantifies over all positive integers."""
     _check_count(kmax, "kmax")
-    fails = tuple((np.flatnonzero(h._certified(kmax) == 0.0) + 1).tolist())
+    fails = tuple((np.flatnonzero(_profile(h)._certified(kmax) == 0.0) + 1).tolist())
     return StrategicVerdict(strategic=not fails, fails_at=fails, kmax=kmax)
 
 
@@ -302,7 +303,7 @@ def ussd_margin(h: WavemakerProfile, kmax: int) -> UssdMargins:
     """All margins m_k for k <= kmax, their minimum, and the tail value m_kmax;
     m_k is 0 wherever :func:`strategic_check` fails."""
     _check_count(kmax, "kmax")
-    margins = np.arange(1, kmax + 1) * np.abs(h._certified(kmax))
+    margins = np.arange(1, kmax + 1) * np.abs(_profile(h)._certified(kmax))
     imin = int(np.argmin(margins))
     return UssdMargins(margins=margins, min_margin=float(margins[imin]), argmin=imin + 1,
                        tail=float(margins[-1]), kmax=kmax)
@@ -325,6 +326,7 @@ def sc_check(h: WavemakerProfile, eps: float) -> ScVerdict:
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    h = _profile(h)
     bound = (1.0 - eps) * SC_CONSTANT * abs(h.value_at_zero)
     verdict = "pass" if h.derivative_sup < bound else "fail"
     return ScVerdict(verdict=verdict, derivative_sup=h.derivative_sup, bound=bound, eps=eps)

@@ -27,6 +27,7 @@ import math
 import numpy as np
 
 from ._blocks import blocks
+from ._hyper import exp_integral
 from ._record import Frozen, Record
 from ._table import read_table, write_table
 from .profiles import coupling_vector
@@ -55,6 +56,8 @@ class ModalState(Record):
         self.zeta, self.w = np.atleast_1d(_real_array(zeta, "zeta")), np.atleast_1d(_real_array(w, "w"))
         if self.zeta.shape != self.w.shape or self.zeta.ndim != 1:
             raise ValueError("zeta and w must be 1-D arrays of equal length")
+        if not self.zeta.size:
+            raise ValueError("state needs at least one mode")
         if not (np.all(np.isfinite(self.zeta)) and np.all(np.isfinite(self.w))):
             raise ValueError("state holds non-finite entries")
 
@@ -64,6 +67,7 @@ class ModalState(Record):
 
     @classmethod
     def zero(cls, n_modes: int) -> "ModalState":
+        _check_count(n_modes, "n_modes")
         return cls(np.zeros(n_modes), np.zeros(n_modes))
 
     @classmethod
@@ -270,6 +274,8 @@ class InputSignal(Frozen):
 
     def concat(self, tau: float, other: "InputSignal") -> "InputSignal":
         """Concatenation: this signal on [0, tau), then ``other`` delayed by tau."""
+        if not math.isfinite(tau):
+            raise ValueError(f"tau must be finite, got {tau}")
         if tau < 0:
             raise ValueError(f"tau must be >= 0, got {tau}")
         head = []
@@ -342,15 +348,12 @@ class TimeSeries(Record):
 def _integrals(wave, lo, hi, mu: np.ndarray) -> np.ndarray:
     """int_lo^hi A cos(omega s + phase) e^{-i mu s} ds: one row per column
     (A, omega, phase) of ``wave`` with its own lo and hi, one column per mu.
-    Each half e^{+-i(omega s + phase)} of the cosine gives
-    (hi - lo) e^{i(+-phase + d m)} sinc(d (hi - lo) / 2 pi), d = +-omega - mu,
-    m the midpoint, which is exact at resonance d = 0 with no branch."""
+    Each half e^{+-i(omega s + phase)} of the cosine is
+    :func:`~wavetank._hyper.exp_integral` of the rate +-omega - mu, exact at
+    resonance with no branch."""
     amp, omega, phase = (col[:, None] for col in wave)
-    span, mid = (hi - lo)[:, None], ((hi + lo) / 2)[:, None]
-    total = 0.0
-    for p, d in ((phase, omega - mu), (-phase, -omega - mu)):
-        total = total + np.exp(1j * (p + d * mid)) * np.sinc(d * span / (2 * np.pi))
-    return amp / 2 * span * total
+    lo, hi = lo[:, None], hi[:, None]
+    return amp / 2 * (exp_integral(omega - mu, phase, lo, hi) + exp_integral(-omega - mu, -phase, lo, hi))
 
 
 def _open_exact(state0: ModalState, b: np.ndarray, signal: InputSignal):

@@ -111,6 +111,7 @@ def gap_products(kmax: int) -> np.ndarray:
     The sequence converges to 1/2; the tanh correction dies exponentially
     while the sqrt spacing contributes an algebraic -1/(8k) + O(k^-2) tail.
     """
+    _check_count(kmax, "kmax")
     if kmax < 2:
         raise ValueError(f"kmax must be >= 2, got {kmax}")
     mu = frequencies(kmax)

@@ -24,7 +24,7 @@ from .simulate import (
     domain_norm,
     simulate_closed,
 )
-from .spectral import _closed_loop_roots, frequencies
+from .spectral import _check_count, _closed_loop_roots, frequencies
 
 __all__ = [
     "DecayFit",
@@ -107,6 +107,8 @@ def envelope_check(series: TimeSeries, domain_norm0: float) -> EnvelopeReport:
     """Envelope constant max_t x_norm(t) (1+t)^{1/6} / domain_norm0 and its argmax; every t must exceed -1."""
     if not (domain_norm0 > 0 and math.isfinite(domain_norm0)):
         raise ValueError(f"domain_norm0 must be positive and finite, got {domain_norm0}")
+    if not series.t.size:
+        raise ValueError("envelope needs samples, series holds none")
     if np.any(series.t <= -1.0):  # the times increase: the first is the least
         raise ValueError(f"envelope needs t > -1, series holds t = {series.t[0]:g}")
     weighted = series.x_norm * (1.0 + series.t) ** (1.0 / 6.0) / domain_norm0
@@ -116,8 +118,11 @@ def envelope_check(series: TimeSeries, domain_norm0: float) -> EnvelopeReport:
 
 def smooth_initial_state(n_modes: int, decay_power: float) -> ModalState:
     """State zeta_k = k^{-decay_power}, w = 0, normalized to unit graph norm."""
+    _check_count(n_modes, "n_modes")
     if not decay_power >= 2:  # NaN fails here, not later as a non-finite state
         raise ValueError(f"decay_power must be >= 2, got {decay_power}")
+    if not math.isfinite(decay_power):  # k^-inf would keep mode 1 alone
+        raise ValueError(f"decay_power must be finite, got {decay_power}")
     zeta = np.arange(1, n_modes + 1, dtype=float) ** (-float(decay_power))
     state = ModalState(zeta, np.zeros(n_modes))
     scale = domain_norm(state)

@@ -140,6 +140,35 @@ def test_neumann_to_neumann_x_integral():
     assert np.trapezoid(vals, x) == pytest.approx(-math.sqrt(2.0) / (np.pi / 2), abs=1e-6)
 
 
+def _psi_sum(v, y):
+    """sum_k v_k psi_k(y) in the cosine form of psi_k, which the library does not use."""
+    k = np.arange(1, len(v) + 1)[:, None]
+    return np.asarray(v) @ (math.sqrt(2.0) * np.cos((2 * k - 1) * (np.pi / 2) * (y + 1.0)))
+
+
+@pytest.mark.parametrize("edge", ["top", "wall"])
+def test_wall_maps_are_derivatives_of_the_field(edge):
+    # each edge map against a one-sided second-order difference of the field it
+    # belongs to, apart from the series they share: the top trace is the field's
+    # y-derivative at y = 0, and at the wall x = 0 the x-derivative is -v(y).
+    # The error falls as h^2 [measured orders 1.999-2.000 (top), 1.96-1.99 (wall)]
+    v = np.array([1.0, -0.5, 0.25])
+    errors = []
+    for n in (256, 512, 1024, 2048):
+        if edge == "top":
+            grid = neumann_field(v, 16, n)
+            f = grid.values[:, ::-1]  # f[:, j] at y = -j/n
+            slope = (3.0 * f[:, 0] - 4.0 * f[:, 1] + f[:, 2]) * (n / 2.0)
+            errors.append(np.max(np.abs(slope - neumann_to_neumann(v, grid.x))))
+        else:
+            grid = neumann_field(v, n, 16)
+            f = grid.values
+            slope = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * np.pi / n)
+            errors.append(np.max(np.abs(slope + _psi_sum(v, grid.y))))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all((1.95 <= orders) & (orders <= 2.05)), orders
+
+
 def off_edge(edge, points):
     """The message for ``points``, whose last entry is the first off the edge."""
     return f"^points must lie on the {re.escape(edge)}, got {re.escape(str(np.float64(points[-1])))}$"

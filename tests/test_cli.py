@@ -347,9 +347,10 @@ def test_simulate_starts_from_one_mode(tmp_path, capsys):
         (["simulate", "--init", "mode:x"], "--init mode:x: K must be an integer"),
         (["simulate", "--init", "mode:1.5"], "--init mode:1.5: K must be an integer"),
         (["simulate", "--init", "smooth:abc"], "--init smooth:abc: P must be a number"),
+        (["simulate", "--init", "smooth:inf"], "decay_power must be finite, got inf"),
         (["rate-study", "--ns", "8,x"], "argument --ns: expected comma-separated integers, got '8,x'"),
     ],
-    ids=["init-mode-text", "init-mode-float", "init-smooth-text", "ns-text"],
+    ids=["init-mode-text", "init-mode-float", "init-smooth-text", "init-smooth-inf", "ns-text"],
 )
 def test_flag_value_errors_name_the_flag(tmp_path, capsys, argv, message):
     # each printed only int()'s or float()'s own message, naming neither the flag nor its value

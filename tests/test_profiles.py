@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavetank._hyper import cosh_over_cosh
-from wavetank.boundary import _wall_rate, neumann_to_neumann, side_projection
+from wavetank.boundary import _wall_rate, neumann_to_neumann, reconstruct_field, side_projection
 from wavetank.cli import main
 from wavetank.profiles import (
     OMEGA,
@@ -20,8 +20,8 @@ from wavetank.profiles import (
     ussd_margin,
 )
 from wavetank.simulate import InputSignal, ModalState, SimConfig, simulate_closed, simulate_open
-from wavetank.spectral import eigenvalues, separation_certificate
-from wavetank.stability import spectral_abscissa
+from wavetank.spectral import eigenvalues, gap_products, separation_certificate
+from wavetank.stability import smooth_initial_state, spectral_abscissa
 
 from moments import jittered_profile, strategic_builtins, strategic_quadrature
 
@@ -121,15 +121,38 @@ def test_strategic_check_zero_profile_fails_everywhere():
         (lambda h: separation_certificate(True), "kmax must be an integer, got True"),
         (lambda h: SimConfig(n_modes=4.5, t_final=1.0), "n_modes must be an integer, got 4.5"),
         (lambda h: SimConfig(n_modes=4, t_final=1.0, sample_every=2.0), "sample_every must be an integer, got 2.0"),
+        (lambda h: smooth_initial_state(2.5, 3), "n_modes must be an integer, got 2.5"),
+        (lambda h: ModalState.zero(2.5), "n_modes must be an integer, got 2.5"),
+        (lambda h: gap_products(2.5), "kmax must be an integer, got 2.5"),
     ],
     ids=["coupling-float", "coupling-bool", "strategic", "ussd", "scaled", "side",
-         "eigenvalues", "separation", "config-modes", "config-sample-every"],
+         "eigenvalues", "separation", "config-modes", "config-sample-every", "smooth-modes", "zero-state",
+         "gap-products"],
 )
 def test_counts_must_be_integers(h1, call, message):
     # a float count would be rounded up by arange, and True taken as 1
     with pytest.raises(ValueError) as err:
         call(h1)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: strategic_integral_scaled(b, 1),
+        lambda b: strategic_check(b, 3),
+        lambda b: ussd_margin(b, 3),
+        lambda b: sc_check(b, 0.1),
+        lambda b: side_projection(b, 4),
+        lambda b: reconstruct_field(np.ones(2), 0.5, b, 4, 4),
+    ],
+    ids=["scaled", "strategic", "ussd", "sc", "side", "field"],
+)
+def test_profile_criteria_reject_a_coupling_array(call):
+    # they integrate the profile itself, which a coupling array does not hold:
+    # each raised AttributeError, which the CLI does not report as an error line
+    with pytest.raises(ValueError, match="^h must be a WavemakerProfile, got ndarray$"):
+        call(np.ones(8))
 
 
 def _trapezoid_mean(y, h):

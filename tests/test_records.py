@@ -171,6 +171,10 @@ def test_modal_state_keywords_and_messages():
         ModalState(zeta=[1.0, 2.0], w=[1.0])
     with pytest.raises(ValueError, match="^state holds non-finite entries$"):
         ModalState(zeta=[math.inf], w=[0.0])
+    with pytest.raises(ValueError, match="^state needs at least one mode$"):
+        ModalState(zeta=[], w=[])
+    with pytest.raises(ValueError, match="^n_modes must be >= 1, got 0$"):
+        ModalState.zero(0)  # built an empty state, which x_norm then rejected as "n must be >= 1"
     state.w = np.zeros(2)  # a mutable record
     assert state.w.tolist() == [0.0, 0.0]
     twin = copy.deepcopy(state)

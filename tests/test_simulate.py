@@ -443,6 +443,9 @@ def test_signal_validation_errors():
         InputSignal.constant(1.0, 1.0).concat(2.0, InputSignal.zero(1.0))
     with pytest.raises(ValueError, match=r"^tau must be >= 0, got -0\.5$"):
         InputSignal.zero(1.0).concat(-0.5, InputSignal.zero(1.0))
+    for tau in (math.nan, math.inf):  # NaN failed as "segment needs t_end > t_start, got [nan, nan]"
+        with pytest.raises(ValueError, match=f"^tau must be finite, got {tau}$"):
+            InputSignal.zero(1.0).concat(tau, InputSignal.zero(1.0))
     # reaching the horizon is the one check left to the simulation
     with pytest.raises(ValueError, match="t_final"):
         InputSignal([Segment(0, 1, "zero")]).validate(2.0)

@@ -143,6 +143,13 @@ def test_envelope_needs_times_above_minus_one(t0):
         assert envelope_check(TimeSeries(t=t[1:], x_norm=np.ones(2), energy=np.ones(2), u=np.zeros(2)), 1.0).M_min > 1
 
 
+def test_envelope_needs_samples():
+    # an empty series failed with numpy's "attempt to get argmax of an empty sequence"
+    empty = TimeSeries(t=np.zeros(0), x_norm=np.zeros(0), energy=np.zeros(0), u=np.zeros(0))
+    with pytest.raises(ValueError, match="^envelope needs samples, series holds none$"):
+        envelope_check(empty, 1.0)
+
+
 def test_envelope_lower_bound():
     # M_min can never undercut the initial ratio: the t=0 sample has weight 1
     series = synthetic_series(lambda t: 3.0 * np.exp(-t / 7.0))
