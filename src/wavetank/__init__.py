@@ -34,7 +34,6 @@ _OWNERS = {
     "hilbert_bound_ratio": "boundary",
     "neumann_field": "boundary",
     "neumann_to_neumann": "boundary",
-    "neumann_wall_residual": "boundary",
     "reconstruct_field": "boundary",
     "side_projection": "boundary",
     "wall_trace": "boundary",

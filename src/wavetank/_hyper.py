@@ -6,8 +6,10 @@ on the stated domain, so no term overflows for any scale parameter (raw
 cosh/sinh overflow 64-bit floats near an argument of 710, which the
 truncations in use reach). The scale parameter and the coordinate broadcast
 against each other: pass ``k[:, None]`` and a row of points to get one
-kernel row per mode. :func:`exp_integral` is the one closed form of
-integral e^{i(p y + q)} dy over an interval, behind the profiles' wall
+kernel row per mode. The wall series' growing half at x = 0 alone,
+e^{a pi}/sinh(a pi) = 2/(1 - e^{-2 a pi}), is not a kernel here: the
+Hilbert form forms it in place. :func:`exp_integral` is the one closed form
+of integral e^{i(p y + q)} dy over an interval, behind the profiles' wall
 moments and the open loop's input integrals.
 """
 
@@ -49,13 +51,6 @@ def cosh_ratio_side(a, x) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
     return (np.exp(a * (x - 2.0 * np.pi)) + np.exp(-a * x)) / (-np.expm1(-2.0 * a * np.pi))
-
-
-def exp_left_over_sinh(a, x) -> np.ndarray:
-    """e^{a(pi - x)} / sinh(a pi) = 2 e^{-a x} / (1 - e^{-2 a pi}), stable for all a > 0."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return 2.0 * np.exp(-a * x) / (-np.expm1(-2.0 * a * np.pi))
 
 
 def exp_integral(p, q, lo, hi) -> np.ndarray:

@@ -19,10 +19,10 @@ Each edge is one series, formed in one place. The surface series
 sum_k sqrt(2/pi) eta_k cos(kx) cosh[k(y+1)]/cosh k gives the top extension
 and its wall trace. The wall series
 sum_k (-1)^k sqrt(2) (v_k/a_k) cosh[a_k(x - pi)]/sinh(a_k pi) sin(a_k y), with
-a_k = (2k-1) pi/2, gives the wall extension, its top trace, its wall
-residual and the Hilbert form. The sine form of psi_k is used so that the
-wall extension vanishes identically (not just to roundoff) on the top
-boundary.
+a_k = (2k-1) pi/2, gives the wall extension, its top trace, the Hilbert
+form and the wall coefficients of a profile; psi_k's factor (-1)^k sqrt(2)
+is formed there alone. The sine form of psi_k is used so that the wall
+extension vanishes identically (not just to roundoff) on the top boundary.
 """
 
 import math
@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from ._blocks import blocks
-from ._hyper import cosh_over_cosh, cosh_ratio_side, exp_left_over_sinh
+from ._hyper import cosh_over_cosh, cosh_ratio_side
 from ._record import Record
 from ._table import write_table
 from .profiles import _profile
@@ -41,7 +41,6 @@ __all__ = [
     "dirichlet_field",
     "wall_trace",
     "neumann_field",
-    "neumann_wall_residual",
     "neumann_to_neumann",
     "hilbert_bound_ratio",
     "harmonicity_residual",
@@ -119,9 +118,6 @@ def _edge_points(points, lo: float, hi: float, edge: str) -> np.ndarray:
     return points
 
 
-_WALL = "wall x = 0, at depths y in [-1, 0]"
-
-
 def _wall_rate(k):
     # a_k = (2k-1) pi/2, the rate of the k-th wall mode
     return (2 * k - 1) * 0.5 * np.pi
@@ -165,7 +161,7 @@ def wall_trace(eta, y) -> np.ndarray:
     Returns sum_k sqrt(2/pi) eta_k cosh[k(y+1)] / cosh(k) at the given depths,
     which must lie on the wall, in [-1, 0]; any other (NaN too) raises ValueError.
     """
-    y = _edge_points(y, -1.0, 0.0, _WALL)
+    y = _edge_points(y, -1.0, 0.0, "wall x = 0, at depths y in [-1, 0]")
     k, c = _surface_series(eta, y.ndim)
     return np.tensordot(c.ravel(), cosh_over_cosh(k, y), axes=1)
 
@@ -181,25 +177,6 @@ def neumann_field(v, nx: int, ny: int) -> FieldGrid:
     a, c = _wall_series(v)
     x, y = _grid_axes(nx, ny)
     return FieldGrid(nx=nx, ny=ny, values=(c / a * cosh_ratio_side(a, x)).T @ np.sin(a * y))
-
-
-def neumann_wall_residual(v, y) -> float:
-    """Residual of the wall boundary condition of the Neumann extension.
-
-    The x-derivative of the extension at x = 0 is evaluated through the
-    term-wise differentiated series and compared against -v(y) reconstructed
-    in the same basis; the result is max_y of the absolute mismatch, which
-    the per-mode identity keeps at roundoff level. The depths ``y`` must lie
-    on the wall, in [-1, 0]; any other (NaN too) raises ValueError.
-    """
-    y = _edge_points(y, -1.0, 0.0, _WALL)
-    a, c = _wall_series(v, y.ndim)
-    if not y.size:
-        return 0.0
-    psi = np.sin(a * y)
-    # at x = 0 the derivative of cosh[a(x - pi)]/sinh(a pi) is a sinh(-a pi)/sinh(a pi) = -a
-    deriv = np.tensordot((c / a * -a).ravel(), psi, axes=1)
-    return float(np.max(np.abs(deriv + np.tensordot(c.ravel(), psi, axes=1))))
 
 
 def neumann_to_neumann(v, x) -> np.ndarray:
@@ -236,7 +213,8 @@ def hilbert_bound_ratio(v) -> float:
         raise ValueError("ratio undefined for the zero coefficient vector")
     v = v / top
     a, c = _wall_series(v, 0)
-    c = c * exp_left_over_sinh(a, 0.0)
+    # c_k = (-1)^k sqrt(2) v_k e^{a_k pi}/sinh(a_k pi), the growing family at x = 0
+    c = c * (2.0 / -np.expm1(-2.0 * a * np.pi))
     total = 0.0
     for rows in blocks(a.size, a.size):
         n = a[rows, None] + a
@@ -269,8 +247,7 @@ def side_projection(h, n_modes: int = DEFAULT_SIDE_MODES) -> np.ndarray:
     exact to rounding for any number of modes.
     """
     _check_count(n_modes, "side-mode count")
-    k = np.arange(1, n_modes + 1)
-    return math.sqrt(2.0) * (-1.0) ** k * _profile(h)._wall(_wall_rate(k))
+    return _wall_series(_profile(h)._wall(_wall_rate(np.arange(1, n_modes + 1))), 0)[1]
 
 
 def reconstruct_field(

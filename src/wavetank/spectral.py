@@ -106,14 +106,12 @@ def frequencies(n: int) -> np.ndarray:
 
 
 def gap_products(kmax: int) -> np.ndarray:
-    """Products p_k = mu_k * (mu_{k+1} - mu_k) for k = 1..kmax-1.
+    """Products p_k = mu_k * (mu_{k+1} - mu_k) for k = 1..kmax-1 (none at kmax = 1).
 
     The sequence converges to 1/2; the tanh correction dies exponentially
     while the sqrt spacing contributes an algebraic -1/(8k) + O(k^-2) tail.
     """
     _check_count(kmax, "kmax")
-    if kmax < 2:
-        raise ValueError(f"kmax must be >= 2, got {kmax}")
     mu = frequencies(kmax)
     return mu[:-1] * np.diff(mu)
 

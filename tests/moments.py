@@ -8,8 +8,9 @@ antiderivatives. A profile is given by its pieces, the knots and values of
 a piecewise-linear interpolant plus c cos(pi y/2 + 3 pi/4).
 
 Two certificates get references at 30 digits: the Hilbert ratio by
-quadrature of |g|^2 itself, and the gap constant from the second-smallest
-distance to the signed frequencies, found among the nearby ones.
+quadrature of |g|^2 itself, with the coefficients of g at x = 0, and the
+gap constant from the second-smallest distance to the signed frequencies,
+found among the nearby ones.
 """
 
 import functools
@@ -144,6 +145,14 @@ def hilbert_quadrature(v) -> float:
 
         total = mp.quad(g2, [0, mp.mpf("1e-4"), mp.mpf("1e-3"), mp.mpf("1e-2"), mp.mpf("0.1"), 1, mp.pi])
         return float(total / mp.fsum(mp.mpf(float(x)) ** 2 for x in v))
+
+
+def hilbert_coefficients(n_modes) -> np.ndarray:
+    """|c_k| = sqrt(2) e^{a_k pi} / sinh(a_k pi), a_k = (2k-1) pi/2, for k = 1..n_modes:
+    the growing family of the top trace at x = 0, at 30 digits."""
+    with mp.workdps(30):
+        a = [(2 * k - 1) * mp.pi / 2 for k in range(1, n_modes + 1)]
+        return np.array([float(mp.sqrt(2) * mp.exp(t * mp.pi) / mp.sinh(t * mp.pi)) for t in a])
 
 
 def separation_minimum(kmax) -> tuple[float, float]:

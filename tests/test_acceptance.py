@@ -17,11 +17,14 @@ their criteria:
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from wavetank import boundary, profiles, simulate, spectral, stability
 
+from edges import edge_orders
+from moments import hilbert_coefficients
 from substeps import rk4_states
 
 BUDGETS = {
@@ -51,7 +54,6 @@ def _report(num, name, checks, elapsed):
 
 
 def test_criterion_1_spectral():
-    mp = pytest.importorskip("mpmath")
     t0 = time.perf_counter()
     checks = []
 
@@ -121,13 +123,12 @@ def test_criterion_2_boundary_maps():
     top_max = np.max(np.abs(ngrid.top))
     checks.append((f"top annihilation exact (max {top_max:.1e})", top_max == 0.0))
 
-    y = np.linspace(-1.0, 0.0, 257)
-    worst_bc = 0.0
-    for kk in range(1, 65):
-        e = np.zeros(kk)
-        e[-1] = 1.0
-        worst_bc = max(worst_bc, boundary.neumann_wall_residual(e, y))
-    checks.append((f"Neumann wall residual <= 1e-10 per mode (max {worst_bc:.2e})", worst_bc <= 1e-10))
+    # the wall condition d_x phi = -v(y) on the field itself, by its one-sided
+    # second-order x-difference at x = 0 (nx = 256..2048, ny = 16)
+    orders = edge_orders("wall", np.array([1.0, -0.5, 0.25]))
+    shown = f"wall condition orders {', '.join(f'{o:.3f}' for o in orders)} in [1.95, 2.05]"
+    print(shown)
+    checks.append((shown, bool(np.all((1.95 <= orders) & (orders <= 2.05)))))
 
     e1 = np.array([1.0])
     for name, build in (("top-data map", boundary.dirichlet_field), ("wall-data map", boundary.neumann_field)):
@@ -149,17 +150,15 @@ def test_criterion_3_hilbert_bound():
         worst = max(worst, boundary.hilbert_bound_ratio(v))
     checks.append((f"ratio <= 10 for 100 seeded 50-mode vectors (max {worst:.3f})", worst <= 10.0))
 
-    from wavetank._hyper import exp_left_over_sinh
-
-    c = np.array(
-        [math.sqrt(2.0) * float(exp_left_over_sinh((2 * j - 1) * np.pi / 2, 0.0)) for j in range(1, 51)]
-    )
-    c1 = c[0]
+    # the library's |c_1|, read back from the ratio of e_1, c_1^2 (1 - e^{-pi^2})/pi
+    lib_c1 = math.sqrt(boundary.hilbert_bound_ratio(np.array([1.0])) * math.pi / -math.expm1(-math.pi**2))
     checks.append(
-        (f"|c_1| = {c1:.7f} matches oracle 2.8285734", abs(c1 - 2.8285734275762757) <= 1e-12)
+        (f"|c_1| = {lib_c1:.7f} matches oracle 2.8285734", abs(lib_c1 - 2.8285734275762757) <= 1e-12)
     )
-    checks.append((f"|c_1| = {c1:.4f} < sqrt(10)", c1 < math.sqrt(10.0)))
-    checks.append(("|c_k| <= |c_1| for k <= 50", bool(np.all(c <= c1))))
+    # c_k = sqrt(2) e^{a_k pi}/sinh(a_k pi) from mpmath, not from the code under test
+    c = hilbert_coefficients(50)
+    checks.append((f"|c_1| = {c[0]:.4f} < sqrt(10)", c[0] < math.sqrt(10.0)))
+    checks.append(("|c_k| <= |c_1| for k <= 50", bool(np.all(c <= c[0]))))
 
     _report(3, "Hilbert bound", checks, time.perf_counter() - t0)
 
@@ -223,11 +222,13 @@ def test_criterion_5_dynamics(h1):
     drift = np.max(np.abs(ts_open.x_norm - ts_open.x_norm[0])) / ts_open.x_norm[0]
     checks.append((f"open-loop norm conserved to 1e-12 (drift {drift:.2e})", drift <= 1e-12))
 
-    # closed-loop monotonicity at every step over t = 100
-    cfg_mono = simulate.SimConfig(n_modes=16, t_final=100.0, dt=1e-3, sample_every=1)
+    # closed-loop monotonicity at every step over t = 100, on the energies of the
+    # recorded states (the energy column is a running minimum, so it cannot rise)
+    lam16 = spectral.eigenvalues(16)
+    cfg_mono = simulate.SimConfig(n_modes=16, t_final=100.0, dt=1e-3, sample_every=1, record_modes=True)
     ts_mono = simulate.simulate_closed(st16, h1, cfg_mono)
-    mono = bool(np.all(np.diff(ts_mono.x_norm) <= 0.0))
-    checks.append(("closed-loop norm non-increasing at every step", mono))
+    rise = float(np.max(np.diff(ts_mono.zeta**2 @ lam16 + np.sum(ts_mono.w**2, axis=1)))) / ts_mono.energy[0]
+    checks.append((f"closed-loop energy non-increasing at every step (largest step {rise:.1e} E0)", rise <= 0.0))
 
     # energy balance: drop equals twice the integrated squared feedback
     cfg_bal = simulate.SimConfig(n_modes=16, t_final=10.0, dt=1e-3, sample_every=1)

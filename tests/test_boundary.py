@@ -11,14 +11,14 @@ from wavetank.boundary import (
     hilbert_bound_ratio,
     neumann_field,
     neumann_to_neumann,
-    neumann_wall_residual,
     reconstruct_field,
     side_projection,
     wall_trace,
 )
 from wavetank.profiles import WavemakerProfile
 
-from moments import hilbert_quadrature, jittered_profile, side_quadrature
+from edges import edge_orders
+from moments import hilbert_coefficients, hilbert_quadrature, jittered_profile, side_quadrature
 
 # frozen from the mpmath oracle
 D_E1_CORNER = 0.5170724995187291  # sqrt(2/pi)/cosh(1)
@@ -83,22 +83,6 @@ def test_neumann_top_annihilation_exact():
     assert np.all(neumann_field(np.zeros(4), 8, 8).values == 0.0)
 
 
-def test_neumann_wall_residual_per_mode():
-    y = np.linspace(-1.0, 0.0, 257)
-    for k in (1, 2, 10, 64, 200):
-        v = np.zeros(k)
-        v[-1] = 1.0
-        assert neumann_wall_residual(v, y) <= 1e-10
-
-
-def test_neumann_wall_residual_random_vector():
-    rng = np.random.default_rng(13)
-    v = rng.standard_normal(10)
-    y = np.linspace(-1.0, 0.0, 129)
-    assert neumann_wall_residual(v, y) <= 1e-10
-    assert neumann_wall_residual(np.zeros(3), y) == 0.0
-
-
 def test_neumann_to_neumann_values():
     x_end = np.array([np.pi])
     assert neumann_to_neumann(E1, x_end)[0] == pytest.approx(BT1, rel=1e-12)
@@ -140,32 +124,10 @@ def test_neumann_to_neumann_x_integral():
     assert np.trapezoid(vals, x) == pytest.approx(-math.sqrt(2.0) / (np.pi / 2), abs=1e-6)
 
 
-def _psi_sum(v, y):
-    """sum_k v_k psi_k(y) in the cosine form of psi_k, which the library does not use."""
-    k = np.arange(1, len(v) + 1)[:, None]
-    return np.asarray(v) @ (math.sqrt(2.0) * np.cos((2 * k - 1) * (np.pi / 2) * (y + 1.0)))
-
-
 @pytest.mark.parametrize("edge", ["top", "wall"])
 def test_wall_maps_are_derivatives_of_the_field(edge):
-    # each edge map against a one-sided second-order difference of the field it
-    # belongs to, apart from the series they share: the top trace is the field's
-    # y-derivative at y = 0, and at the wall x = 0 the x-derivative is -v(y).
-    # The error falls as h^2 [measured orders 1.999-2.000 (top), 1.96-1.99 (wall)]
-    v = np.array([1.0, -0.5, 0.25])
-    errors = []
-    for n in (256, 512, 1024, 2048):
-        if edge == "top":
-            grid = neumann_field(v, 16, n)
-            f = grid.values[:, ::-1]  # f[:, j] at y = -j/n
-            slope = (3.0 * f[:, 0] - 4.0 * f[:, 1] + f[:, 2]) * (n / 2.0)
-            errors.append(np.max(np.abs(slope - neumann_to_neumann(v, grid.x))))
-        else:
-            grid = neumann_field(v, n, 16)
-            f = grid.values
-            slope = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * np.pi / n)
-            errors.append(np.max(np.abs(slope + _psi_sum(v, grid.y))))
-    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    # the error falls as h^2 [measured orders 1.999-2.000 (top), 1.96-1.99 (wall)]
+    orders = edge_orders(edge, np.array([1.0, -0.5, 0.25]))
     assert np.all((1.95 <= orders) & (orders <= 2.05)), orders
 
 
@@ -182,13 +144,6 @@ def test_wall_trace_rejects_depths_off_the_wall(y):
     # 0.5 gave 2.8e65 for 300 modes: cosh[k(y+1)] / cosh k grows like e^{k y}
     with pytest.raises(ValueError, match=off_edge(WALL, y)):
         wall_trace(np.ones(300), y)
-
-
-@pytest.mark.parametrize("y", [[3.0], [0.0, -1.0 - 1e-9], [np.nan]], ids=["above", "below", "nan"])
-def test_neumann_wall_residual_rejects_depths_off_the_wall(y):
-    # 3.0 gave a residual of 0.0, a pass at a point above the tank
-    with pytest.raises(ValueError, match=off_edge(WALL, y)):
-        neumann_wall_residual(np.ones(5), y)
 
 
 @pytest.mark.parametrize("x", [[7.0], [-1.0], [0.0, np.pi + 1e-12], [np.nan]], ids=["right", "left", "pi", "nan"])
@@ -238,14 +193,9 @@ def test_hilbert_ratio_rejects_zero():
 
 
 def test_hilbert_coefficient_bound():
-    # |c_k| <= |c_1| < sqrt(10); c_k = sqrt(2) e^{a_k pi}/sinh(a_k pi)
-    from wavetank._hyper import exp_left_over_sinh
-
-    c = [
-        math.sqrt(2.0) * float(exp_left_over_sinh((2 * k - 1) * np.pi / 2, 0.0))
-        for k in range(1, 51)
-    ]
-    assert c[0] == pytest.approx(C1_ABS, rel=1e-13)
+    # |c_k| <= |c_1| < sqrt(10) for c_k = sqrt(2) e^{a_k pi}/sinh(a_k pi), from mpmath
+    c = hilbert_coefficients(50)
+    assert c[0] == pytest.approx(C1_ABS, rel=1e-15)
     assert max(c) == c[0] < math.sqrt(10.0)
 
 

@@ -60,10 +60,13 @@ def test_spectrum_saturation(capsys):
 
 
 def test_spectrum_rejects_small_kmax(capsys):
-    code, _, err = run_cli(capsys, "spectrum", "--kmax", "1")
-    assert code != 0
-    assert err.startswith("error:")
-    assert len(err.strip().splitlines()) == 1
+    # one mode is a table of one row, with the empty gap cell every last row has
+    code, out, err = run_cli(capsys, "spectrum", "--kmax", "1")
+    assert (code, err) == (0, "")
+    assert out == "k,lambda,mu,gap_product\n1,0.76159415595576485,0.87269362089782965,\n"
+    code, out, err = run_cli(capsys, "spectrum", "--kmax", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: kmax must be >= 1, got 0\n"
 
 
 def test_check_profile_h1(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,8 +76,13 @@ def test_gap_products_examples():
 
 
 def test_gap_products_rejects_small_kmax():
-    with pytest.raises(ValueError):
-        gap_products(1)
+    # one mode has no gap to the next: kmax = 1 gives no products, and a count
+    # below one, a float or a bool fails
+    assert gap_products(1).shape == (0,)
+    for kmax, message in ((0, "kmax must be >= 1, got 0"), (1.5, "kmax must be an integer, got 1.5"),
+                          (True, "kmax must be an integer, got True")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gap_products(kmax)
 
 
 def test_gap_products_limit_structure():
