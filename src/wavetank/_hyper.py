@@ -6,11 +6,12 @@ on the stated domain, so no term overflows for any scale parameter (raw
 cosh/sinh overflow 64-bit floats near an argument of 710, which the
 truncations in use reach). The scale parameter and the coordinate broadcast
 against each other: pass ``k[:, None]`` and a row of points to get one
-kernel row per mode. The wall series' growing half at x = 0 alone,
-e^{a pi}/sinh(a pi) = 2/(1 - e^{-2 a pi}), is not a kernel here: the
-Hilbert form forms it in place. :func:`exp_integral` is the one closed form
-of integral e^{i(p y + q)} dy over an interval, behind the profiles' wall
-moments and the open loop's input integrals.
+kernel row per mode. The kernels convert nothing: an int ``k`` gives the
+bits of its float copy. The wall series' growing half at x = 0 alone,
+e^{a pi}/sinh(a pi) = 2/(1 - e^{-2 a pi}), is not a kernel here: the Hilbert
+form forms it in place. :func:`exp_integral` is the one closed form of integral
+e^{i(p y + q)} dy over an interval, behind the profiles' wall moments and
+the open loop's input integrals.
 """
 
 import numpy as np
@@ -23,8 +24,6 @@ def cosh_over_cosh(k, y) -> np.ndarray:
     exactly at y = 0. Every exponent is at most 0; a reflected term below
     2^-54 underflows harmlessly or rounds away in the sum with 1.
     """
-    k = np.asarray(k, dtype=float)
-    y = np.asarray(y, dtype=float)
     out = np.exp(-2.0 * k * (y + 1.0))
     out += 1.0
     out *= np.exp(k * y)
@@ -38,8 +37,6 @@ def sinh_over_cosh(k, y) -> np.ndarray:
     Shifted form: -expm1(-2k(y+1)) e^{ky} / (1 + e^{-2k}); 0 at y = -1 and
     tanh(k) at y = 0.
     """
-    k = np.asarray(k, dtype=float)
-    y = np.asarray(y, dtype=float)
     return -np.expm1(-2.0 * k * (y + 1.0)) * np.exp(k * y) / (1.0 + np.exp(-2.0 * k))
 
 
@@ -48,8 +45,6 @@ def cosh_ratio_side(a, x) -> np.ndarray:
 
     Shifted form: (e^{a(x - 2 pi)} + e^{-a x}) / (1 - e^{-2 a pi}).
     """
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
     return (np.exp(a * (x - 2.0 * np.pi)) + np.exp(-a * x)) / (-np.expm1(-2.0 * a * np.pi))
 
 

@@ -34,7 +34,7 @@ from ._hyper import cosh_over_cosh, cosh_ratio_side
 from ._record import Record
 from ._table import write_table
 from .profiles import _profile
-from .spectral import _check_count, _real_array
+from .spectral import _check_count, _finite_array, _number, _real_array
 
 __all__ = [
     "FieldGrid",
@@ -64,7 +64,7 @@ class FieldGrid(Record):
         _check_count(nx, "nx")
         _check_count(ny, "ny")
         self.nx, self.ny = nx, ny
-        self.values = np.asarray(values, dtype=float)
+        self.values = _real_array(values, "values")
         if self.values.shape != (self.nx + 1, self.ny + 1):
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid "
@@ -100,18 +100,9 @@ def _grid_axes(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(0.0, np.pi, nx + 1), np.linspace(-1.0, 0.0, ny + 1)
 
 
-def _as_coefficients(c, name: str) -> np.ndarray:
-    c = np.atleast_1d(_real_array(c, name))
-    if c.ndim != 1:
-        raise ValueError("coefficient vectors must be 1-D")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("coefficient vector contains non-finite entries")
-    return c
-
-
-def _edge_points(points, lo: float, hi: float, edge: str) -> np.ndarray:
+def _edge_points(points, name: str, lo: float, hi: float, edge: str) -> np.ndarray:
     """``points`` as floats, after checking that every one lies in [lo, hi] (NaN does not)."""
-    points = np.asarray(points, dtype=float)
+    points = _real_array(points, name)
     outside = points[~((lo <= points) & (points <= hi))]
     if outside.size:
         raise ValueError(f"points must lie on the {edge}, got {outside[0]}")
@@ -127,7 +118,7 @@ def _surface_series(eta, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The surface series sum_k sqrt(2/pi) eta_k cos(kx) ...: the mode indices k
     and the coefficients sqrt(2/pi) eta_k, on a leading axis that broadcasts
     against ``ndim``-D points."""
-    eta = _as_coefficients(eta, "eta")
+    eta = _finite_array(eta, "eta")
     shape = (-1,) + (1,) * ndim
     return np.arange(1, eta.size + 1).reshape(shape), (eta * math.sqrt(2.0 / math.pi)).reshape(shape)
 
@@ -137,7 +128,7 @@ def _wall_series(v, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
     the rates a_k and the coefficients (-1)^k sqrt(2) v_k, on a leading axis
     that broadcasts against ``ndim``-D points. The sine form of psi_k is
     exactly zero at y = 0."""
-    v = _as_coefficients(v, "v")
+    v = _finite_array(v, "v")
     k = np.arange(1, v.size + 1)
     shape = (-1,) + (1,) * ndim
     return _wall_rate(k).reshape(shape), ((-1.0) ** k * math.sqrt(2.0) * v).reshape(shape)
@@ -161,7 +152,7 @@ def wall_trace(eta, y) -> np.ndarray:
     Returns sum_k sqrt(2/pi) eta_k cosh[k(y+1)] / cosh(k) at the given depths,
     which must lie on the wall, in [-1, 0]; any other (NaN too) raises ValueError.
     """
-    y = _edge_points(y, -1.0, 0.0, "wall x = 0, at depths y in [-1, 0]")
+    y = _edge_points(y, "y", -1.0, 0.0, "wall x = 0, at depths y in [-1, 0]")
     k, c = _surface_series(eta, y.ndim)
     return np.tensordot(c.ravel(), cosh_over_cosh(k, y), axes=1)
 
@@ -187,7 +178,7 @@ def neumann_to_neumann(v, x) -> np.ndarray:
     abscissae ``x`` must lie on the surface, in [0, pi]; any other (NaN too)
     raises ValueError.
     """
-    x = _edge_points(x, 0.0, np.pi, "surface y = 0, at abscissae x in [0, pi]")
+    x = _edge_points(x, "x", 0.0, np.pi, "surface y = 0, at abscissae x in [0, pi]")
     a, c = _wall_series(v, x.ndim)
     return np.tensordot(c.ravel(), cosh_ratio_side(a, x), axes=1)
 
@@ -207,7 +198,7 @@ def hilbert_bound_ratio(v) -> float:
     scaled by max|v_k| first so that every scale gives it; the contract is
     ratio <= 10.
     """
-    v = _as_coefficients(v, "v")
+    v = _finite_array(v, "v")
     top = float(np.max(np.abs(v), initial=0.0))
     if top == 0.0:
         raise ValueError("ratio undefined for the zero coefficient vector")
@@ -263,10 +254,9 @@ def reconstruct_field(
     ``zeta`` holds the surface coefficients against phi_k; ``h`` is the
     wavemaker profile, projected onto ``n_side_modes`` wall modes before
     extension (projected, and the count checked, also where ``u_now`` is 0).
-    Raises ValueError unless ``u_now`` is finite.
+    Raises ValueError unless ``u_now`` is a finite int or float.
     """
-    if not math.isfinite(u_now):
-        raise ValueError(f"u_now must be finite, got {u_now}")
+    u_now = _number(u_now, "u_now", finite=True)
     wall = side_projection(h, n_side_modes)
     values = -dirichlet_field(zeta, nx, ny).values
     if u_now != 0.0:

@@ -31,7 +31,7 @@ import numpy as np
 from ._blocks import blocks
 from ._hyper import cosh_over_cosh, exp_integral, sinh_over_cosh
 from ._table import read_table
-from .spectral import _check_count, _real_array
+from .spectral import _check_count, _finite_array, _number, _real_array
 
 __all__ = [
     "WavemakerProfile",
@@ -120,11 +120,9 @@ class WavemakerProfile:
         times that of |h|. ``derivative_sup``, the largest slope of the
         interpolant, speaks for the samples only as far as it does.
         """
-        y, h = _real_array(y, "y"), _real_array(h, "h")
-        if y.ndim != 1 or y.shape != h.shape or y.size < 2:
+        y, h = _finite_array(y, "y"), _finite_array(h, "h")
+        if y.shape != h.shape or y.size < 2:
             raise ValueError("tabulated profile needs matching 1-D arrays with >= 2 samples")
-        if not np.all(np.isfinite(y)) or not np.all(np.isfinite(h)):
-            raise ValueError("tabulated profile contains non-finite entries")
         if np.any(np.diff(y) <= 0):
             raise ValueError("tabulated profile grid must be strictly ascending")
         if abs(y[0] + 1.0) > 1e-12 or abs(y[-1]) > 1e-12:
@@ -156,7 +154,7 @@ class WavemakerProfile:
     # -- evaluation and the closed-form integrals -------------------------
 
     def __call__(self, y):
-        y = np.asarray(y, dtype=float)
+        y = _real_array(y, "y")
         return np.interp(y, self._knots, self._values) + self._c * np.cos(OMEGA * y + PHASE)
 
     def mean_residual(self) -> float:
@@ -324,6 +322,7 @@ def sc_check(h: WavemakerProfile, eps: float) -> ScVerdict:
     Passing implies a positive uniform margin, hence uniform decay for
     smooth initial data; it is easier to check than the margins themselves.
     """
+    eps = _number(eps, "eps")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     h = _profile(h)

@@ -31,7 +31,7 @@ from ._hyper import exp_integral
 from ._record import Frozen, Record
 from ._table import read_table, write_table
 from .profiles import coupling_vector
-from .spectral import _check_count, _closed_exact, _real_array, eigenvalues, frequencies
+from .spectral import _check_count, _closed_exact, _finite_array, _number, _real_array, eigenvalues, frequencies
 
 __all__ = [
     "ModalState",
@@ -53,13 +53,11 @@ class ModalState(Record):
     __slots__ = ("zeta", "w")
 
     def __init__(self, zeta: np.ndarray, w: np.ndarray):
-        self.zeta, self.w = np.atleast_1d(_real_array(zeta, "zeta")), np.atleast_1d(_real_array(w, "w"))
-        if self.zeta.shape != self.w.shape or self.zeta.ndim != 1:
+        self.zeta, self.w = _finite_array(zeta, "zeta"), _finite_array(w, "w")
+        if self.zeta.shape != self.w.shape:
             raise ValueError("zeta and w must be 1-D arrays of equal length")
         if not self.zeta.size:
             raise ValueError("state needs at least one mode")
-        if not (np.all(np.isfinite(self.zeta)) and np.all(np.isfinite(self.w))):
-            raise ValueError("state holds non-finite entries")
 
     @property
     def n_modes(self) -> int:
@@ -102,14 +100,6 @@ def domain_norm(state: ModalState) -> float:
     lam = eigenvalues(state.n_modes)
     extra = float(np.dot(lam, state.w**2) + np.dot(lam**2, state.zeta**2))
     return math.sqrt(x_norm_sq(state) + extra)
-
-
-def _number(x, name: str) -> float:
-    """``x`` as a float; ValueError naming ``name`` unless it is an int or a
-    float, numpy's included: a bool, None or text is not."""
-    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be an int or a float, got {x!r}")
-    return float(x)  # an int past the float range raises OverflowError
 
 
 class SimConfig(Frozen):
@@ -264,7 +254,7 @@ class InputSignal(Frozen):
 
     def at(self, t) -> np.ndarray:
         """Values at the times ``t`` (any shape), each from the segment serving it."""
-        t = np.asarray(t, dtype=float)
+        t = _real_array(t, "t")
         amp, omega, phase = self._wave[:, np.searchsorted(self._seams, t, side="right")]
         return amp * np.cos(omega * t + phase)  # cos(0) = 1: a constant's value exactly
 
@@ -274,8 +264,7 @@ class InputSignal(Frozen):
 
     def concat(self, tau: float, other: "InputSignal") -> "InputSignal":
         """Concatenation: this signal on [0, tau), then ``other`` delayed by tau."""
-        if not math.isfinite(tau):
-            raise ValueError(f"tau must be finite, got {tau}")
+        tau = _number(tau, "tau", finite=True)
         if tau < 0:
             raise ValueError(f"tau must be >= 0, got {tau}")
         head = []
@@ -290,7 +279,8 @@ class InputSignal(Frozen):
 
 
 class TimeSeries(Record):
-    """Sampled trajectory: times, energy norm, energy, and input/feedback value."""
+    """Sampled trajectory: finite real columns of times, energy norm, energy and
+    input/feedback value, and the recorded modes zeta and w, one row per sample."""
 
     __slots__ = ("t", "x_norm", "energy", "u", "zeta", "w", "final_state")
 
@@ -304,14 +294,16 @@ class TimeSeries(Record):
         w: np.ndarray | None = None,
         final_state: ModalState | None = None,
     ):
-        self.t, self.x_norm, self.energy, self.u = t, x_norm, energy, u
-        self.zeta, self.w, self.final_state = zeta, w, final_state
-        n = len(self.t)
-        if not (len(self.x_norm) == len(self.energy) == len(self.u) == n):
+        for name, column in zip(("t", "x_norm", "energy", "u"), (t, x_norm, energy, u)):
+            setattr(self, name, _finite_array(column, f"time series column {name}"))
+        n = self.t.size
+        if not (self.x_norm.size == self.energy.size == self.u.size == n):
             raise ValueError("time series columns must have equal length")
-        for name in ("t", "x_norm", "energy", "u"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"time series column {name} has non-finite values")
+        if zeta is not None or w is not None:  # one of them None is refused, as not a real array
+            zeta, w = _finite_array(zeta, "zeta", 2), _finite_array(w, "w", 2)
+            if zeta.shape[0] != n or w.shape != zeta.shape:
+                raise ValueError(f"zeta and w must both have shape ({n}, N), got {zeta.shape} and {w.shape}")
+        self.zeta, self.w, self.final_state = zeta, w, final_state
         if np.any(self.t[1:] <= self.t[:-1]):  # no overflow at the extremes of float64
             raise ValueError("sample times must be strictly increasing")
 

@@ -17,7 +17,8 @@ less the rank-one damping b b^T: the 2N roots of its secular equation,
 found as N real quadratic factors (:func:`_closed_loop_pairs`). From these
 pairs it forms the roots, whose real parts give the spectral abscissa in
 ``stability``, and each pair's real invariant plane and time functions,
-which give the exact closed-loop states that ``simulate`` samples.
+which give the exact closed-loop states that ``simulate`` samples. The
+public doors of the package take outside numbers by the rules below.
 """
 
 import math
@@ -74,6 +75,29 @@ def _real_array(values, name: str, what: str = "a real array") -> np.ndarray:
     if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be {what}, got dtype {array.dtype}")
     return array.astype(float, copy=False)
+
+
+def _finite_array(values, name: str, ndim: int = 1) -> np.ndarray:
+    """``values`` by :func:`_real_array` as a finite array of ``ndim`` axes, a
+    single number as a vector of one; ValueError naming ``name`` otherwise."""
+    array = np.atleast_1d(_real_array(values, name))
+    if array.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {array.shape}")
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} has non-finite values")
+    return array
+
+
+def _number(x, name: str, finite: bool = False) -> float:
+    """``x`` as a float; ValueError naming ``name`` unless it is an int or a
+    float, numpy's included (a bool, complex, None or text is not), and with
+    ``finite`` unless it is finite."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be an int or a float, got {x!r}")
+    value = float(x)  # an int past the float range raises OverflowError
+    if finite and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def eigenvalue(k: int) -> float:
@@ -136,8 +160,7 @@ def wave_package(s: float, eps: float) -> WavePackageResult:
     Raises ValueError where |s| is so large (from about 5e7 on) that doubles
     no longer separate neighbouring frequencies.
     """
-    if not math.isfinite(s):
-        raise ValueError(f"s must be finite, got {s}")
+    s, eps = _number(s, "s", finite=True), _number(eps, "eps")
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     delta = eps / (abs(s) + 1.0)
@@ -158,8 +181,8 @@ def wave_package(s: float, eps: float) -> WavePackageResult:
     if len(members) > 1:
         raise GapViolationError(s, delta, sorted(members, key=abs))
     return WavePackageResult(
-        center_s=float(s),
-        width_delta=float(delta),
+        center_s=s,
+        width_delta=delta,
         member=members[0] if members else None,
     )
 

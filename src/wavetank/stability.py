@@ -24,7 +24,7 @@ from .simulate import (
     domain_norm,
     simulate_closed,
 )
-from .spectral import _check_count, _closed_loop_roots, frequencies
+from .spectral import _check_count, _closed_loop_roots, _number, frequencies
 
 __all__ = [
     "DecayFit",
@@ -76,7 +76,7 @@ def decay_fit(series: TimeSeries, window: tuple[float, float], model: str) -> De
     Requires at least 10 samples inside the window, all with positive norm,
     and for the power model all at t > -1.
     """
-    t_lo, t_hi = window = tuple(map(float, window))
+    t_lo, t_hi = window = tuple(_number(t, "window") for t in window)
     if not t_lo < t_hi:
         raise ValueError(f"window must satisfy t_lo < t_hi, got {window}")
     if model not in ("exponential", "power"):
@@ -105,6 +105,7 @@ def decay_fit(series: TimeSeries, window: tuple[float, float], model: str) -> De
 
 def envelope_check(series: TimeSeries, domain_norm0: float) -> EnvelopeReport:
     """Envelope constant max_t x_norm(t) (1+t)^{1/6} / domain_norm0 and its argmax; every t must exceed -1."""
+    domain_norm0 = _number(domain_norm0, "domain_norm0")
     if not (domain_norm0 > 0 and math.isfinite(domain_norm0)):
         raise ValueError(f"domain_norm0 must be positive and finite, got {domain_norm0}")
     if not series.t.size:
@@ -119,11 +120,10 @@ def envelope_check(series: TimeSeries, domain_norm0: float) -> EnvelopeReport:
 def smooth_initial_state(n_modes: int, decay_power: float) -> ModalState:
     """State zeta_k = k^{-decay_power}, w = 0, normalized to unit graph norm."""
     _check_count(n_modes, "n_modes")
-    if not decay_power >= 2:  # NaN fails here, not later as a non-finite state
+    decay_power = _number(decay_power, "decay_power", finite=True)  # k^-inf would keep mode 1 alone
+    if not decay_power >= 2:
         raise ValueError(f"decay_power must be >= 2, got {decay_power}")
-    if not math.isfinite(decay_power):  # k^-inf would keep mode 1 alone
-        raise ValueError(f"decay_power must be finite, got {decay_power}")
-    zeta = np.arange(1, n_modes + 1, dtype=float) ** (-float(decay_power))
+    zeta = np.arange(1, n_modes + 1, dtype=float) ** -decay_power
     state = ModalState(zeta, np.zeros(n_modes))
     scale = domain_norm(state)
     return ModalState(zeta / scale, np.zeros(n_modes))

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from wavetank._hyper import cosh_over_cosh, cosh_ratio_side, sinh_over_cosh
 from wavetank.boundary import (
     FieldGrid,
     dirichlet_field,
@@ -98,6 +99,17 @@ def test_neumann_to_neumann_overflow_guarded():
     out = neumann_to_neumann(v, np.linspace(0.0, np.pi, 33))
     assert np.all(np.isfinite(out))
     assert out[0] == pytest.approx(math.sqrt(2.0), rel=1e-12)  # coth ~ 1 at x=0
+
+
+@pytest.mark.parametrize(
+    "kernel, lo, hi", [(cosh_over_cosh, -1.0, 0.0), (sinh_over_cosh, -1.0, 0.0), (cosh_ratio_side, 0.0, np.pi)]
+)
+def test_kernels_take_int_scales_bit_for_bit(kernel, lo, hi):
+    # the kernels convert nothing: the surface series passes its mode indices
+    # k as ints, and an int k must give the bits of its float copy
+    k = np.arange(1, 2001)[:, None]
+    points = np.linspace(lo, hi, 65)
+    assert kernel(k, points).tobytes() == kernel(k.astype(float), points).tobytes()
 
 
 def test_adjoint_identity_per_side_mode():

@@ -404,7 +404,7 @@ def test_simulate_names_a_nan_decay_power(tmp_path, capsys):
     )
     assert code == 2
     assert out == ""
-    assert err == "error: decay_power must be >= 2, got nan\n"
+    assert err == "error: decay_power must be finite, got nan\n"
 
 
 # every first request below is at least 1 PiB, more than any machine grants:

@@ -63,9 +63,9 @@ def test_zero_mean_enforced_on_load():
     [
         ([-1.0, 0.0], [0.0], "tabulated profile needs matching 1-D arrays with >= 2 samples"),
         ([0.0], [0.0], "tabulated profile needs matching 1-D arrays with >= 2 samples"),
-        ([[-1.0, 0.0]], [[0.0, 0.0]], "tabulated profile needs matching 1-D arrays with >= 2 samples"),
-        ([-1.0, 0.0], [math.nan, 0.0], "tabulated profile contains non-finite entries"),
-        ([-1.0, math.inf], [0.0, 0.0], "tabulated profile contains non-finite entries"),
+        ([[-1.0, 0.0]], [[0.0, 0.0]], r"y must be 1-D, got shape \(1, 2\)"),
+        ([-1.0, 0.0], [math.nan, 0.0], "h has non-finite values"),
+        ([-1.0, math.inf], [0.0, 0.0], "y has non-finite values"),
     ],
     ids=["unequal", "one-sample", "2-D", "nan-h", "inf-y"],
 )

@@ -169,8 +169,10 @@ def test_modal_state_keywords_and_messages():
     assert ModalState(zeta=1.5, w=0.0).zeta.shape == (1,)
     with pytest.raises(ValueError, match="^zeta and w must be 1-D arrays of equal length$"):
         ModalState(zeta=[1.0, 2.0], w=[1.0])
-    with pytest.raises(ValueError, match="^state holds non-finite entries$"):
+    with pytest.raises(ValueError, match="^zeta has non-finite values$"):
         ModalState(zeta=[math.inf], w=[0.0])
+    with pytest.raises(ValueError, match=r"^w must be 1-D, got shape \(1, 1\)$"):
+        ModalState(zeta=[1.0], w=[[1.0]])
     with pytest.raises(ValueError, match="^state needs at least one mode$"):
         ModalState(zeta=[], w=[])
     with pytest.raises(ValueError, match="^n_modes must be >= 1, got 0$"):
@@ -192,6 +194,25 @@ def test_time_series_keywords_defaults_and_messages():
         TimeSeries(t=t, x_norm=np.ones(3), energy=np.array([1.0, math.nan, 1.0]), u=np.zeros(3))
     with pytest.raises(ValueError, match="^sample times must be strictly increasing$"):
         TimeSeries(t=np.zeros(3), x_norm=np.ones(3), energy=np.ones(3), u=np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "zeta, w, message",
+    [
+        (np.array([[0.0], [math.nan]]), np.zeros((2, 1)), "zeta has non-finite values"),
+        (np.zeros((2, 1)), np.array([[0.0], [math.inf]]), "w has non-finite values"),
+        (np.zeros((3, 1)), np.zeros((2, 5)), r"zeta and w must both have shape \(2, N\), got \(3, 1\) and \(2, 5\)"),
+        (np.zeros((2, 2)), np.zeros((2, 3)), r"zeta and w must both have shape \(2, N\), got \(2, 2\) and \(2, 3\)"),
+        (np.zeros(2), np.zeros(2), r"zeta must be 2-D, got shape \(2,\)"),
+        (np.zeros((2, 1)), None, "w must be a real array, got dtype object"),
+    ],
+    ids=["nan-zeta", "inf-w", "rows", "columns", "1-D", "w-missing"],
+)
+def test_time_series_refuses_mode_columns_it_could_not_write_back(zeta, w, message):
+    # each was stored: to_csv then wrote a NaN as an empty cell, or rows wider
+    # than the header, that from_csv rejects, or failed with an IndexError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TimeSeries(t=np.arange(2.0), x_norm=np.ones(2), energy=np.ones(2), u=np.zeros(2), zeta=zeta, w=w)
 
 
 def test_field_grid_keywords_and_messages():
