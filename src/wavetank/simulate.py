@@ -129,11 +129,9 @@ class SimConfig(Frozen):
             dt = min(1e-2, 0.1 / float(frequencies(n_modes)[-1]))
         if not isinstance(record_modes, bool):
             raise ValueError(f"record_modes must be a bool, got {record_modes!r}")
-        self._freeze(n_modes, _number(t_final, "t_final"), _number(dt, "dt"), sample_every, record_modes)
+        self._freeze(n_modes, _number(t_final, "t_final", finite=True), _number(dt, "dt"), sample_every, record_modes)
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not math.isfinite(self.t_final):
-            raise ValueError(f"t_final must be finite, got {self.t_final}")
         if self.t_final < self.dt:
             raise ValueError(f"t_final must be >= dt, got {self.t_final} < {self.dt}")
         # outside input: t_final / dt, the grid's last index, must fit the int64 arange of `times`
@@ -166,7 +164,8 @@ class Segment(Frozen):
     reads ``value`` and a sinusoid ``amplitude``, ``omega`` and ``phase``; a
     nonzero parameter that the form does not read is an error. The times and
     parameters are ints or floats, numpy's included, and are stored as
-    floats; a bool, None or text is an error that names the field.
+    floats; a bool, None or text is an error that names the field, and so is
+    a parameter that is not finite. The times may be infinite.
     """
 
     __slots__ = ("t_start", "t_end", "form", "value", "amplitude", "omega", "phase", "_wave")
@@ -182,13 +181,12 @@ class Segment(Frozen):
         phase: float = 0.0,
     ):
         given = dict(zip(self.__slots__, (t_start, t_end, form, value, amplitude, omega, phase)))
-        self._freeze(*(x if name == "form" else _number(x, f"segment {name}") for name, x in given.items()))
+        self._freeze(*(x if name == "form" else _number(x, f"segment {name}", finite=name not in ("t_start", "t_end"))
+                       for name, x in given.items()))
         if self.form not in _FORM_ROW:
             raise ValueError(f"unknown segment form {self.form!r}")
         if not self.t_end > self.t_start:
             raise ValueError(f"segment needs t_end > t_start, got [{self.t_start}, {self.t_end}]")
-        if not all(map(math.isfinite, (self.value, self.amplitude, self.omega, self.phase))):
-            raise ValueError("segment value, amplitude, omega and phase must be finite")
         ignored = [f"{name}={getattr(self, name)}" for name in ("value", "amplitude", "omega", "phase")
                    if name not in _FORM_ROW[self.form] and getattr(self, name) != 0.0]
         if ignored:
@@ -197,14 +195,9 @@ class Segment(Frozen):
         self._freeze(*self._values(), tuple(getattr(self, name) if name else 0.0 for name in _FORM_ROW[self.form]))
 
     def __call__(self, t):
-        """Value at ``t``, a time or an array of times."""
+        """Value at ``t``, a time or an array of times, as if this segment served them all."""
         amp, omega, phase = self._wave
-        return amp * np.cos(omega * t + phase)
-
-    def shifted(self, tau: float) -> "Segment":
-        # shifting the row in time adjusts its phase, cos(w(t-tau)+p), which a w of 0 leaves as it is
-        return Segment(self.t_start + tau, self.t_end + tau, self.form, self.value, self.amplitude, self.omega,
-                       self.phase - self.omega * tau)
+        return amp * np.cos(omega * _real_array(t, "t") + phase)
 
 
 class InputSignal(Frozen):
@@ -213,7 +206,7 @@ class InputSignal(Frozen):
     Construction sorts the segments by start and rejects an empty list, a
     start after t = 0, and overlaps or gaps between neighbours (beyond
     1e-12). Segment i serves [t_start_i, t_start_{i+1}); the last one also
-    serves every later time.
+    serves every later time. :meth:`at` evaluates the signal.
     """
 
     __slots__ = ("segments", "_seams", "_wave")
@@ -247,34 +240,22 @@ class InputSignal(Frozen):
     def sinusoid(cls, amplitude: float, omega: float, t_final: float, phase: float = 0.0) -> "InputSignal":
         return cls([Segment(0.0, t_final, "sinusoid", amplitude=amplitude, omega=omega, phase=phase)])
 
-    def validate(self, t_final: float) -> None:
-        """Check the signal reaches t_final."""
-        if self.segments[-1].t_end < t_final - 1e-12:
-            raise ValueError(f"input signal ends at {self.segments[-1].t_end} before t_final={t_final}")
-
     def at(self, t) -> np.ndarray:
         """Values at the times ``t`` (any shape), each from the segment serving it."""
         t = _real_array(t, "t")
         amp, omega, phase = self._wave[:, np.searchsorted(self._seams, t, side="right")]
         return amp * np.cos(omega * t + phase)  # cos(0) = 1: a constant's value exactly
 
-    def __call__(self, t: float) -> float:
-        """Value at the time ``t``: :meth:`at` of one time."""
-        return float(self.at(t))
-
     def concat(self, tau: float, other: "InputSignal") -> "InputSignal":
         """Concatenation: this signal on [0, tau), then ``other`` delayed by tau."""
         tau = _number(tau, "tau", finite=True)
         if tau < 0:
             raise ValueError(f"tau must be >= 0, got {tau}")
-        head = []
-        for seg in self.segments:
-            if seg.t_start >= tau:
-                break
-            head.append(
-                Segment(seg.t_start, min(seg.t_end, tau), seg.form, seg.value, seg.amplitude, seg.omega, seg.phase)
-            )
-        tail = [seg.shifted(tau) for seg in other.segments]
+        head = [Segment(seg.t_start, min(seg.t_end, tau), seg.form, seg.value, seg.amplitude, seg.omega, seg.phase)
+                for seg in self.segments if seg.t_start < tau]
+        # the delayed row cos(w (t - tau) + p) has the phase p - w tau, which a w of 0 leaves as it is
+        tail = [Segment(seg.t_start + tau, seg.t_end + tau, seg.form, seg.value, seg.amplitude, seg.omega,
+                        seg.phase - seg.omega * tau) for seg in other.segments]
         return InputSignal(head + tail)
 
 
@@ -439,8 +420,11 @@ def simulate_open(state0: ModalState, h, signal: InputSignal, config: SimConfig)
     own, the one :meth:`InputSignal.at` picks, to its own up to its time, a
     closed form at any time. With a zero signal y stays y0 and the energy
     norm is conserved to a couple of ulps over any horizon. ``h`` is a
-    profile or a 1-D coupling array, as for :func:`simulate_closed`.
+    profile or a 1-D coupling array, as for :func:`simulate_closed`. The
+    signal must reach ``config.t_final`` (within 1e-12).
     """
     b = _checked_coupling(state0, h, config)
-    signal.validate(config.t_final)
+    end = signal.segments[-1].t_end
+    if end < config.t_final - 1e-12:
+        raise ValueError(f"input signal ends at {end} before t_final={config.t_final}")
     return _sampled(config, state0, _open_exact(state0, b, signal), lambda t, w: signal.at(t))

@@ -9,7 +9,7 @@ import pytest
 
 from wavetank.boundary import FieldGrid, neumann_to_neumann, reconstruct_field, wall_trace
 from wavetank.profiles import WavemakerProfile, sc_check
-from wavetank.simulate import InputSignal, TimeSeries
+from wavetank.simulate import InputSignal, Segment, TimeSeries
 from wavetank.spectral import wave_package
 from wavetank.stability import decay_fit, envelope_check, smooth_initial_state
 
@@ -33,7 +33,7 @@ ARRAY_DOORS = {
     "FieldGrid": ("values", lambda values: FieldGrid(1, 1, values), np.eye(2)),
     "WavemakerProfile.__call__": ("y", H1, [-0.5]),
     "InputSignal.at": ("t", SIGNAL.at, [0.5]),
-    "InputSignal.__call__": ("t", SIGNAL, 0.5),
+    "Segment.__call__": ("t", Segment(0, 1, "sinusoid", amplitude=2, omega=1), 0.5),
     "TimeSeries.t": ("time series column t", lambda t: series(t=t), T),
     "TimeSeries.u": ("time series column u", lambda u: series(u=u), np.zeros(12)),
     "TimeSeries.zeta": ("zeta", lambda zeta: series(zeta=zeta), np.zeros((12, 2))),

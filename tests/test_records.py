@@ -1,5 +1,5 @@
 """The records: construction by keyword, defaults, validation messages,
-immutability of the frozen ones, and Segment's shifted copies."""
+immutability of the frozen ones, and the delayed copies concat makes."""
 
 import copy
 import math
@@ -67,18 +67,23 @@ def test_segment_keywords_defaults_and_messages():
         Segment(0.0, 1.0, "ramp")
     with pytest.raises(ValueError, match=r"^segment needs t_end > t_start, got \[1.0, 1.0\]$"):
         Segment(1.0, 1.0, "zero")
-    with pytest.raises(ValueError, match="^segment value, amplitude, omega and phase must be finite$"):
+    with pytest.raises(ValueError, match="^segment value must be finite, got nan$"):
         Segment(0.0, 1.0, "constant", value=math.nan)
+    with pytest.raises(ValueError, match="^segment omega must be finite, got inf$"):
+        Segment(0.0, 1.0, "sinusoid", omega=math.inf)
+    assert Segment(0.0, math.inf, "zero").t_end == math.inf  # the times may be infinite
 
 
-def test_segment_shifted_copies():
+def test_concat_delays_copies_of_the_segments():
     sine = Segment(0.0, 1.0, "sinusoid", amplitude=2.0, omega=3.0, phase=0.5)
-    moved = sine.shifted(0.25)
-    assert moved == Segment(0.25, 1.25, "sinusoid", amplitude=2.0, omega=3.0, phase=0.5 - 3.0 * 0.25)
-    assert moved(0.75) == pytest.approx(sine(0.5), rel=1e-15)
-    const = Segment(0.0, 1.0, "constant", value=4.0)
-    assert const.shifted(2.0) == Segment(2.0, 3.0, "constant", value=4.0)
-    assert sine == Segment(0.0, 1.0, "sinusoid", amplitude=2.0, omega=3.0, phase=0.5)  # unchanged
+    const = Segment(1.0, 3.0, "constant", value=4.0)
+    other = InputSignal([sine, const])
+    delayed = InputSignal.zero(0.25).concat(0.25, other)
+    # the sinusoid's phase is exactly p - w tau, and the constant's stays 0.0
+    moved = Segment(0.25, 1.25, "sinusoid", amplitude=2.0, omega=3.0, phase=0.5 - 3.0 * 0.25)
+    assert delayed.segments == (Segment(0.0, 0.25, "zero"), moved, Segment(1.25, 3.25, "constant", value=4.0))
+    assert delayed.at(0.75) == pytest.approx(other.at(0.5), rel=1e-15)
+    assert other.segments == (sine, const)  # unchanged
 
 
 def test_input_signal_keywords_and_messages():

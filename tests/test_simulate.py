@@ -383,7 +383,7 @@ def test_open_loop_rk4_crosscheck(h1, rng):
     sig = InputSignal.sinusoid(0.3, 1.1, 5.0)
     cfg = SimConfig(n_modes=6, t_final=5.0, dt=1e-3, sample_every=1000)
     ts_s = simulate_open(st, h1, sig, cfg)
-    rk4 = rk4_norms(st, coupling_vector(h1, 6), lambda t, w: sig(t), cfg)
+    rk4 = rk4_norms(st, coupling_vector(h1, 6), lambda t, w: sig.at(t), cfg)
     assert np.max(np.abs(ts_s.x_norm - rk4)) <= 1e-6 * ts_s.x_norm[0]
 
 
@@ -446,9 +446,6 @@ def test_signal_validation_errors():
     for tau in (math.nan, math.inf):  # NaN failed as "segment needs t_end > t_start, got [nan, nan]"
         with pytest.raises(ValueError, match=f"^tau must be finite, got {tau}$"):
             InputSignal.zero(1.0).concat(tau, InputSignal.zero(1.0))
-    # reaching the horizon is the one check left to the simulation
-    with pytest.raises(ValueError, match="t_final"):
-        InputSignal([Segment(0, 1, "zero")]).validate(2.0)
 
 
 # the parameters each segment form reads
@@ -497,7 +494,7 @@ def test_signal_lookup_matches_first_match(signal, data):
         got = signal.at(np.array(times)[idx])
         assert np.array_equal(got.view(np.int64), want[idx].view(np.int64))
     for t, value in zip(times, want):
-        assert np.float64(signal(t)).view(np.int64) == value.view(np.int64)
+        assert np.float64(signal.at(t)).view(np.int64) == value.view(np.int64)
 
 
 @st.composite
@@ -549,7 +546,7 @@ def test_open_loop_matches_per_step_reference(h1, run):
     err = norms(np.hstack([ts.zeta, ts.w]) - ref)
     assert np.max(err) <= 5e-12 * size
     assert np.array_equal(ts.t, cfg.times)
-    assert np.array_equal(ts.u, [signal(t) for t in ts.t])
+    assert np.array_equal(ts.u, [signal.at(t) for t in ts.t])
     assert np.allclose(ts.x_norm, norms(ref), rtol=1e-12, atol=1e-12 * size)
 
 
@@ -665,10 +662,11 @@ def test_signal_table_matches_each_segment_bit_for_bit():
         params = {"value": v, "amplitude": a, "omega": 5.0 * abs(w), "phase": p}
         drawn.append(Segment(lo, hi, str(form), **{name: params[name] for name in FORM_READS[form]}))
     times = np.concatenate([rng.uniform(lo, hi, 8) for lo, hi in zip(edges, edges[1:])])
+    signal = InputSignal(drawn)
     for tau in (0.0, 0.3, 17.25):
         segments, t = drawn, times
-        if tau:  # a zero head on [0, tau), sampled 8 times, then every segment shifted
-            segments = [Segment(0.0, tau, "zero"), *(seg.shifted(tau) for seg in drawn)]
+        if tau:  # a zero head on [0, tau), sampled 8 times, then every segment delayed by concat
+            segments = InputSignal.zero(tau).concat(tau, signal).segments
             t = np.r_[np.linspace(0.0, tau, 8, endpoint=False), times + tau]
             assert all(seg.phase == 0.0 for seg in segments if seg.form != "sinusoid")  # omega = 0 keeps phase = 0
         want = np.concatenate([seg(part) for seg, part in zip(segments, np.split(t, 8 * np.arange(1, len(segments))))])
@@ -677,20 +675,28 @@ def test_signal_table_matches_each_segment_bit_for_bit():
 
 def test_signal_unsorted_segments_sorted_at_construction():
     sig = InputSignal([Segment(1, 2, "constant", value=2.0), Segment(0, 1, "constant", value=1.0)])
-    sig.validate(2.0)
     assert [s.t_start for s in sig.segments] == [0, 1]
-    assert sig(0.5) == 1.0
-    assert sig(2.0) == 2.0  # past the end: the last segment in time, not in the list
+    assert sig.at(0.5) == 1.0
+    assert sig.at(2.0) == 2.0  # past the end: the last segment in time, not in the list
 
 
 def test_signal_concat_semantics():
     u = InputSignal.constant(1.0, 2.0)
     v = InputSignal.sinusoid(2.0, 3.0, 1.0, phase=0.1)
     c = u.concat(1.5, v)
-    c.validate(2.5)
-    assert c(1.0) == 1.0
+    assert c.segments[-1].t_end == 2.5
+    assert c.at(1.0) == 1.0
     # v is evaluated in its own clock: c(t) = v(t - tau) for t >= tau
-    assert c(2.0) == pytest.approx(2.0 * math.cos(3.0 * 0.5 + 0.1))
+    assert c.at(2.0) == pytest.approx(2.0 * math.cos(3.0 * 0.5 + 0.1))
+
+
+def test_open_loop_needs_the_signal_to_reach_t_final(h1):
+    # reaching the horizon is the one check left to the simulation, within 1e-12
+    cfg = SimConfig(n_modes=2, t_final=2.0, dt=0.5)
+    with pytest.raises(ValueError, match=r"^input signal ends at 1\.0 before t_final=2\.0$"):
+        simulate_open(ModalState.zero(2), h1, InputSignal.constant(1.0, 1.0), cfg)
+    ts = simulate_open(ModalState.zero(2), h1, InputSignal.constant(1.0, 2.0 - 1e-13), cfg)
+    assert ts.t[-1] == 2.0 and ts.u[-1] == 1.0  # the last segment serves every later time
 
 
 # -- config and series ---------------------------------------------------------
