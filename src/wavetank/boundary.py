@@ -33,8 +33,8 @@ from ._blocks import blocks
 from ._hyper import cosh_over_cosh, cosh_ratio_side
 from ._record import Record
 from ._table import write_table
-from .profiles import _profile
-from .spectral import _check_count, _finite_array, _number, _real_array
+from .profiles import _WALL, _profile
+from .spectral import _check_count, _edge_points, _finite_array, _number, _real_array
 
 __all__ = [
     "FieldGrid",
@@ -100,15 +100,6 @@ def _grid_axes(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(0.0, np.pi, nx + 1), np.linspace(-1.0, 0.0, ny + 1)
 
 
-def _edge_points(points, name: str, lo: float, hi: float, edge: str) -> np.ndarray:
-    """``points`` as floats, after checking that every one lies in [lo, hi] (NaN does not)."""
-    points = _real_array(points, name)
-    outside = points[~((lo <= points) & (points <= hi))]
-    if outside.size:
-        raise ValueError(f"points must lie on the {edge}, got {outside[0]}")
-    return points
-
-
 def _wall_rate(k):
     # a_k = (2k-1) pi/2, the rate of the k-th wall mode
     return (2 * k - 1) * 0.5 * np.pi
@@ -152,7 +143,7 @@ def wall_trace(eta, y) -> np.ndarray:
     Returns sum_k sqrt(2/pi) eta_k cosh[k(y+1)] / cosh(k) at the given depths,
     which must lie on the wall, in [-1, 0]; any other (NaN too) raises ValueError.
     """
-    y = _edge_points(y, "y", -1.0, 0.0, "wall x = 0, at depths y in [-1, 0]")
+    y = _edge_points(y, "y", *_WALL)
     k, c = _surface_series(eta, y.ndim)
     return np.tensordot(c.ravel(), cosh_over_cosh(k, y), axes=1)
 

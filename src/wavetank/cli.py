@@ -100,15 +100,14 @@ def _write_json(report: dict, path) -> None:
 # -- commands ---------------------------------------------------------------
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> None:
     kmax = args.kmax
     gaps = np.append(spectral.gap_products(kmax), np.nan)  # NaN is written as an empty cell
     columns = [np.arange(1, kmax + 1), spectral.eigenvalues(kmax), spectral.frequencies(kmax), gaps]
     write_table(args.output, ["k", "lambda", "mu", "gap_product"], columns)
-    return 0
 
 
-def cmd_check_profile(args) -> int:
+def cmd_check_profile(args) -> None:
     h = _load_profile(args.profile)
     strat = profiles.strategic_check(h, args.kmax)
     margins = profiles.ussd_margin(h, args.kmax)
@@ -137,7 +136,6 @@ def cmd_check_profile(args) -> int:
         },
     }
     _write_json(report, args.output)
-    return 0
 
 
 def _init_number(init: str, parse, fault: str):
@@ -207,7 +205,7 @@ def _read_signal_json(path) -> simulate.InputSignal:
     return simulate.InputSignal(segments)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     if not args.out_csv:
         raise ValueError("out-csv must name a file")
     if args.input and args.feedback == "collocated":
@@ -254,10 +252,9 @@ def cmd_simulate(args) -> int:
         "wall_time_s": wall,
     }
     _write_json(summary, args.out_json)
-    return 0
 
 
-def cmd_decay(args) -> int:
+def cmd_decay(args) -> None:
     series = simulate.TimeSeries.from_csv(args.series, modes=False)
     fit = stability.decay_fit(series, (args.t_lo, args.t_hi), args.model)
     report = {
@@ -268,24 +265,21 @@ def cmd_decay(args) -> int:
         "residual_rms": fit.residual_rms,
     }
     _write_json(report, args.output)
-    return 0
 
 
-def cmd_field(args) -> int:
+def cmd_field(args) -> None:
     state = _read_state_csv(args.state)
     h = _load_profile(args.profile)
     grid = boundary.reconstruct_field(
         state.zeta, args.u_now, h, args.nx, args.ny, n_side_modes=args.n_side_modes
     )
     grid.to_csv(args.output)
-    return 0
 
 
-def cmd_rate_study(args) -> int:
+def cmd_rate_study(args) -> None:
     h = _load_profile(args.profile)
     entries = stability.rate_vs_n_study(h, args.ns, args.t_final, args.dt, args.sample_every)
     stability.study_to_csv(entries, args.output)
-    return 0
 
 
 # -- argument wiring ---------------------------------------------------------
@@ -369,7 +363,8 @@ def main(argv=None) -> int:
         if args.config:
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_flags(args.config, args.command, commands) + argv[at:])
-        return args.run(args)
+        args.run(args)
+        return 0
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except (ValueError, TypeError, OSError, KeyError) as exc:

@@ -31,7 +31,7 @@ import numpy as np
 from ._blocks import blocks
 from ._hyper import cosh_over_cosh, exp_integral, sinh_over_cosh
 from ._table import read_table
-from .spectral import _check_count, _finite_array, _number, _real_array
+from .spectral import _check_count, _edge_points, _finite_array, _number, _real_array
 
 __all__ = [
     "WavemakerProfile",
@@ -52,6 +52,8 @@ SC_CONSTANT = math.tanh(1.0) / (1.0 - 2.0 / math.e)
 
 # the cosine piece cos(OMEGA y + PHASE) of a profile, h2 itself
 OMEGA, PHASE = 0.5 * math.pi, 0.75 * math.pi
+
+_WALL = (-1.0, 0.0, "wall x = 0, at depths y in [-1, 0]")  # the depths where h is defined, and their name
 
 
 class WavemakerProfile:
@@ -154,7 +156,7 @@ class WavemakerProfile:
     # -- evaluation and the closed-form integrals -------------------------
 
     def __call__(self, y):
-        y = _real_array(y, "y")
+        y = _edge_points(y, "y", *_WALL)
         return np.interp(y, self._knots, self._values) + self._c * np.cos(OMEGA * y + PHASE)
 
     def mean_residual(self) -> float:

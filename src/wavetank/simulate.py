@@ -129,9 +129,8 @@ class SimConfig(Frozen):
             dt = min(1e-2, 0.1 / float(frequencies(n_modes)[-1]))
         if not isinstance(record_modes, bool):
             raise ValueError(f"record_modes must be a bool, got {record_modes!r}")
-        self._freeze(n_modes, _number(t_final, "t_final", finite=True), _number(dt, "dt"), sample_every, record_modes)
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        t_final, dt = _number(t_final, "t_final", finite=True), _number(dt, "dt", positive=True)
+        self._freeze(n_modes, t_final, dt, sample_every, record_modes)
         if self.t_final < self.dt:
             raise ValueError(f"t_final must be >= dt, got {self.t_final} < {self.dt}")
         # outside input: t_final / dt, the grid's last index, must fit the int64 arange of `times`
@@ -195,9 +194,9 @@ class Segment(Frozen):
         self._freeze(*self._values(), tuple(getattr(self, name) if name else 0.0 for name in _FORM_ROW[self.form]))
 
     def __call__(self, t):
-        """Value at ``t``, a time or an array of times, as if this segment served them all."""
+        """Value at ``t``, a finite time or an array of them, as if this segment served them all."""
         amp, omega, phase = self._wave
-        return amp * np.cos(omega * _real_array(t, "t") + phase)
+        return amp * np.cos(omega * _real_array(t, "t", finite=True) + phase)
 
 
 class InputSignal(Frozen):
@@ -241,8 +240,8 @@ class InputSignal(Frozen):
         return cls([Segment(0.0, t_final, "sinusoid", amplitude=amplitude, omega=omega, phase=phase)])
 
     def at(self, t) -> np.ndarray:
-        """Values at the times ``t`` (any shape), each from the segment serving it."""
-        t = _real_array(t, "t")
+        """Values at the finite times ``t`` (any shape), each from the segment serving it."""
+        t = _real_array(t, "t", finite=True)
         amp, omega, phase = self._wave[:, np.searchsorted(self._seams, t, side="right")]
         return amp * np.cos(omega * t + phase)  # cos(0) = 1: a constant's value exactly
 

@@ -17,8 +17,14 @@ less the rank-one damping b b^T: the 2N roots of its secular equation,
 found as N real quadratic factors (:func:`_closed_loop_pairs`). From these
 pairs it forms the roots, whose real parts give the spectral abscissa in
 ``stability``, and each pair's real invariant plane and time functions,
-which give the exact closed-loop states that ``simulate`` samples. The
-public doors of the package take outside numbers by the rules below.
+which give the exact closed-loop states that ``simulate`` samples.
+
+The public doors of the package take outside numbers by the rules below,
+and no other module writes one: ``_check_count`` (an integer >= 1),
+``_number`` (an int or a float, with ``finite`` finite, with ``positive``
+positive and finite), ``_real_array`` (an array of ints and floats, with
+``finite`` finite), ``_finite_array`` (a finite array of a given rank) and
+``_edge_points`` (points on an edge [lo, hi] of the tank).
 """
 
 import math
@@ -69,34 +75,48 @@ def _check_count(value, name: str) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _real_array(values, name: str, what: str = "a real array") -> np.ndarray:
-    """``values`` as a float array; ValueError unless they are integers or floats (not bool, complex or text)."""
+def _real_array(values, name: str, what: str = "a real array", finite: bool = False) -> np.ndarray:
+    """``values`` as a float array of their own shape; ValueError unless they
+    are integers or floats (not bool, complex or text), and with ``finite``
+    unless every one is finite."""
     array = np.asarray(values)
     if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be {what}, got dtype {array.dtype}")
+    if finite and not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} has non-finite values")
     return array.astype(float, copy=False)
+
+
+def _edge_points(points, name: str, lo: float, hi: float, edge: str) -> np.ndarray:
+    """``points`` as floats, after checking that every one lies in [lo, hi] (NaN does not)."""
+    points = _real_array(points, name)
+    outside = points[~((lo <= points) & (points <= hi))]
+    if outside.size:
+        raise ValueError(f"points must lie on the {edge}, got {outside[0]}")
+    return points
 
 
 def _finite_array(values, name: str, ndim: int = 1) -> np.ndarray:
     """``values`` by :func:`_real_array` as a finite array of ``ndim`` axes, a
     single number as a vector of one; ValueError naming ``name`` otherwise."""
-    array = np.atleast_1d(_real_array(values, name))
+    array = np.atleast_1d(_real_array(values, name, finite=True))
     if array.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {array.shape}")
-    if not np.all(np.isfinite(array)):
-        raise ValueError(f"{name} has non-finite values")
     return array
 
 
-def _number(x, name: str, finite: bool = False) -> float:
+def _number(x, name: str, finite: bool = False, positive: bool = False) -> float:
     """``x`` as a float; ValueError naming ``name`` unless it is an int or a
-    float, numpy's included (a bool, complex, None or text is not), and with
-    ``finite`` unless it is finite."""
+    float, numpy's included (a bool, complex, None or text is not), with
+    ``finite`` unless it is finite, and with ``positive`` unless it is
+    positive and finite."""
     if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be an int or a float, got {x!r}")
     value = float(x)  # an int past the float range raises OverflowError
     if finite and not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+    if positive and not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 
 
@@ -157,19 +177,21 @@ def wave_package(s: float, eps: float) -> WavePackageResult:
     (k ranging over all nonzero integers) lies strictly within the width.
     Raises :class:`GapViolationError` when two or more qualify, certifying
     that the requested ``eps`` exceeds the spectral-gap threshold at s.
-    Raises ValueError where |s| is so large (from about 5e7 on) that doubles
-    no longer separate neighbouring frequencies.
+    Raises ValueError where the package reaches frequencies so large that
+    doubles no longer separate neighbours: at some centres from about 6e7 on,
+    and wherever its far edge |s| + eps/(|s|+1) reaches 2^26.5 (about 9.5e7).
     """
-    s, eps = _number(s, "s", finite=True), _number(eps, "eps")
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    s, eps = _number(s, "s", finite=True), _number(eps, "eps", positive=True)
     delta = eps / (abs(s) + 1.0)
     too_large = f"|s| = {abs(s):.6g} is too large: doubles do not separate the frequencies near it"
-    # every |s| >= 2^26.5 fails the check below (neighbouring frequencies are then
-    # within half an ulp); rejected first, it also spares the bracket, whose
-    # squares overflow from about 1.3e154
+    # every package that reaches 2^26.5 fails the check below (neighbouring
+    # frequencies are then within half an ulp); rejected first, it also spares
+    # the bracket, whose end (|s| + delta)^2 overflows from about 1.3e154
     if abs(s) >= 2.0**26.5:
         raise ValueError(too_large)
+    if abs(s) + delta >= 2.0**26.5:
+        raise ValueError(f"eps = {eps:.6g} is too large at s = {s:.6g}: the package reaches {abs(s) + delta:.6g}, "
+                         "where doubles do not separate the frequencies")
     cand = _candidate_indices(abs(s), delta)
     mu = np.sqrt(cand * np.tanh(cand))
     if np.any(np.diff(mu) <= 0.0):

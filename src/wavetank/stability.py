@@ -74,9 +74,13 @@ def decay_fit(series: TimeSeries, window: tuple[float, float], model: str) -> De
     """Fit log x_norm against t (exponential) or log(1+t) (power) on a window.
 
     Requires at least 10 samples inside the window, all with positive norm,
-    and for the power model all at t > -1.
+    and for the power model all at t > -1. ``window`` is two numbers (t_lo, t_hi).
     """
-    t_lo, t_hi = window = tuple(_number(t, "window") for t in window)
+    try:
+        t_lo, t_hi = window
+    except (TypeError, ValueError):
+        raise ValueError(f"window must be two numbers (t_lo, t_hi), got {window!r}") from None
+    t_lo, t_hi = window = _number(t_lo, "window"), _number(t_hi, "window")
     if not t_lo < t_hi:
         raise ValueError(f"window must satisfy t_lo < t_hi, got {window}")
     if model not in ("exponential", "power"):
@@ -105,9 +109,7 @@ def decay_fit(series: TimeSeries, window: tuple[float, float], model: str) -> De
 
 def envelope_check(series: TimeSeries, domain_norm0: float) -> EnvelopeReport:
     """Envelope constant max_t x_norm(t) (1+t)^{1/6} / domain_norm0 and its argmax; every t must exceed -1."""
-    domain_norm0 = _number(domain_norm0, "domain_norm0")
-    if not (domain_norm0 > 0 and math.isfinite(domain_norm0)):
-        raise ValueError(f"domain_norm0 must be positive and finite, got {domain_norm0}")
+    domain_norm0 = _number(domain_norm0, "domain_norm0", positive=True)
     if not series.t.size:
         raise ValueError("envelope needs samples, series holds none")
     if np.any(series.t <= -1.0):  # the times increase: the first is the least
@@ -159,6 +161,8 @@ def rate_vs_n_study(h, n_values, t_final=40000.0, dt=1e-2, sample_every=1000) ->
     n_values = list(n_values)
     if not n_values:
         raise ValueError("the study needs at least one truncation size")
+    for n in n_values:
+        _check_count(n, "truncation size in n_values")
     if any(n < 2 for n in n_values):
         raise ValueError("every truncation in the study must be >= 2")
     if any(lo >= hi for lo, hi in zip(n_values, n_values[1:])):

@@ -2,7 +2,8 @@
 takes an array by ``spectral._real_array`` (or ``_finite_array``) and a
 number by ``spectral._number``, so bool, complex and text are refused with a
 ValueError that names the argument, and never run as 1/0, on their real
-part or as parsed text."""
+part or as parsed text. A number outside a door's domain, such as a depth
+off the wall or a time that is not finite, is refused by the same rules."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from wavetank.boundary import FieldGrid, neumann_to_neumann, reconstruct_field, 
 from wavetank.profiles import WavemakerProfile, sc_check
 from wavetank.simulate import InputSignal, Segment, TimeSeries
 from wavetank.spectral import wave_package
-from wavetank.stability import decay_fit, envelope_check, smooth_initial_state
+from wavetank.stability import decay_fit, envelope_check, rate_vs_n_study, smooth_initial_state
 
 H1 = WavemakerProfile.linear()
 SIGNAL = InputSignal.constant(2.0, 1.0)
@@ -73,3 +74,45 @@ CASES = [
 def test_every_door_refuses_what_is_not_a_real_number(name, call, bad, what):
     with pytest.raises(ValueError, match=f"^{name} must be {what}, got "):
         call(bad)
+
+
+# each door that refuses a number outside its domain: the call and the whole
+# ValueError it raises, which names the argument
+OFF_WALL = "points must lie on the wall x = 0, at depths y in [-1, 0], got "
+OUTSIDE = {
+    "profile-below-surface": (lambda: H1(5.0), OFF_WALL + "5.0"),
+    "profile-nan": (lambda: H1(np.nan), OFF_WALL + "nan"),
+    "InputSignal.at-inf": (lambda: InputSignal.constant(2.0, 10.0).at([np.inf]), "t has non-finite values"),
+    "InputSignal.at-nan": (lambda: InputSignal.constant(2.0, 10.0).at([np.nan]), "t has non-finite values"),
+    "Segment.__call__-inf": (lambda: Segment(0, 1, "sinusoid", amplitude=1, omega=1)(np.inf), "t has non-finite values"),
+    "wave_package-overflowing-edge": (
+        lambda: wave_package(0.0, 1e155),
+        "eps = 1e+155 is too large at s = 0: the package reaches 1e+155, where doubles do not separate the frequencies",
+    ),
+    "wave_package-unallocatable-edge": (
+        lambda: wave_package(0.0, 1e8),
+        "eps = 1e+08 is too large at s = 0: the package reaches 1e+08, where doubles do not separate the frequencies",
+    ),
+    "decay_fit-one-number": (lambda: decay_fit(series(), 5.0, "exponential"),
+                             "window must be two numbers (t_lo, t_hi), got 5.0"),
+    "decay_fit-three-numbers": (lambda: decay_fit(series(), (0, 1, 2), "exponential"),
+                                "window must be two numbers (t_lo, t_hi), got (0, 1, 2)"),
+    "rate_vs_n_study-text": (lambda: rate_vs_n_study(H1, "48"),
+                             "truncation size in n_values must be an integer, got '4'"),
+    "rate_vs_n_study-bool": (lambda: rate_vs_n_study(H1, [True, 4]),
+                             "truncation size in n_values must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("call, message", OUTSIDE.values(), ids=OUTSIDE.keys())
+def test_every_door_refuses_what_lies_outside_its_domain(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_time_and_depth_doors_keep_the_shape_of_their_argument():
+    segment = Segment(0, 1, "sinusoid", amplitude=2, omega=1)
+    for door in (SIGNAL.at, segment, H1):
+        assert np.shape(door(-0.5)) == ()
+        assert np.shape(door([[-1.0], [0.0]])) == (2, 1)
