@@ -337,11 +337,11 @@ def coupling_vector(h, n_modes: int) -> np.ndarray:
     """Coupling coefficients b_k = -sqrt(2/pi) I_k / cosh(k), k <= n_modes, of a
     profile or a 1-D coupling array ``h``: of a profile, 0 wherever
     :func:`strategic_check` fails; of an array, its first n_modes entries,
-    after the one check that it is 1-D, finite and that long."""
+    after ``spectral``'s rules and the check that it is that long."""
     _check_count(n_modes, "n_modes")
     if isinstance(h, WavemakerProfile):
         return -math.sqrt(2.0 / math.pi) * h._certified(n_modes)
-    b = _real_array(h, "h", "a profile or a 1-D real array")
-    if b.ndim != 1 or b.size < n_modes or not np.all(np.isfinite(b)):
-        raise ValueError(f"a coupling array must be 1-D and finite with at least {n_modes} entries")
+    b = _finite_array(_real_array(h, "h", "a profile or a 1-D real array"), "h")
+    if b.size < n_modes:
+        raise ValueError(f"h must hold at least {n_modes} couplings, got {b.size}")
     return b[:n_modes]

@@ -156,6 +156,18 @@ class SimConfig(Frozen):
 _FORM_ROW = {"zero": (None, None, None), "constant": ("value", None, None), "sinusoid": ("amplitude", "omega", "phase")}
 
 
+def _cosine(amp, omega, phase, t):
+    """A cos(omega t + phase) at the times ``t``; ValueError naming t where
+    the phase omega t + phase is not finite."""
+    with np.errstate(over="ignore"):
+        angle = omega * t + phase
+    bad = ~np.isfinite(angle)
+    if bad.any():
+        raise ValueError(f"t = {np.broadcast_to(t, angle.shape)[bad][0]:g} is too large: "
+                         "the phase omega t + phase is not finite")
+    return amp * np.cos(angle)
+
+
 class Segment(Frozen):
     """One piece of a piecewise input: zero, constant, or a*cos(omega t + phase).
 
@@ -195,8 +207,7 @@ class Segment(Frozen):
 
     def __call__(self, t):
         """Value at ``t``, a finite time or an array of them, as if this segment served them all."""
-        amp, omega, phase = self._wave
-        return amp * np.cos(omega * _real_array(t, "t", finite=True) + phase)
+        return _cosine(*self._wave, _real_array(t, "t", finite=True))
 
 
 class InputSignal(Frozen):
@@ -242,8 +253,7 @@ class InputSignal(Frozen):
     def at(self, t) -> np.ndarray:
         """Values at the finite times ``t`` (any shape), each from the segment serving it."""
         t = _real_array(t, "t", finite=True)
-        amp, omega, phase = self._wave[:, np.searchsorted(self._seams, t, side="right")]
-        return amp * np.cos(omega * t + phase)  # cos(0) = 1: a constant's value exactly
+        return _cosine(*self._wave[:, np.searchsorted(self._seams, t, side="right")], t)
 
     def concat(self, tau: float, other: "InputSignal") -> "InputSignal":
         """Concatenation: this signal on [0, tau), then ``other`` delayed by tau."""
@@ -333,8 +343,7 @@ def _open_exact(state0: ModalState, b: np.ndarray, signal: InputSignal):
     of time: it gives the states z = [zeta; w] at a 1-D array of times, one
     row per time, each the rotating-frame y0 + [(b/mu) Im E; b Re E] turned
     by R(t). E at t sums the whole segments before the one serving t, whose
-    prefix sums are formed once, here, and that one up to t; a row with
-    E = 0 keeps y0 as it is."""
+    prefix sums are formed once, here, and that one up to t."""
     n = b.size
     mu = frequencies(n)
     wave = signal._wave
@@ -347,9 +356,7 @@ def _open_exact(state0: ModalState, b: np.ndarray, signal: InputSignal):
         i = np.searchsorted(signal._seams, t, side="right")
         e, live = prefix[i], wave[0, i] != 0  # a row in a zero segment adds nothing to its prefix
         e[live] += _integrals(wave[:, i[live]], starts[i[live]], t[live], mu)
-        forced = e.any(axis=1)
-        ys = np.tile(y0, (t.size, 1))
-        ys[forced] += np.hstack([(b / mu) * e[forced].imag, b * e[forced].real])
+        ys = y0 + np.hstack([(b / mu) * e.imag, b * e.real])
         theta = np.outer(t, mu)
         c, s = np.cos(theta), np.sin(theta)
         return np.hstack([ys[:, :n] * c + (ys[:, n:] / mu) * s, -mu * ys[:, :n] * s + ys[:, n:] * c])
@@ -366,15 +373,21 @@ def _sampled(config: SimConfig, state0: ModalState, states, inputs, monotone: bo
     functions). Row 0, at t = 0, is ``state0`` as given, since e^{A 0} or
     R(0) would round it and turn -0.0 into 0.0. With ``monotone`` the energy
     column is the running minimum of the sampled energies. Only the recorded
-    modes are kept; the last state is the final one."""
+    modes are kept; the last state is the final one. A state whose phases
+    or growth pass the float range is refused by its energy, naming its time."""
     n, times = config.n_modes, config.times
     energy, u = np.empty(times.size), np.empty(times.size)
     zeta, w = (np.empty((times.size, n)), np.empty((times.size, n))) if config.record_modes else (None, None)
     for rows in blocks(times.size, n):
-        z = states(times[rows])
-        if rows.start == 0:
-            z[0, :n], z[0, n:] = state0.zeta, state0.w
-        energy[rows], u[rows] = _energies(z[:, :n], z[:, n:]), inputs(times[rows], z[:, n:])
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            z = states(times[rows])
+            if rows.start == 0:
+                z[0, :n], z[0, n:] = state0.zeta, state0.w
+            energy[rows] = _energies(z[:, :n], z[:, n:])
+        bad = times[rows][~np.isfinite(energy[rows])]
+        if bad.size:
+            raise ValueError(f"t_final = {config.t_final:g} is too large: the state at t = {bad[0]:g} is not finite")
+        u[rows] = inputs(times[rows], z[:, n:])
         if zeta is not None:
             zeta[rows], w[rows] = z[:, :n], z[:, n:]
     if monotone:

@@ -234,12 +234,11 @@ def _closed_loop_pairs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A root is held as its home pole p = +-i mu_k plus an offset d, with the
     home denominator d (d + 2p), since s^2 + lambda_k would cancel couplings
     below eps mu_k; rho is formed from the offsets for the same reason. The
-    roots homed at +-i mu_k are pair k when each is the root nearest the
-    other's conjugate; the rest are paired again, largest imaginary part
-    first, each with the root nearest its conjugate. Near a double root
-    Aberth stalls at about sqrt(eps), so every pair is then polished by
-    Newton's method (Bairstow's) on its real equations f(s+) + f(s-) = 0 and
-    f[s+, s-] = 0, regular there.
+    roots are closed under conjugation, so they pair from the outside in by
+    imaginary part (:func:`_pair_start`). Near a double root Aberth stalls at
+    about sqrt(eps), so every pair is then polished by Newton's method
+    (Bairstow's) on its real equations f(s+) + f(s-) = 0 and f[s+, s-] = 0,
+    regular there.
 
     Raises LinAlgError when an iteration does not converge, or when the pairs
     miss the trace identity sum P = -|b|^2 by more than 1e-13 |b|^2.
@@ -315,31 +314,24 @@ def _aberth_step(i, pole, off, lam, lam_home, q):
 
 def _pair_start(pole, off, mu) -> np.ndarray:
     """Pairs P + i rho / mu_k of the roots pole + off, whose first half is homed
-    at +i mu_k and second at -i mu_k."""
+    at +i mu_k and second at -i mu_k. Sorted by imaginary part, the i-th root
+    from the top pairs with the i-th from the bottom: a conjugate with its
+    conjugate, a real root with a real one. A pair of mode k's two home roots
+    is pair k; the other pairs take the remaining modes in ascending order,
+    largest imaginary part first."""
     m = mu.size
-    roots = pole + off
-    nearest = np.empty(2 * m, dtype=int)
-    for rows in blocks(2 * m, 2 * m):
-        gaps = np.abs(roots[rows].conj()[:, None] - roots[None, :])
-        np.fill_diagonal(gaps[:, rows], np.inf)  # not the root itself
-        nearest[rows] = gaps.argmin(axis=1)
-    up, down = off[:m].copy(), off[m:].copy()
-    loose = np.flatnonzero((nearest[:m] != np.arange(m, 2 * m)) | (nearest[m:] != np.arange(m)))
-    if loose.size:
-        # largest imaginary part first, with the root nearest its conjugate
-        left = np.concatenate([loose, m + loose]).tolist()
-        for k in loose:
-            z = roots[left]
-            i = int(np.argmax(z.imag))
-            gaps = np.abs(z - z[i].conj())
-            gaps[i] = np.inf
-            j = int(np.argmin(gaps))
-            up[k], down[k] = roots[left[i]] - pole[k], roots[left[j]] - pole[m + k]
-            for at in sorted((i, j), reverse=True):
-                del left[at]
-    total = up + down
-    rho = 1j * mu * (up - down) - up * down  # lambda_k - s+ s-
-    return total.real + 1j * (rho.real / mu)
+    order = np.argsort((pole + off).imag, kind="stable")
+    hi, lo = order[::-1][:m], order[:m]
+    home = hi % m == lo % m  # by residue: another mode's real roots may sort between k's
+    mode = np.empty(m, dtype=int)
+    mode[home] = hi[home] % m
+    mode[~home] = np.flatnonzero(np.bincount(mode[home], minlength=m) == 0)  # not setdiff1d, which imports numpy.ma
+    # offsets from pair k's poles, exactly off at home
+    up, down = (pole[hi] - pole[mode]) + off[hi], (pole[lo] - pole[m + mode]) + off[lo]
+    rho = 1j * mu[mode] * (up - down) - up * down  # lambda_k - s+ s-
+    pairs = np.empty(m, dtype=complex)
+    pairs[mode] = (up + down).real + 1j * (rho.real / mu[mode])
+    return pairs
 
 
 def _pair_ratios(p, r, mu):

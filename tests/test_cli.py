@@ -396,6 +396,21 @@ def test_step_count_past_int64_single_error_line(tmp_path, capsys, argv):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("feedback", ["collocated", "none"])
+def test_horizon_past_the_float_range_single_error_line(tmp_path, capsys, feedback):
+    # t omega overflows in the closed loop's time functions and the open loop's
+    # rotation: one error naming t, not a numpy warning and "zeta has non-finite values"
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--feedback", feedback, "--n-modes", "4", "--t-final", "1e308", "--dt", "1e300",
+        "--sample-every", "100000000", "--out-csv", str(tmp_path / "x.csv"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: t_final = 1e+308 is too large: the state at t = 1e+308 is not finite\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_names_a_nan_decay_power(tmp_path, capsys):
     code, out, err = run_cli(
         capsys,
@@ -443,6 +458,18 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_closed_loop_loads_no_numpy_ma(tmp_path):
+    # numpy.ma costs ~14 ms per process start-up, and np.setdiff1d imports it on
+    # its first call; the root finder and the closed loop must not pull it in
+    src = str(Path(wavetank.__file__).resolve().parents[1])
+    probe = ("import sys, wavetank.cli; wavetank.cli.main(['rate-study', '--ns', '4,8', '--output', sys.argv[1]]); "
+             "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "rates.csv")], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_nothing_is_lost_at_exit(tmp_path):

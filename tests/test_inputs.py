@@ -85,6 +85,10 @@ OUTSIDE = {
     "InputSignal.at-inf": (lambda: InputSignal.constant(2.0, 10.0).at([np.inf]), "t has non-finite values"),
     "InputSignal.at-nan": (lambda: InputSignal.constant(2.0, 10.0).at([np.nan]), "t has non-finite values"),
     "Segment.__call__-inf": (lambda: Segment(0, 1, "sinusoid", amplitude=1, omega=1)(np.inf), "t has non-finite values"),
+    "InputSignal.at-phase-overflow": (lambda: InputSignal.sinusoid(1.0, 10.0, 1.0).at([0.5, 1e308]),
+                                      "t = 1e+308 is too large: the phase omega t + phase is not finite"),
+    "Segment.__call__-phase-overflow": (lambda: Segment(0, 1, "sinusoid", amplitude=1, omega=10)(1e308),
+                                        "t = 1e+308 is too large: the phase omega t + phase is not finite"),
     "wave_package-overflowing-edge": (
         lambda: wave_package(0.0, 1e155),
         "eps = 1e+155 is too large at s = 0: the package reaches 1e+155, where doubles do not separate the frequencies",

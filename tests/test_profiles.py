@@ -323,8 +323,12 @@ def test_coupling_vector_values(h1):
 
 
 @pytest.mark.parametrize(
-    "coupling",
-    [np.ones((2, 4)), np.array([0.1, math.nan, 0.2, 0.3]), np.ones(3)],
+    "coupling, message",
+    [
+        (np.ones((2, 4)), r"h must be 1-D, got shape \(2, 4\)"),
+        (np.array([0.1, math.nan, 0.2, 0.3]), "h has non-finite values"),
+        (np.ones(3), "h must hold at least 4 couplings, got 3"),
+    ],
     ids=["2-D", "non-finite", "short"],
 )
 @pytest.mark.parametrize(
@@ -336,11 +340,13 @@ def test_coupling_vector_values(h1):
     ],
     ids=["simulate_closed", "simulate_open", "spectral_abscissa"],
 )
-def test_bad_coupling_arrays_fail_at_the_coupling(reader, coupling):
-    # one check, in coupling_vector, for every reader of a coupling array
-    with pytest.raises(ValueError, match="^a coupling array must be 1-D and finite with at least 4 entries$") as err:
+def test_bad_coupling_arrays_fail_at_the_coupling(reader, coupling, message):
+    # one check, in coupling_vector and spectral's rules, for every reader of a coupling array
+    with pytest.raises(ValueError, match=f"^{message}$") as err:
         reader(coupling)
-    assert err.traceback[-1].name == "coupling_vector"
+    names = [entry.name for entry in err.traceback]
+    assert "coupling_vector" in names
+    assert set(names[names.index("coupling_vector"):]) <= {"coupling_vector", "_finite_array", "_real_array"}
 
 
 @pytest.mark.parametrize("bad", [np.array([1 + 1j, 0.0]), np.array([True, False]), "h1"],
